@@ -51,7 +51,6 @@ from .fermionic import (
 from .characters import (
     DirichletCharacter,
     RootOfUnity,
-    char_eval,
     characters_mod,
     conductor,
     generalized_qeuler,
@@ -108,7 +107,6 @@ __all__ = [
     "stage_sum",
     "DirichletCharacter",
     "RootOfUnity",
-    "char_eval",
     "characters_mod",
     "conductor",
     "generalized_qeuler",

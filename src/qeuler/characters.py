@@ -37,7 +37,6 @@ __all__ = [
     "RootOfUnity",
     "DirichletCharacter",
     "characters_mod",
-    "char_eval",
     "conductor",
     "is_primitive",
     "root_sum_is_zero",
@@ -340,11 +339,6 @@ def characters_mod(d):
     ]
 
 
-def char_eval(chi, n):
-    """chi(n) as a RootOfUnity, or 0 when gcd(n, d) > 1."""
-    return chi(n)
-
-
 def conductor(chi):
     """Smallest modulus chi factors through (product of local conductors)."""
     f = 1
@@ -390,6 +384,16 @@ def generalized_qeuler(m, chi, r):
             continue
         c = prefactor * r ** (-m * i) * qeuler_poly_exact(m, r, d, i)
         weights.append((v, -c if i % 2 else c))
+    return _chi_combination(chi, weights)
+
+
+def _chi_combination(chi, weights):
+    """sum v * c over (v, c) pairs of chi values and exact rational cofactors.
+
+    Exact (a Fraction) when chi is real-valued (order <= 2); otherwise the
+    rational cofactors are rounded once and combined in complex floating
+    point.
+    """
     if chi.order <= 2:
         return sum((v.as_rational() * c for v, c in weights), Fraction(0))
     return sum((v.to_complex() * float(c) for v, c in weights), complex(0))

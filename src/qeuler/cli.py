@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .fermionic import higher_order_stage
 from .numeric import PAdicQParam
 from .zeta import (
     PrecisionPolicy,
+    SeriesValue,
     euler_zeta_neg_int_exact,
     euler_zeta_q,
     euler_zeta_q_direct,
@@ -72,6 +74,8 @@ def _parse_s(text):
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise DomainError(f"cannot parse s {text!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise DomainError(f"s must be finite, got {text!r}")
     return complex(re, im)
 
 
@@ -104,13 +108,6 @@ def _parse_int_range(text):
 
 def _parse_q_list(text):
     return [_parse_rational(part) for part in text.split(",")]
-
-
-def _neg_int_s(s):
-    """The m >= 0 with s = -m, or None if s is not a nonpositive integer."""
-    if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
-        return -int(s.real)
-    return None
 
 
 def _iroot(n, d):
@@ -164,14 +161,13 @@ def _record(function, params, value, method, err=None, terms=None):
 
 
 def _cell(v):
-    """Render one CSV cell: exact rationals as num/den, floats round-trip."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, complex):
-        return repr(v.real) if v.imag == 0 else repr(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """Render a record's value object as one CSV cell: exact rationals as
+    num/den, numeric values as round-trip floats (complex when Im != 0)."""
+    if "num" in v:
+        return str(Fraction(v["num"], v["den"]))
+    if v["im"] == 0:
+        return repr(v["re"])
+    return repr(complex(v["re"], v["im"]))
 
 
 def _real_str(x):
@@ -211,216 +207,149 @@ def _require(args, names):
 
 
 # ---------------------------------------------------------------------------
-# eval
+# eval and table: one evaluator per function.
+#
+# Each evaluator takes the parsed options and the series policy and returns
+# the record's params with either an exact (or closed-form float) value or
+# a SeriesValue.  Library functions are looked up in this module's globals
+# at call time, so wrappers installed on these names (the benchmark's
+# per-layer tracer) see every call.
+
+
+def _order(args):
+    return args.k if args.k is not None else 1
+
+
+def _exact_s(args, fn, allow_zero=False):
+    """The m with s = -m (m > 0, or m >= 0 with allow_zero), else a domain error."""
+    s = args.s
+    if s.imag == 0 and s.real == int(s.real) and (s.real < 0 or (allow_zero and s.real == 0)):
+        return -int(s.real)
+    kind = "nonpositive" if allow_zero else "negative"
+    raise DomainError(f"exact {fn} needs s a {kind} integer, got {s}")
+
+
+def _route(args, continuation, direct):
+    return direct if args.method == "direct" else continuation
+
+
+def _eval_qeuler(args, policy):
+    k = _order(args)
+    q = args.q if args.exact else float(args.q)
+    return {"m": args.m, "k": k, "q": _param_str(args.q)}, qeuler_higher(args.m, k, q)
+
+
+def _eval_qeuler_poly(args, policy):
+    if args.exact:
+        x = _parse_rational(args.x)
+        if not 0 <= x:
+            raise DomainError(f"x must be nonnegative, got {x}")
+        a, d = x.numerator, x.denominator
+        value = qeuler_poly_exact(args.m, _exact_root(args.q, d), d, a)
+    else:
+        value = qeuler_poly_numeric(args.m, float(args.q), float(Fraction(args.x)))
+    return {"m": args.m, "q": _param_str(args.q), "x": args.x}, value
+
+
+def _eval_classical(args, policy):
+    k = _order(args)
+    return {"m": args.m, "k": k}, euler_classical(args.m, k)
+
+
+def _eval_stage(args, policy):
+    k = _order(args)
+    value = higher_order_stage(args.m, k, PAdicQParam(args.p, args.q), args.N)
+    return {"m": args.m, "k": k, "p": args.p, "q": _param_str(args.q), "N": args.N}, value
+
+
+def _eval_zeta(args, policy):
+    params = {"s": _param_str(args.s), "q": _param_str(args.q)}
+    if args.exact:
+        return params, euler_zeta_neg_int_exact(_exact_s(args, "zeta", True), args.q)
+    route = _route(args, euler_zeta_q, euler_zeta_q_direct)
+    return params, route(args.s, float(args.q), policy)
+
+
+def _eval_hurwitz(args, policy):
+    params = {"s": _param_str(args.s), "x": args.x, "q": _param_str(args.q)}
+    if args.exact:
+        m = _exact_s(args, "hurwitz")
+        x = _parse_rational(args.x)
+        if not x > 0:
+            raise DomainError(f"x must be positive, got {x}")
+        a, d = x.numerator, x.denominator
+        return params, hurwitz_neg_int_exact(m, _exact_root(args.q, d), d, a)
+    route = _route(args, hurwitz_zeta_q, hurwitz_zeta_q_direct)
+    return params, route(args.s, float(Fraction(args.x)), float(args.q), policy)
+
+
+def _eval_lseries(args, policy):
+    chi = _parse_char(args.char)
+    params = {"s": _param_str(args.s), "char": args.char, "q": _param_str(args.q)}
+    if args.exact:
+        return params, l_neg_int_exact(_exact_s(args, "lseries"), chi, args.q)
+    return params, _route(args, l_series, l_series_direct)(args.s, chi, float(args.q), policy)
+
+
+def _eval_partial(args, policy):
+    params = {"s": _param_str(args.s), "a": args.a, "F": args.F, "q": _param_str(args.q)}
+    if args.exact:
+        n = _exact_s(args, "partial")
+        return params, partial_zeta_neg_int_exact(n, args.a, args.F, args.q)
+    route = _route(args, partial_zeta, partial_zeta_direct)
+    return params, route(args.s, args.a, args.F, float(args.q), policy)
+
+
+_EXACT = "exact-negative-integer"
+
+# name -> (required options, method of a non-series value, evaluator)
+_FUNCTIONS = {
+    "zeta": (("s", "q"), _EXACT, _eval_zeta),
+    "hurwitz": (("s", "q", "x"), _EXACT, _eval_hurwitz),
+    "lseries": (("s", "q", "char"), _EXACT, _eval_lseries),
+    "partial": (("s", "q", "a", "F"), _EXACT, _eval_partial),
+    "qeuler": (("m", "q"), "closed-form", _eval_qeuler),
+    "qeuler-poly": (("m", "q", "x"), "closed-form", _eval_qeuler_poly),
+    "classical": (("m",), "closed-form", _eval_classical),
+    "integral-stage": (("m", "p", "q", "N"), "stage", _eval_stage),
+}
 
 
 def _eval_record(args):
     policy = _policy_from_args(args)
-    fn = args.function
-    direct = args.method == "direct"
-
-    if fn == "qeuler":
-        _require(args, ["m", "q"])
-        k = args.k if args.k is not None else 1
-        q = args.q if args.exact else float(args.q)
-        value = qeuler_higher(args.m, k, q)
-        return _record(
-            fn,
-            {"m": args.m, "k": k, "q": _param_str(args.q)},
-            value,
-            "closed-form",
-        )
-
-    if fn == "qeuler-poly":
-        _require(args, ["m", "q", "x"])
-        if args.exact:
-            x = _parse_rational(args.x)
-            if not 0 <= x:
-                raise DomainError(f"x must be nonnegative, got {x}")
-            a, d = x.numerator, x.denominator
-            r = _exact_root(args.q, d)
-            value = qeuler_poly_exact(args.m, r, d, a)
-        else:
-            value = qeuler_poly_numeric(args.m, float(args.q), float(Fraction(args.x)))
-        return _record(
-            fn,
-            {"m": args.m, "q": _param_str(args.q), "x": args.x},
-            value,
-            "closed-form",
-        )
-
-    if fn == "classical":
-        _require(args, ["m"])
-        k = args.k if args.k is not None else 1
-        return _record(fn, {"m": args.m, "k": k}, euler_classical(args.m, k), "closed-form")
-
-    if fn == "integral-stage":
-        _require(args, ["m", "p", "q", "N"])
-        k = args.k if args.k is not None else 1
-        ctx = PAdicQParam(args.p, args.q)
-        value = higher_order_stage(args.m, k, ctx, args.N)
-        return _record(
-            fn,
-            {"m": args.m, "k": k, "p": args.p, "q": _param_str(args.q), "N": args.N},
-            value,
-            "stage",
-        )
-
-    if fn == "zeta":
-        _require(args, ["s", "q"])
-        params = {"s": _param_str(args.s), "q": _param_str(args.q)}
-        if args.exact:
-            m = _neg_int_s(args.s)
-            if m is None:
-                raise DomainError(f"exact zeta needs s a nonpositive integer, got {args.s}")
-            return _record(fn, params, euler_zeta_neg_int_exact(m, args.q), "exact-negative-integer")
-        sv = (euler_zeta_q_direct if direct else euler_zeta_q)(args.s, float(args.q), policy)
-        return _record(fn, params, sv.value, sv.method, sv.abs_error_estimate, sv.terms_used)
-
-    if fn == "hurwitz":
-        _require(args, ["s", "q", "x"])
-        params = {"s": _param_str(args.s), "x": args.x, "q": _param_str(args.q)}
-        if args.exact:
-            m = _neg_int_s(args.s)
-            if m is None or m == 0:
-                raise DomainError(f"exact hurwitz needs s a negative integer, got {args.s}")
-            x = _parse_rational(args.x)
-            if not x > 0:
-                raise DomainError(f"x must be positive, got {x}")
-            a, d = x.numerator, x.denominator
-            r = _exact_root(args.q, d)
-            return _record(
-                fn, params, hurwitz_neg_int_exact(m, r, d, a), "exact-negative-integer"
-            )
-        x = float(Fraction(args.x))
-        sv = (hurwitz_zeta_q_direct if direct else hurwitz_zeta_q)(args.s, x, float(args.q), policy)
-        return _record(fn, params, sv.value, sv.method, sv.abs_error_estimate, sv.terms_used)
-
-    if fn == "lseries":
-        _require(args, ["s", "q", "char"])
-        chi = _parse_char(args.char)
-        params = {"s": _param_str(args.s), "char": args.char, "q": _param_str(args.q)}
-        if args.exact:
-            k = _neg_int_s(args.s)
-            if k is None or k == 0:
-                raise DomainError(f"exact lseries needs s a negative integer, got {args.s}")
-            return _record(fn, params, l_neg_int_exact(k, chi, args.q), "exact-negative-integer")
-        sv = (l_series_direct if direct else l_series)(args.s, chi, float(args.q), policy)
-        return _record(fn, params, sv.value, sv.method, sv.abs_error_estimate, sv.terms_used)
-
-    if fn == "partial":
-        _require(args, ["s", "q", "a", "F"])
-        params = {"s": _param_str(args.s), "a": args.a, "F": args.F, "q": _param_str(args.q)}
-        if args.exact:
-            n = _neg_int_s(args.s)
-            if n is None or n == 0:
-                raise DomainError(f"exact partial needs s a negative integer, got {args.s}")
-            return _record(
-                fn, params, partial_zeta_neg_int_exact(n, args.a, args.F, args.q),
-                "exact-negative-integer",
-            )
-        sv = (partial_zeta_direct if direct else partial_zeta)(
-            args.s, args.a, args.F, float(args.q), policy
-        )
-        return _record(fn, params, sv.value, sv.method, sv.abs_error_estimate, sv.terms_used)
-
-    raise DomainError(f"unknown function {fn!r}")
+    required, method, evaluate = _FUNCTIONS[args.function]
+    _require(args, required)
+    params, value = evaluate(args, policy)
+    if isinstance(value, SeriesValue):
+        return _record(args.function, params, value.value, value.method,
+                       value.abs_error_estimate, value.terms_used)
+    return _record(args.function, params, value, method)
 
 
 def _cmd_eval(args):
-    record = _eval_record(args)
-    print(json.dumps(record))
+    print(json.dumps(_eval_record(args)))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# table
+# (table option, evaluator option) per sweep
+_SWEEPS = (("m_range", "m"), ("s_grid", "s"), ("q_list", "q"))
 
 
 def _table_rows(args):
     """Yield (sweep_name, sweep_value, record) per row in sweep order."""
-    policy = _policy_from_args(args)
-    fn = args.function
-    sweeps = [name for name in ("m_range", "s_grid", "q_list") if getattr(args, name) is not None]
+    sweeps = [sweep for sweep in _SWEEPS if getattr(args, sweep[0]) is not None]
     if len(sweeps) != 1:
         raise DomainError("exactly one of --m, --s-grid, --q-list must sweep")
-    sweep = sweeps[0]
-
-    if fn == "qeuler":
-        k = args.k if args.k is not None else 1
-        if sweep == "m_range":
-            _require(args, ["q"])
-            for m in args.m_range:
-                q = args.q if args.exact else float(args.q)
-                yield "m", m, _record(
-                    fn, {"m": m, "k": k, "q": _param_str(args.q)},
-                    qeuler_higher(m, k, q), "closed-form",
-                )
-        elif sweep == "q_list":
-            if args.m_single is None:
-                raise DomainError("--q-list sweep for qeuler needs a fixed --m like '2'")
-            for q in args.q_list:
-                qq = q if args.exact else float(q)
-                yield "q", _param_str(q), _record(
-                    fn, {"m": args.m_single, "k": k, "q": _param_str(q)},
-                    qeuler_higher(args.m_single, k, qq), "closed-form",
-                )
-        else:
-            raise DomainError("table qeuler sweeps --m or --q-list")
-        return
-
-    if fn == "classical":
-        if sweep != "m_range":
-            raise DomainError("table classical sweeps --m")
-        k = args.k if args.k is not None else 1
-        for m in args.m_range:
-            yield "m", m, _record(fn, {"m": m, "k": k}, euler_classical(m, k), "closed-form")
-        return
-
-    if fn == "zeta":
-        if sweep == "s_grid":
-            _require(args, ["q"])
-            for s_int in args.s_grid:
-                params = {"s": str(s_int), "q": _param_str(args.q)}
-                if args.exact:
-                    if s_int > 0:
-                        raise DomainError(
-                            f"exact zeta table needs a nonpositive integer grid, got s={s_int}"
-                        )
-                    rec = _record(
-                        fn, params, euler_zeta_neg_int_exact(-s_int, args.q),
-                        "exact-negative-integer",
-                    )
-                else:
-                    sv = euler_zeta_q(s_int, float(args.q), policy)
-                    rec = _record(
-                        fn, params, sv.value, sv.method, sv.abs_error_estimate, sv.terms_used
-                    )
-                yield "s", s_int, rec
-        elif sweep == "q_list":
-            _require(args, ["s"])
-            for q in args.q_list:
-                params = {"s": _param_str(args.s), "q": _param_str(q)}
-                if args.exact:
-                    m = _neg_int_s(args.s)
-                    if m is None:
-                        raise DomainError(
-                            f"exact zeta needs s a nonpositive integer, got {args.s}"
-                        )
-                    rec = _record(
-                        fn, params, euler_zeta_neg_int_exact(m, q), "exact-negative-integer"
-                    )
-                else:
-                    sv = euler_zeta_q(args.s, float(q), policy)
-                    rec = _record(
-                        fn, params, sv.value, sv.method, sv.abs_error_estimate, sv.terms_used
-                    )
-                yield "q", _param_str(q), rec
-        else:
-            raise DomainError("table zeta sweeps --s-grid or --q-list")
-        return
-
-    raise DomainError(f"table supports qeuler | classical | zeta, got {fn!r}")
+    sweep, name = sweeps[0]
+    required = _FUNCTIONS[args.function][0]
+    if name not in required:
+        raise DomainError(f"{args.function} has no parameter {name} to sweep")
+    if "m" in required and name != "m" and args.m_single is None:
+        raise DomainError(f"table {args.function} needs --m-fixed unless it sweeps --m")
+    args.m = args.m_single
+    for value in getattr(args, sweep):
+        setattr(args, name, value)
+        yield name, _param_str(value), _eval_record(args)
 
 
 def _cmd_table(args):
@@ -428,17 +357,9 @@ def _cmd_table(args):
     if args.format == "json":
         print(json.dumps([rec for _, _, rec in rows], indent=2))
         return 0
-    name = rows[0][0] if rows else "param"
-    print(f"{name},value")
+    print(f"{rows[0][0]},value")
     for _, sweep_value, rec in rows:
-        v = rec["value"]
-        if "num" in v:
-            cell = _cell(Fraction(v["num"], v["den"]))
-        elif v["im"] == 0:
-            cell = repr(v["re"])
-        else:
-            cell = repr(complex(v["re"], v["im"]))
-        print(f"{sweep_value},{cell}")
+        print(f"{sweep_value},{_cell(rec['value'])}")
     return 0
 
 
@@ -499,11 +420,7 @@ def _build_parser():
                        help="small terms required before stopping")
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument(
-        "function",
-        choices=["zeta", "hurwitz", "lseries", "partial", "qeuler", "qeuler-poly",
-                 "classical", "integral-stage"],
-    )
+    p_eval.add_argument("function", choices=list(_FUNCTIONS))
     p_eval.add_argument("--q", type=_parse_rational, help="base q, as 'a/b' or decimal")
     p_eval.add_argument("--s", type=_parse_s, help="s as 're' or 're,im'")
     p_eval.add_argument("--x", help="polynomial argument x (rational 'a/b' or decimal)")
@@ -536,7 +453,7 @@ def _build_parser():
     p_table.add_argument("--exact", action="store_true", help="exact rational rows")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     add_policy(p_table)
-    p_table.set_defaults(run=_cmd_table)
+    p_table.set_defaults(run=_cmd_table, method="continuation")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="?", default="all",
@@ -587,7 +504,8 @@ def main(argv=None):
     except NonConvergenceError as exc:
         print(f"qeuler: non-convergence: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ResourceLimitError, NearSingularError, ValueError) as exc:
+    except (DomainError, ResourceLimitError, NearSingularError, ValueError,
+            OverflowError) as exc:
         print(f"qeuler: error: {exc}", file=sys.stderr)
         return 2
 

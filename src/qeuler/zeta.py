@@ -4,7 +4,13 @@ Two evaluation routes are kept deliberately separate:
 
 * ``*_direct`` -- the defining alternating Dirichlet series, valid for
   Re(s) >= 1 only (the domain is enforced, never silently widened).
-  These exist as oracles for the continuation route.
+  These exist as oracles for the continuation route.  All four are one
+  series over an arithmetic progression n = n0, n0+step, ...,
+
+      (1+q) sum_n chi(n) (-1)**n q**(s*n) / [n+x]**s,
+
+  with chi = 1 except for the L-series; one private generator makes
+  the terms.
 
 * the binomial continuation -- for 0 < q < 1 and x > 0,
 
@@ -35,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import DirichletCharacter, generalized_qeuler
+from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import DomainError, NearSingularError, NonConvergenceError
 from .euler_numbers import qeuler_poly_exact
 from .numeric import gen_binom, q_bracket
@@ -90,16 +96,13 @@ class SeriesValue:
     method: str
 
 
-_TERMINATED = object()
-
-
 def _sum_series(terms, ratio_bound, policy, method):
     """Drive a term generator under the stopping rule.
 
-    ``terms`` yields complex term values, or the ``_TERMINATED`` sentinel
-    when every remaining term is exactly zero (then the partial sum is
-    the exact series value).  ``ratio_bound`` is the a-priori limit of
-    the term ratio, in [0, 1).
+    ``terms`` yields complex term values and is exhausted only when every
+    remaining term is exactly zero (then the partial sum is the exact
+    series value).  ``ratio_bound`` is the a-priori limit of the term
+    ratio, in [0, 1).
     """
     total = complex(0)
     small_run = 0
@@ -108,8 +111,6 @@ def _sum_series(terms, ratio_bound, policy, method):
     tail = math.inf
     n = 0
     for term in terms:
-        if term is _TERMINATED:
-            return SeriesValue(total, 0.0, n, method)
         n += 1
         total += term
         a = abs(term)
@@ -153,6 +154,54 @@ def _rpow(base, s):
     return base**s
 
 
+def _direct_terms(s, q, chi=None, x=0, n0=1, step=1):
+    """Terms (1+q) chi(n) (-1)**n q**(s*n) / [n+x]**s for n = n0, n0+step, ...
+
+    ``chi=None`` weighs every term by 1.
+    """
+    prefactor = 1 + q
+    qsn = _rpow(q, s * n0)  # q**(s*n)
+    qs_step = _rpow(q, s * step)
+    qnx = q ** (n0 + x)  # q**(n+x)
+    q_step = q**step
+    n = n0
+    while True:
+        v = 1 if chi is None else chi(n)
+        if v == 0:
+            yield complex(0)
+        else:
+            w = prefactor * (-1 if n % 2 else 1)
+            if chi is not None:
+                w = w * v.to_complex()
+            yield w * qsn / _rpow((1 - qnx) / (1 - q), s)
+        n += step
+        qsn *= qs_step
+        qnx *= q_step
+
+
+def _check_direct(s):
+    if s.real < 1:
+        raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
+
+
+def _class_weight(q, d, s):
+    """The weight of the class n = a (mod d) as a function of a (and chi(a)):
+
+        weight(a, v) = (1+q)/(1+q**d) [d]_q**(-s) v (-1)**a q**(s*a),
+
+    the factor of zeta_H(s, a/d at base q**d) in the class decomposition.
+    Works over floats (complex s) and over Fractions (integer s); the
+    a-independent factor is computed once, and ``v=None`` means weight 1.
+    """
+    pref = (1 + q) / (1 + q**d) * _rpow(q_bracket(d, q), -s)
+
+    def weight(a, v=None):
+        w = pref if v is None else pref * v.to_complex()
+        return w * (-1) ** a * _rpow(q, s * a)
+
+    return weight
+
+
 def hurwitz_zeta_q(s, x, q, policy=None):
     """Hurwitz-type q-Euler zeta zeta_H(s, x) by the binomial continuation.
 
@@ -176,7 +225,6 @@ def hurwitz_zeta_q(s, x, q, policy=None):
         j = 0
         while True:
             if coeff == 0:
-                yield _TERMINATED
                 return
             den = 1 + qsj
             if abs(den) < NEAR_SINGULAR_TOL:
@@ -206,22 +254,8 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     q = _check_base(q)
     if not x > 0:
         raise DomainError(f"x must be positive, got {x}")
-    if s.real < 1:
-        raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
-    prefactor = 1 + q
-
-    def terms():
-        qsn = complex(1)  # q**(s*n)
-        qnx = q**x  # q**(n+x)
-        sign = 1
-        while True:
-            bracket = (1 - qnx) / (1 - q)
-            yield prefactor * sign * qsn / _rpow(bracket, s)
-            qsn *= _rpow(q, s)
-            qnx *= q
-            sign = -sign
-
-    return _sum_series(terms(), q**s.real, policy, "direct")
+    _check_direct(s)
+    return _sum_series(_direct_terms(s, q, x=x, n0=0), q**s.real, policy, "direct")
 
 
 def _hurwitz_trunc_exact(m, r, d, a):
@@ -260,22 +294,8 @@ def euler_zeta_q_direct(s, q, policy=None):
     policy = policy or PrecisionPolicy()
     s = complex(s)
     q = _check_base(q)
-    if s.real < 1:
-        raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
-    prefactor = 1 + q
-
-    def terms():
-        qsn = _rpow(q, s)  # q**(s*n)
-        qn = q  # q**n
-        sign = -1
-        while True:
-            bracket = (1 - qn) / (1 - q)
-            yield prefactor * sign * qsn / _rpow(bracket, s)
-            qsn *= _rpow(q, s)
-            qn *= q
-            sign = -sign
-
-    return _sum_series(terms(), q**s.real, policy, "direct")
+    _check_direct(s)
+    return _sum_series(_direct_terms(s, q), q**s.real, policy, "direct")
 
 
 def euler_zeta_neg_int_exact(m, r):
@@ -314,13 +334,13 @@ def l_series(s, chi, q, policy=None):
     q = _check_base(q)
     d = chi.modulus
     qd = q**d
-    pref = (1 + q) / (1 + qd) * _rpow(q_bracket(d, q), -s)
+    weight = _class_weight(q, d, s)
     total = complex(0)
     err = 0.0
     terms_used = 0
     for a, v in _char_weights(chi):
         h = hurwitz_zeta_q(s, a / d, qd, policy)
-        w = pref * v.to_complex() * (-1) ** a * _rpow(q, s * a)
+        w = weight(a, v)
         total += w * h.value
         err += abs(w) * h.abs_error_estimate
         terms_used += h.terms_used
@@ -334,27 +354,8 @@ def l_series_direct(s, chi, q, policy=None):
     policy = policy or PrecisionPolicy()
     s = complex(s)
     q = _check_base(q)
-    if s.real < 1:
-        raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
-    prefactor = 1 + q
-
-    def terms():
-        qsn = complex(1)
-        qn = 1.0
-        n = 0
-        while True:
-            n += 1
-            qsn *= _rpow(q, s)
-            qn *= q
-            v = chi(n)
-            if v == 0:
-                yield complex(0)
-                continue
-            bracket = (1 - qn) / (1 - q)
-            sign = -1 if n % 2 else 1
-            yield prefactor * sign * v.to_complex() * qsn / _rpow(bracket, s)
-
-    return _sum_series(terms(), q**s.real, policy, "direct")
+    _check_direct(s)
+    return _sum_series(_direct_terms(s, q, chi), q**s.real, policy, "direct")
 
 
 def l_neg_int_exact(k, chi, r):
@@ -378,17 +379,10 @@ def l_neg_int_decomposition(k, chi, r):
         raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
     r = _check_exact_base(r)
     d = chi.modulus
-    pref = (1 + r) / (1 + r**d) * Fraction(q_bracket(d, r)) ** k
-    weights = []
-    for a in range(1, d + 1):
-        v = chi(a)
-        if v == 0:
-            continue
-        c = pref * r ** (-k * a) * _hurwitz_trunc_exact(k, r, d, a)
-        weights.append((v, -c if a % 2 else c))
-    if chi.order <= 2:
-        return sum((v.as_rational() * c for v, c in weights), Fraction(0))
-    return sum((v.to_complex() * float(c) for v, c in weights), complex(0))
+    weight = _class_weight(r, d, -k)
+    return _chi_combination(chi, [
+        (v, weight(a) * _hurwitz_trunc_exact(k, r, d, a)) for a, v in _char_weights(chi)
+    ])
 
 
 def _check_partial_args(a, F):
@@ -412,15 +406,8 @@ def partial_zeta(s, a, F, q, policy=None):
     policy = policy or PrecisionPolicy()
     s = complex(s)
     q = _check_base(q)
-    qF = q**F
-    h = hurwitz_zeta_q(s, a / F, qF, policy)
-    w = (
-        (1 + q)
-        / (1 + qF)
-        * _rpow(q_bracket(F, q), -s)
-        * (-1) ** a
-        * _rpow(q, s * a)
-    )
+    h = hurwitz_zeta_q(s, a / F, q**F, policy)
+    w = _class_weight(q, F, s)(a)
     return SeriesValue(w * h.value, abs(w) * h.abs_error_estimate, h.terms_used, h.method)
 
 
@@ -430,25 +417,8 @@ def partial_zeta_direct(s, a, F, q, policy=None):
     policy = policy or PrecisionPolicy()
     s = complex(s)
     q = _check_base(q)
-    if s.real < 1:
-        raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
-    prefactor = 1 + q
-
-    def terms():
-        n = a
-        qn = q**a
-        qsn = _rpow(q, s * a)
-        qF = q**F
-        qsF = _rpow(q, s * F)
-        while True:
-            bracket = (1 - qn) / (1 - q)
-            sign = -1 if n % 2 else 1
-            yield prefactor * sign * qsn / _rpow(bracket, s)
-            n += F
-            qn *= qF
-            qsn *= qsF
-
-    return _sum_series(terms(), q ** (s.real * F), policy, "direct")
+    _check_direct(s)
+    return _sum_series(_direct_terms(s, q, n0=a, step=F), q ** (s.real * F), policy, "direct")
 
 
 def partial_zeta_neg_int_exact(n, a, F, r):
@@ -461,12 +431,4 @@ def partial_zeta_neg_int_exact(n, a, F, r):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     _check_partial_args(a, F)
     r = _check_exact_base(r)
-    rF = r**F
-    return (
-        (1 + r)
-        / (1 + rF)
-        * Fraction(q_bracket(F, r)) ** n
-        * (-1) ** a
-        * r ** (-n * a)
-        * _hurwitz_trunc_exact(n, r, F, a)
-    )
+    return _class_weight(r, F, -n)(a) * _hurwitz_trunc_exact(n, r, F, a)

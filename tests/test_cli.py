@@ -165,3 +165,44 @@ class TestTableFormats:
     def test_sweep_must_be_unique(self, capsys):
         assert main(["table", "qeuler", "--q", "1/2", "--m", "0..2",
                      "--q-list", "1/2"]) == 2
+
+
+class TestNonFiniteAndHugeS:
+    @pytest.mark.parametrize("s", ["inf", "-inf", "nan", "1,inf", "2,nan"])
+    def test_non_finite_s_is_rejected_as_usage_error(self, s, capsys):
+        # _parse_s raises DomainError; argparse reports it against --s
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "zeta", "--s", s, "--q", "0.5"])
+        assert exc.value.code == 2
+        assert "argument --s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "zeta", "--s", "2000", "--q", "0.5", "--method", "direct"],
+        ["eval", "lseries", "--s", "2000", "--char", "5:1", "--q", "0.5",
+         "--method", "direct"],
+    ])
+    def test_overflow_is_reported_as_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("qeuler: error:")
+
+
+class TestTableSweepValidation:
+    @pytest.mark.parametrize("argv", [
+        ["table", "classical", "--q-list", "1/2"],
+        ["table", "classical", "--s-grid", "-2..0"],
+        ["table", "zeta", "--q", "1/2", "--m", "0..2"],
+        ["table", "qeuler", "--q", "1/2", "--s-grid", "-2..0"],
+    ])
+    def test_sweep_over_a_parameter_the_function_lacks(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qeuler: error:")
+
+    def test_numeric_zeta_rows_match_eval(self, capsys):
+        assert main(["table", "zeta", "--s", "2", "--q-list", "1/2,0.9", "--format",
+                     "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for q, row in zip(["1/2", "0.9"], rows):
+            assert main(["eval", "zeta", "--s", "2", "--q", q]) == 0
+            assert json.loads(capsys.readouterr().out) == row
