@@ -494,6 +494,16 @@ def _merge_negative_values(argv):
     return out
 
 
+def _call_label(args):
+    """The subcommand, function and route of a call, e.g. 'eval zeta (route direct)'."""
+    function = getattr(args, "function", None)
+    if function is None:
+        return args.command
+    method = _FUNCTIONS[function][1]
+    route = "exact" if args.exact else args.method if method == _EXACT else method
+    return f"{args.command} {function} (route {route})"
+
+
 def main(argv=None):
     parser = _build_parser()
     if argv is None:
@@ -504,8 +514,10 @@ def main(argv=None):
     except NonConvergenceError as exc:
         print(f"qeuler: non-convergence: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ResourceLimitError, NearSingularError, ValueError,
-            OverflowError) as exc:
+    except OverflowError as exc:
+        print(f"qeuler: error: {_call_label(args)}: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, ResourceLimitError, NearSingularError, ValueError) as exc:
         print(f"qeuler: error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A finite-stage sum would exceed the configured term cap."""
+    """A finite stage's nominal grid p**(N*k) exceeds ``DEFAULT_TERM_CAP``."""
 
 
 class NonConvergenceError(RuntimeError):

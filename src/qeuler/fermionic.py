@@ -7,22 +7,23 @@ The stage-N sum of an integrand f is
 an exact rational whenever f maps integers to rationals.  As N grows the
 values converge p-adically (the valuation of S_N minus the limit keeps
 increasing) whenever v_p(q - 1) >= 1, which :class:`~qeuler.numeric.PAdicQParam`
-enforces.  Integrands are finite sums of terms c * [t]_q**a * q**(b*t);
-that little language covers everything needed here (moment integrands,
-twisted moments) while letting the stage loop update powers of q
-incrementally instead of exponentiating at every j.
+enforces.  Integrands are finite sums of terms c * [t]_q**a * q**(b*t)
+(moment and twisted-moment integrands).
 
-``higher_order_stage`` is the k-dimensional version: the stage sum over
-(x_1, ..., x_k) of [x_1 + ... + x_k]**m * q**(-sum_i (m+i) x_i), computed
-by convolving per-axis weight vectors so the cost stays polynomial in
-p**N instead of p**(N*k) -- the term cap is still enforced on the
-nominal p**(N*k) count.
+Every stage is a closed form.  With P = p**N odd, expanding
+[t]_q**a = (1-q)**(-a) sum_i C(a,i) (-1)**i q**(i*t) leaves geometric sums
+g(r) = sum_{x<P} (-r)**x = (1 + r**P) / (1 + r), so a term contributes
+c (1-q)**(-a) sum_i C(a,i) (-1)**i g(q**(i+b+1)).  ``higher_order_stage``,
+the k-dimensional version, takes a product of k such sums per i: O(a*k)
+operations on numbers of O(p**N) bits.  The guard still rejects a nominal
+grid p**(N*k) over ``DEFAULT_TERM_CAP``, which bounds those sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from .errors import DomainError, ResourceLimitError
 from .numeric import PAdicQParam, p_valuation, q_bracket, q_bracket_signed
@@ -58,7 +59,8 @@ class IntegrandTerm:
 
 @dataclass(frozen=True)
 class Integrand:
-    """A finite sum of :class:`IntegrandTerm`; closed under + and rational *."""
+    """A finite sum of :class:`IntegrandTerm`; closed under + and rational *.
+    Each term expands into geometric sums over j (see the module docstring)."""
 
     terms: tuple[IntegrandTerm, ...]
 
@@ -96,8 +98,8 @@ class Integrand:
     __mul__ = __rmul__
 
     def evaluate(self, j, q):
-        """f(j) at base q, as an exact Fraction (reference path; the stage
-        loop uses incremental power updates instead of calling this)."""
+        """f(j) at base q, as an exact Fraction (the definition; the stage
+        sums use the closed form instead of calling this)."""
         q = Fraction(q)
         br = Fraction(q_bracket(j, q))
         return sum(
@@ -121,48 +123,58 @@ class StageReport:
     valuations: list | None
 
 
-def _stage_range(ctx, N, term_cap, k=1):
+def _stage_range(ctx, N, k=1):
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"N must be a positive integer, got {N!r}")
     P = ctx.p**N
-    if P**k > term_cap:
+    if P**k > DEFAULT_TERM_CAP:
         raise ResourceLimitError(
-            f"stage p**N = {ctx.p}**{N} needs {P**k} terms, over the cap {term_cap}"
+            f"stage p**N = {ctx.p}**{N} over {k} axes spans {P**k} grid points, "
+            f"over the limit {DEFAULT_TERM_CAP}"
         )
     return P
 
 
-def stage_sum(f, ctx, N, term_cap=DEFAULT_TERM_CAP):
+def _bracket_sum(a, shifts, q, P):
+    """sum over x in [0, P)**k of [x_1+...+x_k]_q**a * prod_i (-q**shifts[i])**x_i.
+
+    Expanding [s]_q**a = (1-q)**(-a) sum_l C(a,l) (-1)**l q**(l*s) turns
+    each l into a product of k geometric sums g(r) = sum_{x<P} (-r)**x =
+    (1 + r**P) / (1 + r) (P is odd).  At q = 1 the sum is the k-fold binomial
+    convolution of A_i = sum_{x<P} (-1)**x x**i, where
+    2 A_i = 0**i + P**i - sum_{j<i} C(i,j) A_j.
+    """
+    if q == 1:
+        A = []
+        for i in range(a + 1):
+            A.append((0**i + P**i - sum(comb(i, j) * A[j] for j in range(i))) // 2)
+        B = A
+        for _ in shifts[1:]:
+            B = [sum(comb(n, i) * B[i] * A[n - i] for i in range(n + 1)) for n in range(a + 1)]
+        return B[a]
+    total = sum(
+        comb(a, l) * (-1) ** l * prod((1 + q ** ((l + c) * P)) / (1 + q ** (l + c)) for c in shifts)
+        for l in range(a + 1)
+    )
+    return total / (1 - q) ** a
+
+
+def stage_sum(f, ctx, N):
     """Exact stage-N sum S_N(f) = sum_{j<p**N} f(j)(-q)**j / [p**N]_{-q}.
 
     The constant integrand gives exactly 1 at every stage (p**N is odd).
     """
     if not isinstance(f, Integrand):
         raise DomainError(f"f must be an Integrand, got {f!r}")
-    P = _stage_range(ctx, N, term_cap)
+    P = _stage_range(ctx, N)
     q = ctx.q
-    # Per-term state: running value of q**(exp_coeff * j), stepped by q**exp_coeff.
-    steps = [q**t.exp_coeff for t in f.terms]
-    powers = [Fraction(1)] * len(f.terms)
-    bracket = Fraction(0)  # [j]_q, stepped by q**j
-    qj = Fraction(1)  # q**j
-    sign_pow = Fraction(1)  # (-q)**j
-    total = Fraction(0)
-    for _ in range(P):
-        fj = Fraction(0)
-        for idx, t in enumerate(f.terms):
-            fj += t.coeff * bracket**t.bracket_power * powers[idx]
-            powers[idx] *= steps[idx]
-        total += fj * sign_pow
-        bracket += qj
-        qj *= q
-        sign_pow *= -q
+    total = sum(t.coeff * _bracket_sum(t.bracket_power, (t.exp_coeff + 1,), q, P) for t in f.terms)
     return total / q_bracket_signed(P, q)
 
 
-def convergence_report(f, ctx, N_max, reference=None, term_cap=DEFAULT_TERM_CAP):
+def convergence_report(f, ctx, N_max, reference=None):
     """Stage values S_1..S_{N_max} and their p-adic distance to ``reference``."""
-    stages = [(N, stage_sum(f, ctx, N, term_cap)) for N in range(1, N_max + 1)]
+    stages = [(N, stage_sum(f, ctx, N)) for N in range(1, N_max + 1)]
     valuations = None
     if reference is not None:
         reference = Fraction(reference)
@@ -170,7 +182,7 @@ def convergence_report(f, ctx, N_max, reference=None, term_cap=DEFAULT_TERM_CAP)
     return StageReport(ctx=ctx, stages=stages, reference=reference, valuations=valuations)
 
 
-def higher_order_stage(m, k, ctx, N, term_cap=DEFAULT_TERM_CAP):
+def higher_order_stage(m, k, ctx, N):
     """Stage-N sum for the order-k moment integrand.
 
     Computes, with P = p**N and all axes running over 0..P-1,
@@ -180,34 +192,13 @@ def higher_order_stage(m, k, ctx, N, term_cap=DEFAULT_TERM_CAP):
                                  [P]_{-q}**k
 
     whose p-adic limit in N is the order-k q-Euler number E_m^(k)(q).
-    Axis i (1-based) contributes the weight vector (-1)**x * q**(x*(1-(m+i)));
-    their convolution reduces the k-fold loop to one pass over digit sums.
+    Axis i (1-based) carries the weight (-q**(1-m-i))**x, so the numerator
+    is (1-q)**(-m) sum_l C(m,l) (-1)**l prod_i g(q**(l+1-m-i)).
     """
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
-    P = _stage_range(ctx, N, term_cap, k=k)
-    q = ctx.q
-    combined = [Fraction(1)]
-    for i in range(1, k + 1):
-        step = -(q ** (1 - (m + i)))
-        axis = [Fraction(1)]
-        for _ in range(P - 1):
-            axis.append(axis[-1] * step)
-        new = [Fraction(0)] * (len(combined) + P - 1)
-        for s, ws in enumerate(combined):
-            if ws == 0:
-                continue
-            for x, wx in enumerate(axis):
-                new[s + x] += ws * wx
-        combined = new
-    bracket = Fraction(0)  # [s]_q, stepped by q**s
-    qj = Fraction(1)
-    total = Fraction(0)
-    for w in combined:
-        if w != 0:
-            total += w * bracket**m
-        bracket += qj
-        qj *= q
-    return total / q_bracket_signed(P, q) ** k
+    P = _stage_range(ctx, N, k=k)
+    shifts = tuple(1 - m - i for i in range(1, k + 1))
+    return _bracket_sum(m, shifts, ctx.q, P) / q_bracket_signed(P, ctx.q) ** k

@@ -102,7 +102,8 @@ def _sum_series(terms, ratio_bound, policy, method):
     ``terms`` yields complex term values and is exhausted only when every
     remaining term is exactly zero (then the partial sum is the exact
     series value).  ``ratio_bound`` is the a-priori limit of the term
-    ratio, in [0, 1).
+    ratio, in [0, 1).  A non-finite term stops the sum at once with
+    :class:`NonConvergenceError`; its partial holds the finite terms before it.
     """
     total = complex(0)
     small_run = 0
@@ -112,8 +113,14 @@ def _sum_series(terms, ratio_bound, policy, method):
     n = 0
     for term in terms:
         n += 1
-        total += term
         a = abs(term)
+        if not math.isfinite(a):
+            raise NonConvergenceError(
+                f"term {n} is non-finite: {term} (method {method}); "
+                f"partial value {total} from the {n - 1} terms before it",
+                partial=SeriesValue(total, tail, n, method),
+            )
+        total += term
         if a > 0:
             if last_nonzero > 0:
                 ratio = max(ratio_bound, a / last_nonzero)

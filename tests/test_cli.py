@@ -146,6 +146,16 @@ class TestVerifyOutput:
         assert all(line.startswith("PASS ") for line in lines[:-1])
         assert lines[-1].startswith("ok ")
 
+    def test_padic_pin_mismatch_is_a_failed_check(self, monkeypatch):
+        # the valuations against the wrong reference 1/2 are the pinned [0, 0],
+        # so only the comparison with the closed form E_1(4) = -1/2 fails
+        from qeuler import _verify
+
+        monkeypatch.setattr(_verify, "_PADIC_PINS", [(1, 1, 2, F(1, 2), [0, 0])])
+        failed = [c for c in _verify.suite_padic(0) if not c.passed]
+        assert [c.name for c in failed] == ["padic/convergence-m1-k1"]
+        assert "!= closed form -1/2" in failed[0].detail
+
 
 class TestTableFormats:
     def test_json_table(self, capsys):
@@ -183,7 +193,14 @@ class TestNonFiniteAndHugeS:
     ])
     def test_overflow_is_reported_as_error(self, argv, capsys):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("qeuler: error:")
+        err = capsys.readouterr().err
+        assert err.startswith("qeuler: error:")
+        assert f"eval {argv[1]}" in err and "direct" in err
+
+    def test_non_finite_term_is_non_convergence(self, capsys):
+        # the continuation stops at its first NaN term instead of summing 10,000
+        assert main(["eval", "zeta", "--s", "2000", "--q", "0.5"]) == 3
+        assert "term 220 is non-finite" in capsys.readouterr().err
 
 
 class TestTableSweepValidation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from qeuler import (
     convergence_report,
     higher_order_stage,
     p_valuation,
+    q_bracket,
     q_bracket_signed,
     qeuler_higher,
     qeuler_mixed,
@@ -68,13 +70,14 @@ class TestStageSum:
         assert stage_sum(Integrand.moment(1), CTX34, 1) == F(1, 208)
 
     def test_matches_reference_evaluation(self):
-        f = Integrand.moment(2) + Integrand.term(F(-1, 5), 1, 1)
-        ctx = CTX34
-        for N in (1, 2):
-            P = ctx.p**N
-            brute = sum(f.evaluate(j, ctx.q) * (-ctx.q) ** j for j in range(P))
-            brute /= q_bracket_signed(P, ctx.q)
-            assert stage_sum(f, ctx, N) == brute
+        # q < 1, q = 1 and a positive exp_coeff reach every branch of the closed form
+        f = Integrand.moment(2) + Integrand.term(F(-1, 5), 1, 1) + Integrand.term(3, 3, 2)
+        for ctx in (CTX34, PAdicQParam(3, F(1, 4)), PAdicQParam(5, F(6, 11)), PAdicQParam(3, 1)):
+            for N in (1, 2):
+                P = ctx.p**N
+                brute = sum(f.evaluate(j, ctx.q) * (-ctx.q) ** j for j in range(P))
+                brute /= q_bracket_signed(P, ctx.q)
+                assert stage_sum(f, ctx, N) == brute
 
     def test_linearity(self):
         f = Integrand.moment(1)
@@ -87,8 +90,6 @@ class TestStageSum:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             stage_sum(Integrand.constant(), CTX34, 20)
-        with pytest.raises(ResourceLimitError):
-            stage_sum(Integrand.constant(), CTX34, 3, term_cap=10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -172,7 +173,33 @@ class TestHigherOrderStage:
         with pytest.raises(ResourceLimitError):
             higher_order_stage(1, 2, CTX34, 9)
         with pytest.raises(ResourceLimitError):
-            higher_order_stage(1, 3, CTX34, 2, term_cap=500)  # 9**3 = 729 > 500
+            higher_order_stage(1, 3, CTX34, 5)  # 3**15 > 10**7
+        # 3**12 is under the cap and evaluates; its valuation against E_1^(3)(4) climbs on
+        ref = qeuler_higher(1, 3, F(4))
+        assert p_valuation(higher_order_stage(1, 3, CTX34, 4) - ref, 3) == 5
+
+    @staticmethod
+    def _definition(m, k, ctx, N):
+        """The k-fold stage sum term by term, straight from the definition."""
+        P, q = ctx.p**N, ctx.q
+        total = Fraction(0)
+        for xs in itertools.product(range(P), repeat=k):
+            weight = math.prod(q ** (-(m + i) * x) for i, x in enumerate(xs, 1))
+            total += Fraction(q_bracket(sum(xs), q)) ** m * weight * (-q) ** sum(xs)
+        return total / q_bracket_signed(P, q) ** k
+
+    @pytest.mark.parametrize("p, q", [
+        (3, F(4)), (3, F(4, 7)), (3, F(1, 4)), (3, F(1)),
+        (5, F(6)), (5, F(6, 11)), (5, F(1, 6)), (5, F(1)),
+    ])
+    def test_matches_definition(self, p, q):
+        ctx = PAdicQParam(p, q)
+        for k in (1, 2, 3):
+            for N in range(1, 4):
+                if p ** (N * k) > 729:
+                    continue
+                for m in range(5):
+                    assert higher_order_stage(m, k, ctx, N) == self._definition(m, k, ctx, N)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -126,6 +126,14 @@ class TestHurwitzContinuation:
         assert partial.terms_used == 5
         assert cmath.isfinite(partial.value)
 
+    def test_non_finite_term_stops_the_series(self):
+        # (1-q)**s underflows to 0 while C(s+j-1, j) overflows: term 220 is NaN
+        with pytest.raises(NonConvergenceError, match="term 220 is non-finite") as info:
+            hurwitz_zeta_q(2000, 1, 0.5)
+        partial = info.value.partial
+        assert partial.terms_used == 220
+        assert partial.value == 0
+
 
 class TestHurwitzDirect:
     def test_reference_values(self):
