@@ -40,7 +40,7 @@ from .euler_numbers import (
     qeuler_poly_numeric,
 )
 from .fermionic import (
-    DEFAULT_TERM_CAP,
+    MAX_RESULT_BITS,
     Integrand,
     IntegrandTerm,
     StageReport,
@@ -98,7 +98,7 @@ __all__ = [
     "qeuler_mixed",
     "qeuler_poly_exact",
     "qeuler_poly_numeric",
-    "DEFAULT_TERM_CAP",
+    "MAX_RESULT_BITS",
     "Integrand",
     "IntegrandTerm",
     "StageReport",

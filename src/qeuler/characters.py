@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .euler_numbers import qeuler_poly_exact
-from .numeric import is_prime, q_bracket
+from .numeric import _exact_sum, is_prime, q_bracket
 
 __all__ = [
     "RootOfUnity",
@@ -395,5 +395,5 @@ def _chi_combination(chi, weights):
     point.
     """
     if chi.order <= 2:
-        return sum((v.as_rational() * c for v, c in weights), Fraction(0))
+        return _exact_sum(v.as_rational() * c for v, c in weights)
     return sum((v.to_complex() * float(c) for v, c in weights), complex(0))

@@ -15,7 +15,7 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A finite stage's nominal grid p**(N*k) exceeds ``DEFAULT_TERM_CAP``."""
+    """A finite stage's estimated value size exceeds ``MAX_RESULT_BITS``."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .numeric import binom, q_bracket
+from .numeric import _exact_sum, binom, q_bracket
 
 __all__ = [
     "qeuler_higher",
@@ -63,7 +63,7 @@ def qeuler_higher(m, k, q):
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
     q, exact = _check_q(q)
-    total = Fraction(0) if exact else 0.0
+    terms = []
     for i in range(m + 1):
         prod = Fraction(1) if exact else 1.0
         for j in range(k):
@@ -72,7 +72,13 @@ def qeuler_higher(m, k, q):
                 raise DomainError(f"vanishing denominator 1 + q**{i - m - j}")
             prod /= den
         term = binom(m, i) * prod
-        total += -term if i % 2 else term
+        terms.append(-term if i % 2 else term)
+    if exact:
+        total = _exact_sum(terms)
+    else:
+        total = 0.0
+        for term in terms:  # in order: sum() would compensate floats on 3.12+
+            total += term
     return (1 + q) ** k / (1 - q) ** m * total
 
 
@@ -117,12 +123,11 @@ def qeuler_poly_exact(m, r, d, a):
     if not 0 < r < 1:
         raise DomainError(f"r must be a rational in (0, 1), got {r}")
     q = r**d
-    total = Fraction(0)
+    terms = []
     for j in range(m + 1):
-        den = 1 + q ** (j - m)
-        term = binom(m, j) * r ** (a * j) / den
-        total += -term if j % 2 else term
-    return (1 + q) / (1 - q) ** m * total
+        term = binom(m, j) * r ** (a * j) / (1 + q ** (j - m))
+        terms.append(-term if j % 2 else term)
+    return (1 + q) / (1 - q) ** m * _exact_sum(terms)
 
 
 def qeuler_poly_numeric(m, q, x):

@@ -15,8 +15,9 @@ Every stage is a closed form.  With P = p**N odd, expanding
 g(r) = sum_{x<P} (-r)**x = (1 + r**P) / (1 + r), so a term contributes
 c (1-q)**(-a) sum_i C(a,i) (-1)**i g(q**(i+b+1)).  ``higher_order_stage``,
 the k-dimensional version, takes a product of k such sums per i: O(a*k)
-operations on numbers of O(p**N) bits.  The guard still rejects a nominal
-grid p**(N*k) over ``DEFAULT_TERM_CAP``, which bounds those sizes.
+operations on numbers of O(p**N) bits.  The cost follows that size, so the
+guard rejects a stage whose estimated value has more than ``MAX_RESULT_BITS``
+bits, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -35,10 +36,14 @@ __all__ = [
     "stage_sum",
     "convergence_report",
     "higher_order_stage",
-    "DEFAULT_TERM_CAP",
+    "MAX_RESULT_BITS",
 ]
 
-DEFAULT_TERM_CAP = 10_000_000
+# Largest estimated stage value accepted (see _stage_range).  The cost grows
+# faster than the size: at p = 3, q = 4, moment(3) is accepted up to N = 9
+# (0.05 s), and the slowest accepted order-k moments (p <= 7, m <= 5,
+# k <= 3) take about 1 s on a 2-core Xeon.
+MAX_RESULT_BITS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -123,14 +128,25 @@ class StageReport:
     valuations: list | None
 
 
-def _stage_range(ctx, N, k=1):
+def _stage_range(ctx, N, width, k=1):
+    """P = p**N, once the stage value's estimated size is within MAX_RESULT_BITS.
+
+    With H the height max(|num|, den) of q, a geometric factor
+    g(q**e) = (1 + q**(e*P)) / (1 + q**e) has a numerator and a denominator
+    of at most about |e|*P*log2(H) bits each, and so has each of the k
+    normalising factors [P]_{-q}.  The exponents of a factor with bracket
+    power a and shift c are e = l + c, l <= a, so |e| <= a + |c|, and the
+    value has at most about 2*log2(H)*P*(width + k) bits, where width sums
+    a + |c| + 1 over the factors.
+    """
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"N must be a positive integer, got {N!r}")
     P = ctx.p**N
-    if P**k > DEFAULT_TERM_CAP:
+    bits = 2 * max(ctx.q.numerator, ctx.q.denominator).bit_length() * P * (width + k)
+    if bits > MAX_RESULT_BITS:
         raise ResourceLimitError(
-            f"stage p**N = {ctx.p}**{N} over {k} axes spans {P**k} grid points, "
-            f"over the limit {DEFAULT_TERM_CAP}"
+            f"stage p**N = {ctx.p}**{N} would give a value of about {bits} bits, "
+            f"over the limit {MAX_RESULT_BITS}"
         )
     return P
 
@@ -166,7 +182,8 @@ def stage_sum(f, ctx, N):
     """
     if not isinstance(f, Integrand):
         raise DomainError(f"f must be an Integrand, got {f!r}")
-    P = _stage_range(ctx, N)
+    width = sum(t.bracket_power + abs(t.exp_coeff + 1) + 1 for t in f.terms)
+    P = _stage_range(ctx, N, width)
     q = ctx.q
     total = sum(t.coeff * _bracket_sum(t.bracket_power, (t.exp_coeff + 1,), q, P) for t in f.terms)
     return total / q_bracket_signed(P, q)
@@ -174,7 +191,8 @@ def stage_sum(f, ctx, N):
 
 def convergence_report(f, ctx, N_max, reference=None):
     """Stage values S_1..S_{N_max} and their p-adic distance to ``reference``."""
-    stages = [(N, stage_sum(f, ctx, N)) for N in range(1, N_max + 1)]
+    # Largest stage first: the size guard then raises before any arithmetic.
+    stages = [(N, stage_sum(f, ctx, N)) for N in range(N_max, 0, -1)][::-1]
     valuations = None
     if reference is not None:
         reference = Fraction(reference)
@@ -199,6 +217,6 @@ def higher_order_stage(m, k, ctx, N):
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
-    P = _stage_range(ctx, N, k=k)
     shifts = tuple(1 - m - i for i in range(1, k + 1))
+    P = _stage_range(ctx, N, sum(m + abs(c) + 1 for c in shifts), k)
     return _bracket_sum(m, shifts, ctx.q, P) / q_bracket_signed(P, ctx.q) ** k

@@ -100,15 +100,36 @@ def gen_binom(s, j):
     """
     if not isinstance(j, int) or j < 0:
         raise DomainError(f"j must be a nonnegative integer, got {j!r}")
-    if isinstance(s, (int, Fraction)):
-        out = Fraction(1)
-        for i in range(1, j + 1):
-            out *= Fraction(s + i - 1, i)
-        return out
+    if isinstance(s, int):
+        if s > 0:
+            return Fraction(math.comb(s + j - 1, j))
+        return Fraction((-1) ** j * math.comb(-s, j))
+    if isinstance(s, Fraction):
+        # s = n/d: the product is prod_i (n + (i-1) d) / (d**j j!), reduced once.
+        n, d = s.numerator, s.denominator
+        return Fraction(math.prod(range(n, n + j * d, d)), d**j * math.factorial(j))
     out = complex(1) if isinstance(s, complex) else 1.0
     for i in range(1, j + 1):
         out *= (s + i - 1) / i
     return out
+
+
+def _exact_sum(terms):
+    """Sum of ints and Fractions as a Fraction, by balanced pairwise addition.
+
+    Adding term by term normalises a running total whose denominator grows
+    to the lcm of all of them, one gcd of that size per term; pairing
+    neighbours level by level keeps the operands of each gcd about the
+    size of the terms they combine (binary splitting).  The value is the
+    same as ``sum(terms, Fraction(0))``.
+    """
+    xs = list(terms)
+    while len(xs) > 1:
+        pairs = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)]
+        if len(xs) % 2:
+            pairs.append(xs[-1])
+        xs = pairs
+    return Fraction(xs[0]) if xs else Fraction(0)
 
 
 def is_prime(n):

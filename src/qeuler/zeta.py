@@ -44,7 +44,7 @@ from fractions import Fraction
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import DomainError, NearSingularError, NonConvergenceError
 from .euler_numbers import qeuler_poly_exact
-from .numeric import gen_binom, q_bracket
+from .numeric import _exact_sum, gen_binom, q_bracket
 
 __all__ = [
     "PrecisionPolicy",
@@ -269,9 +269,7 @@ def _hurwitz_trunc_exact(m, r, d, a):
     """Exact truncation of the continuation at s = -m (m >= 0) and x = a/d,
     evaluated at base q = r**d so q**x = r**a is rational."""
     q = r**d
-    total = Fraction(0)
-    for j in range(m + 1):
-        total += gen_binom(-m, j) * r ** (a * j) / (1 + q ** (j - m))
+    total = _exact_sum(gen_binom(-m, j) * r ** (a * j) / (1 + q ** (j - m)) for j in range(m + 1))
     return (1 + q) * total / (1 - q) ** m
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from qeuler import fermionic
 from qeuler import (
     DomainError,
     Integrand,
@@ -91,6 +94,16 @@ class TestStageSum:
         with pytest.raises(ResourceLimitError):
             stage_sum(Integrand.constant(), CTX34, 20)
 
+    def test_oversized_stage_raises_before_arithmetic(self):
+        # moment(3) at p = 3, q = 4 costs about 8.5x more per stage (0.43 s at
+        # N = 10); N = 14 would run for about half an hour.
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            stage_sum(Integrand.moment(3), CTX34, 14)
+        with pytest.raises(ResourceLimitError):
+            convergence_report(Integrand.moment(3), CTX34, 14)
+        assert time.perf_counter() - start < 0.1
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             stage_sum("not an integrand", CTX34, 1)
@@ -169,14 +182,17 @@ class TestHigherOrderStage:
             ]
             assert vals == pinned
 
-    def test_resource_cap_counts_nominal_grid(self):
+    def test_resource_cap_bounds_result_size(self):
+        # the estimates are 3.2 and 5.3 Mbit, over MAX_RESULT_BITS = 2**21
         with pytest.raises(ResourceLimitError):
-            higher_order_stage(1, 2, CTX34, 9)
+            higher_order_stage(1, 2, CTX34, 10)
         with pytest.raises(ResourceLimitError):
-            higher_order_stage(1, 3, CTX34, 5)  # 3**15 > 10**7
-        # 3**12 is under the cap and evaluates; its valuation against E_1^(3)(4) climbs on
+            higher_order_stage(1, 3, CTX34, 10)
+        # 3**15 and 3**18 grid points are values of a few kbit, so they evaluate;
+        # the valuation against E_1^(3)(4) climbs on
         ref = qeuler_higher(1, 3, F(4))
-        assert p_valuation(higher_order_stage(1, 3, CTX34, 4) - ref, 3) == 5
+        vals = [p_valuation(higher_order_stage(1, 3, CTX34, N) - ref, 3) for N in (4, 5, 6)]
+        assert vals == [5, 6, 7]
 
     @staticmethod
     def _definition(m, k, ctx, N):
@@ -208,3 +224,36 @@ class TestHigherOrderStage:
             higher_order_stage(1, 0, CTX34, 1)
         with pytest.raises(DomainError):
             higher_order_stage(1, 1, CTX34, 0)
+
+
+class TestSizeEstimate:
+    """The guard's estimate is at least the bit length of every value it admits:
+    with the limit one bit under a value's numerator + denominator bit length,
+    the same call raises."""
+
+    INTEGRANDS = (
+        Integrand.constant(),
+        Integrand.moment(0),
+        Integrand.moment(3),
+        Integrand.moment(5),
+        Integrand.moment(2) + Integrand.term(F(-1, 5), 1, 1) + Integrand.term(3, 3, 2),
+    )
+
+    @pytest.mark.parametrize("p, q", [
+        (3, F(4)), (3, F(4, 7)), (3, F(1, 4)), (3, F(1)),
+        (5, F(6)), (5, F(6, 11)), (5, F(1, 6)), (5, F(1)),
+    ])
+    def test_estimate_is_at_least_the_bit_length(self, p, q, monkeypatch):
+        ctx = PAdicQParam(p, q)
+        calls = [functools.partial(stage_sum, f, ctx, N) for f in self.INTEGRANDS for N in (1, 2, 3)]
+        calls += [
+            functools.partial(higher_order_stage, m, k, ctx, N)
+            for m in range(6) for k in (1, 2, 3) for N in (1, 2, 3)
+        ]
+        for call in calls:
+            value = call()
+            bits = value.numerator.bit_length() + value.denominator.bit_length()
+            with monkeypatch.context() as patch:
+                patch.setattr(fermionic, "MAX_RESULT_BITS", bits - 1)
+                with pytest.raises(ResourceLimitError):
+                    call()

@@ -21,6 +21,7 @@ from qeuler import (
     q_bracket_pow,
     q_bracket_signed,
 )
+from qeuler.numeric import _exact_sum
 
 F = Fraction
 
@@ -171,11 +172,53 @@ class TestGenBinom:
         assert isinstance(z, complex)
         assert z == pytest.approx((1 + 1j) * (2 + 1j) / 2)
 
+    @staticmethod
+    def _product(s, j, one):
+        """The definition prod_{i=1}^{j} (s + i - 1)/i, one factor at a time."""
+        out = one
+        for i in range(1, j + 1):
+            out *= (s + i - 1) / i
+        return out
+
+    def test_exact_matches_product_definition(self):
+        for s in (-7, -1, 0, 1, 5, F(-7, 3), F(-1, 2), F(0), F(2, 5), F(9, 4), F(6)):
+            for j in range(41):
+                got = gen_binom(s, j)
+                assert isinstance(got, Fraction)
+                assert got == self._product(Fraction(s), j, Fraction(1))
+
+    def test_floating_paths_match_the_loop_bitwise(self):
+        for s in (0.5, -2.0, 3.0, -2.75, 1e-3, 17.25):
+            for j in range(41):
+                assert gen_binom(s, j).hex() == self._product(s, j, 1.0).hex()
+        for s in (1 + 1j, -2.5 + 0.25j, 3j, -4 + 0j):
+            for j in range(41):
+                got, want = gen_binom(s, j), self._product(s, j, complex(1))
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_rejects_bad_j(self):
         with pytest.raises(DomainError):
             gen_binom(2, -1)
         with pytest.raises(DomainError):
             gen_binom(2, F(1, 2))
+
+
+class TestExactSum:
+    @given(st.lists(
+        st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**9)),
+        max_size=33,
+    ))
+    def test_equals_sequential_sum(self, xs):
+        got = _exact_sum(xs)
+        assert isinstance(got, Fraction)
+        assert got == sum(xs, Fraction(0))
+
+    def test_edges(self):
+        assert _exact_sum([]) == 0 and isinstance(_exact_sum([]), Fraction)
+        assert _exact_sum([7]) == 7 and isinstance(_exact_sum([7]), Fraction)
+        assert _exact_sum(iter([F(1, 2), F(1, 3), 1])) == F(11, 6)
+        xs = [F((-1) ** n, n + 2) for n in range(7)]
+        assert _exact_sum(xs) == sum(xs, Fraction(0))
 
 
 class TestPValuation:

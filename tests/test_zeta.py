@@ -21,6 +21,7 @@ from qeuler import (
     hurwitz_neg_int_exact,
     hurwitz_zeta_q,
     hurwitz_zeta_q_direct,
+    is_primitive,
     l_neg_int_decomposition,
     l_neg_int_exact,
     l_series,
@@ -160,6 +161,9 @@ class TestHurwitzExact:
                         assert hurwitz_neg_int_exact(m, r, d, a) == qeuler_poly_exact(
                             m, r, d, a
                         )
+        # a size at which the exact sums are large
+        for a in range(6):
+            assert hurwitz_neg_int_exact(60, F(2, 3), 5, a) == qeuler_poly_exact(60, F(2, 3), 5, a)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -184,6 +188,9 @@ class TestEulerZeta:
         for q in (F(1, 3), F(1, 2), F(2, 3)):
             for m in range(1, 21):
                 assert euler_zeta_neg_int_exact(m, q) == qeuler_higher(m, 1, q)
+        # a size at which the exact sums are large, next to q = 1 and away from it
+        for q in (F(9999, 10000), F(2, 3)):
+            assert euler_zeta_neg_int_exact(60, q) == qeuler_higher(60, 1, q)
 
     def test_pinned_negative_values(self):
         assert euler_zeta_neg_int_exact(1, F(1, 2)) == F(-1, 2)
@@ -261,6 +268,10 @@ class TestLSeries:
                     rhs = l_neg_int_exact(k, chi, r)
                     assert isinstance(lhs, F) and isinstance(rhs, F)
                     assert lhs == rhs
+        # the real primitive character mod 105: 48 classes with chi(a) != 0 per route
+        chi = next(c for c in characters_mod(105) if c.order == 2 and is_primitive(c))
+        lhs = l_neg_int_decomposition(10, chi, F(1, 2))
+        assert isinstance(lhs, F) and lhs == generalized_qeuler(10, chi, F(1, 2))
 
     def test_complex_interpolation_close(self):
         for chi in (characters_mod(5)[1], characters_mod(5)[3]):
