@@ -79,15 +79,18 @@ class RootOfUnity:
     def __mul__(self, other):
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        return RootOfUnity.from_exponent(self.exponent + other.exponent)
+        return RootOfUnity(
+            self.numerator * other.order + other.numerator * self.order,
+            self.order * other.order,
+        )
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        return RootOfUnity.from_exponent(e * self.exponent)
+        return RootOfUnity(e * self.numerator, self.order)
 
     def conjugate(self):
-        return RootOfUnity.from_exponent(-self.exponent)
+        return RootOfUnity(-self.numerator, self.order)
 
     def is_one(self):
         return self.order == 1
@@ -254,10 +257,11 @@ class DirichletCharacter:
     prime-power factor (factors in ascending order).  The all-zero tuple
     is the principal character.  Calling the character returns a
     :class:`RootOfUnity`, or the integer 0 on arguments sharing a factor
-    with d.
+    with d.  With L the lcm of the factor orders, chi(n) has the integer
+    exponent sum_i t_i * dlog_i(n) * (L / phi_i) over L.
     """
 
-    __slots__ = ("modulus", "exponents", "_factors")
+    __slots__ = ("modulus", "exponents", "_factors", "_lcm", "_terms")
 
     def __init__(self, modulus, exponents=None):
         factors = _unit_group(modulus)
@@ -274,14 +278,13 @@ class DirichletCharacter:
         self.modulus = modulus
         self.exponents = exponents
         self._factors = factors
-
-    @property
-    def factor_data(self):
-        """List of (prime_power, generator, character_exponent, group_order)."""
-        return [
-            (f.modulus, f.generator, t, f.order)
-            for f, t in zip(self._factors, self.exponents)
-        ]
+        self._lcm = math.lcm(*(f.order for f in factors))
+        # (prime power, dlog table, t * L / phi) for the factors with t != 0
+        self._terms = tuple(
+            (f.modulus, f.dlog, t * (self._lcm // f.order))
+            for f, t in zip(factors, exponents)
+            if t
+        )
 
     @property
     def order(self):
@@ -309,11 +312,10 @@ class DirichletCharacter:
         n %= self.modulus
         if math.gcd(n, self.modulus) != 1:
             return 0
-        e = Fraction(0)
-        for f, t in zip(self._factors, self.exponents):
-            if t:
-                e += Fraction(t * f.dlog[n % f.modulus], f.order)
-        return RootOfUnity.from_exponent(e)
+        e = 0
+        for pe, dlog, w in self._terms:
+            e += w * dlog[n % pe]
+        return RootOfUnity(e, self._lcm)
 
     def __eq__(self, other):
         return (

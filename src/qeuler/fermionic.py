@@ -191,6 +191,8 @@ def stage_sum(f, ctx, N):
 
 def convergence_report(f, ctx, N_max, reference=None):
     """Stage values S_1..S_{N_max} and their p-adic distance to ``reference``."""
+    if not isinstance(N_max, int) or N_max < 1:
+        raise DomainError(f"N_max must be a positive integer, got {N_max!r}")
     # Largest stage first: the size guard then raises before any arithmetic.
     stages = [(N, stage_sum(f, ctx, N)) for N in range(N_max, 0, -1)][::-1]
     valuations = None

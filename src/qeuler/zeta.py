@@ -24,6 +24,23 @@ Two evaluation routes are kept deliberately separate:
   values (the ``*_neg_int_exact`` functions compute that truncation in
   rational arithmetic).
 
+  Its term ratio tends to q**x, so it needs about ln(1/eps) / (x (1-q))
+  terms, which grows without bound as q -> 1 or x -> 0.  There the
+  continuation runs after a shift,
+
+      zeta_H(s, x) = (1+q) sum_{n<K} (-1)**n q**(s*n) [n+x]**(-s)
+                     + (-1)**K q**(s*K) zeta_H(s, x+K),
+
+  as one stream of K head terms followed by the scaled continuation
+  at x+K, whose ratio is q**(x+K).  Minimising K + ln(1/eps) /
+  ((x+K) |ln q|) gives x + K = sqrt(ln(1/eps) / |ln q|), about
+  O(1/sqrt(1-q)) terms in all.  K = 0 (the plain series) where
+  Re(s) <= 0, since the head terms and q**(s*K) then grow with n and K
+  and cancel, and where q**x <= 1/2, since the plain series is already
+  short.  For K > 0 the head is a partial sum of the defining series,
+  so a comparison with the ``*_direct`` route checks the continuation
+  only through its shifted tail.
+
 Series are driven by a :class:`PrecisionPolicy`: stopping needs
 ``consecutive_small`` successive terms below eps * max(1, |partial|)
 AND a geometric tail bound below the same threshold; the bound uses the
@@ -209,12 +226,29 @@ def _class_weight(q, d, s):
     return weight
 
 
+def _shift_length(s, x, q, eps):
+    """Head length K of the shifted continuation; 0 keeps the plain series.
+
+    The tail at x+K needs about ln(1/eps) / ((x+K) |ln q|) terms, so
+    K + that count is least at x + K = sqrt(ln(1/eps) / |ln q|).  The
+    shift only pays where the plain term ratio q**x is near 1, and it
+    makes Re(s) <= 0 worse, so those regions keep K = 0.
+    """
+    if s.real <= 0 or q**x <= 0.5:
+        return 0
+    target = math.sqrt(max(0.0, -math.log(eps)) / -math.log(q))
+    return max(0, round(target - x))
+
+
 def hurwitz_zeta_q(s, x, q, policy=None):
-    """Hurwitz-type q-Euler zeta zeta_H(s, x) by the binomial continuation.
+    """Hurwitz-type q-Euler zeta zeta_H(s, x) by the (shifted) binomial continuation.
 
     Defined for all complex s when 0 < q < 1 and x > 0.  At s = -m the
     series terminates after m+1 terms and agrees with the exact rational
-    value of ``hurwitz_neg_int_exact``.
+    value of ``hurwitz_neg_int_exact``.  Where the plain series is slow
+    the first K terms of the defining series come first and the
+    continuation runs at x+K (see the module docstring); ``terms_used``
+    counts both parts.
     """
     policy = policy or PrecisionPolicy()
     s = complex(s)
@@ -222,12 +256,24 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     q = _check_base(q)
     if not x > 0:
         raise DomainError(f"x must be positive, got {x}")
+    K = _shift_length(s, x, q, policy.eps)
     prefactor = (1 + q) * _rpow(1 - q, s)
-    qx = q**x
+    if K:
+        # (-1)**K q**(s*K) scales the continuation at x+K
+        prefactor *= (-1) ** K * _rpow(q, s * K)
+    qx = q ** (x + K)
 
     def terms():
+        # Head: (1+q) (-1)**n q**(s*n) [n+x]**(-s) for n < K, with
+        # 1 - q**(n+x) = -expm1((n+x) ln q) to keep [n+x] accurate as q -> 1.
+        log_q = math.log(q)
+        for n in range(K):
+            bracket = -math.expm1((n + x) * log_q) / (1 - q)
+            term = (1 + q) * cmath.exp(s * (n * log_q - math.log(bracket)))
+            yield -term if n % 2 else term
+        # Tail: the binomial continuation at x+K.
         coeff = complex(1)  # C(s+j-1, j)
-        qxj = 1.0  # q**(x*j)
+        qxj = 1.0  # q**((x+K)*j)
         qsj = _rpow(q, s)  # q**(s+j)
         j = 0
         while True:

@@ -20,6 +20,8 @@ from qeuler import (
     root_sum_is_zero,
 )
 
+from qeuler.characters import _unit_group
+
 F = Fraction
 
 
@@ -59,6 +61,16 @@ class TestRootOfUnity:
     def test_is_one(self):
         assert RootOfUnity(0, 5).is_one()
         assert not RootOfUnity(1, 5).is_one()
+
+    def test_integer_exponent_arithmetic_matches_fractions(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            a = RootOfUnity(rng.randrange(-50, 50), rng.randrange(1, 60))
+            b = RootOfUnity(rng.randrange(-50, 50), rng.randrange(1, 60))
+            e = rng.randrange(-7, 8)
+            assert a * b == RootOfUnity.from_exponent(a.exponent + b.exponent)
+            assert a**e == RootOfUnity.from_exponent(e * a.exponent)
+            assert a.conjugate() == RootOfUnity.from_exponent(-a.exponent)
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(DomainError):
@@ -167,6 +179,28 @@ class TestValues:
                 assert vab == 0
             else:
                 assert vab == va * vb
+
+    @pytest.mark.parametrize("d", [3, 5, 9, 15, 45, 105])
+    def test_values_match_fraction_definition(self, d):
+        # chi(n) = exp(2 pi i sum_i t_i a_i / phi_i) with n = g_i**a_i mod p_i**e_i,
+        # the discrete logs found by brute force and the exponent kept a Fraction
+        factors = _unit_group(d)
+        logs = [
+            {pow(f.generator, a, f.modulus): a for a in range(f.order)} for f in factors
+        ]
+        for chi in characters_mod(d):
+            for n in range(-d, 2 * d):
+                got = chi(n)
+                if math.gcd(n, d) != 1:
+                    assert got == 0
+                    continue
+                e = sum(
+                    (F(t * log[n % f.modulus], f.order)
+                     for f, log, t in zip(factors, logs, chi.exponents)),
+                    F(0),
+                )
+                want = RootOfUnity.from_exponent(e)
+                assert (got.numerator, got.order) == (want.numerator, want.order)
 
     def test_rejects_non_integer_argument(self):
         chi = characters_mod(3)[1]

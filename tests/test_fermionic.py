@@ -110,6 +110,11 @@ class TestStageSum:
         with pytest.raises(DomainError):
             stage_sum(Integrand.constant(), CTX34, 0)
 
+    @pytest.mark.parametrize("N_max", [0, -1, "3", 2.0])
+    def test_convergence_report_rejects_bad_n_max(self, N_max):
+        with pytest.raises(DomainError):
+            convergence_report(Integrand.moment(1), CTX34, N_max)
+
 
 class TestConvergence:
     def test_constant_is_exact_at_every_stage(self):

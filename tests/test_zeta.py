@@ -136,6 +136,49 @@ class TestHurwitzContinuation:
         assert partial.value == 0
 
 
+class TestShiftedContinuation:
+    """The q -> 1 and small-x cells, where the plain continuation needs
+    about ln(1/eps) / (x (1-q)) terms and used to exhaust max_terms.
+
+    References: mpmath at 30 digits with the float arguments taken
+    exactly, summing the unshifted binomial continuation until its terms
+    fall below 1e-40 (33,507 to 1,059,717 terms); mpmath's ``nsum`` of the
+    defining series agrees with each to within 2e-27.
+    """
+
+    CELLS = [
+        (hurwitz_zeta_q, (3, 1 / 3, 0.99), 52.48935966096596838845149),
+        (euler_zeta_q, (0.5, 0.999), -1.208699999462737308624),
+        (hurwitz_zeta_q, (2 + 1j, 1 / 3, 0.999),
+         complex(7.296806831946204501062623, 16.1570860603370479548719)),
+        (hurwitz_zeta_q, (2, 1, 0.9999), 1.644877684014622716532454),
+        (hurwitz_zeta_q, (0.5, 1, 0.9999), 1.209748036850174165874498),
+    ]
+
+    @pytest.mark.parametrize("fn,args,ref", CELLS, ids=[str(c[1]) for c in CELLS])
+    def test_reference_cells_in_few_terms(self, fn, args, ref):
+        got = fn(*args)
+        assert got.method == "continuation"
+        # the plain series needs over 10,000 terms at every one of these cells
+        assert got.terms_used <= 1500
+        assert abs(got.value - ref) <= got.abs_error_estimate + 1e-12 * max(1, abs(ref))
+
+    @pytest.mark.parametrize("s", [0.5, 2 + 1j])
+    def test_partition_sums_to_zeta_near_one(self, s):
+        # each class runs at base q**F with x = a/F, so the shifts differ
+        q, F = 0.999, 5
+        parts = [partial_zeta(s, a, F, q) for a in range(1, F + 1)]
+        whole = euler_zeta_q(s, q)
+        err = sum(p.abs_error_estimate for p in parts) + whole.abs_error_estimate
+        assert abs(sum(p.value for p in parts) - whole.value) <= err + 1e-11
+
+    def test_head_counts_toward_max_terms(self):
+        policy = PrecisionPolicy(max_terms=100)
+        with pytest.raises(NonConvergenceError) as info:
+            hurwitz_zeta_q(2, 1, 0.9999, policy)
+        assert info.value.partial.terms_used == 100
+
+
 class TestHurwitzDirect:
     def test_reference_values(self):
         for (s, x, q), want in HURWITZ_REFS.items():
