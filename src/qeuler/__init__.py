@@ -1,9 +1,10 @@
 """Exact q-Euler numbers and polynomials, finite-stage alternating sums,
 and q-analogue Euler zeta / Hurwitz / Dirichlet L evaluation.
 
-Exact arithmetic uses :class:`fractions.Fraction` throughout; floating
-routes are separate entry points and never silently mixed with exact
-ones.  See the module docstrings for the conventions:
+Exact arithmetic uses :class:`fractions.Fraction` throughout; the
+closed forms take a float base exactly and round the result once, and
+the floating series routes are separate entry points, never silently
+mixed with exact ones.  See the module docstrings for the conventions:
 
 * :mod:`qeuler.numeric` -- q-brackets, generalized binomials, valuations
 * :mod:`qeuler.euler_numbers` -- closed-form q-Euler numbers/polynomials
@@ -26,7 +27,6 @@ from .numeric import (
     is_prime,
     p_valuation,
     q_bracket,
-    q_bracket_pow,
     q_bracket_signed,
 )
 from .euler_numbers import (
@@ -88,7 +88,6 @@ __all__ = [
     "is_prime",
     "p_valuation",
     "q_bracket",
-    "q_bracket_pow",
     "q_bracket_signed",
     "classical_multiplication_residual",
     "distribution_residual",

@@ -137,8 +137,6 @@ def suite_identities(seed):
             (
                 (
                     f"m={m} k={k}",
-                    # exact arithmetic: the float closed form cancels
-                    # catastrophically this close to q = 1
                     float(qeuler_higher(m, k, 1 - Fraction(1, 10**6))),
                     float(euler_classical(m, k)),
                 )

@@ -235,8 +235,8 @@ def _route(args, continuation, direct):
 
 def _eval_qeuler(args, policy):
     k = _order(args)
-    q = args.q if args.exact else float(args.q)
-    return {"m": args.m, "k": k, "q": _param_str(args.q)}, qeuler_higher(args.m, k, q)
+    value = qeuler_higher(args.m, k, args.q)
+    return {"m": args.m, "k": k, "q": _param_str(args.q)}, value if args.exact else float(value)
 
 
 def _eval_qeuler_poly(args, policy):
@@ -247,7 +247,7 @@ def _eval_qeuler_poly(args, policy):
         a, d = x.numerator, x.denominator
         value = qeuler_poly_exact(args.m, _exact_root(args.q, d), d, a)
     else:
-        value = qeuler_poly_numeric(args.m, float(args.q), float(Fraction(args.x)))
+        value = qeuler_poly_numeric(args.m, args.q, Fraction(args.x))
     return {"m": args.m, "q": _param_str(args.q), "x": args.x}, value
 
 

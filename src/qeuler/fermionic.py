@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .errors import DomainError, ResourceLimitError
-from .numeric import PAdicQParam, p_valuation, q_bracket, q_bracket_signed
+from .numeric import PAdicQParam, p_valuation, q_bracket_signed
 
 __all__ = [
     "IntegrandTerm",
@@ -101,16 +101,6 @@ class Integrand:
         )
 
     __mul__ = __rmul__
-
-    def evaluate(self, j, q):
-        """f(j) at base q, as an exact Fraction (the definition; the stage
-        sums use the closed form instead of calling this)."""
-        q = Fraction(q)
-        br = Fraction(q_bracket(j, q))
-        return sum(
-            (t.coeff * br**t.bracket_power * q ** (t.exp_coeff * j) for t in self.terms),
-            Fraction(0),
-        )
 
 
 @dataclass(frozen=True)

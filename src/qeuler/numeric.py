@@ -17,7 +17,6 @@ from .errors import DomainError
 __all__ = [
     "q_bracket",
     "q_bracket_signed",
-    "q_bracket_pow",
     "binom",
     "gen_binom",
     "p_valuation",
@@ -30,8 +29,8 @@ def q_bracket(x, q):
     """The q-number [x]_q = (1 - q**x) / (1 - q), with [x]_1 = x.
 
     ``q`` must be positive.  For exact ``q`` (int or Fraction) the
-    exponent ``x`` must be an integer; use :func:`q_bracket_pow` when an
-    exact bracket of a fractional argument is needed.
+    exponent ``x`` must be an integer: the bracket of x = a/d is exact at
+    base q = r**d, as (1 - r**a) / (1 - r**d).
     """
     if q <= 0:
         raise DomainError(f"q must be positive, got {q!r}")
@@ -43,7 +42,7 @@ def q_bracket(x, q):
         if x.denominator != 1:
             raise DomainError(
                 f"exact q_bracket needs an integer exponent, got x={x}; "
-                "use q_bracket_pow for x = a/d"
+                "for x = a/d write q = r**d and use (1 - r**a) / (1 - r**d)"
             )
         x = int(x)
     return (1 - Fraction(q) ** x) / (1 - Fraction(q))
@@ -64,21 +63,6 @@ def q_bracket_signed(x, q):
         return (1.0 - (-q) ** x) / (1.0 + q)
     q = Fraction(q)
     return (1 - (-q) ** x) / (1 + q)
-
-
-def q_bracket_pow(r, a, d):
-    """Exact bracket of a fractional argument: [a/d] at base q = r**d.
-
-    Returns (1 - r**a) / (1 - r**d) as a Fraction.  Writing q = r**d
-    makes q**(a/d) = r**a rational, so the bracket of x = a/d is exactly
-    representable.  ``r`` must be a positive rational != 1.
-    """
-    r = Fraction(r)
-    if r <= 0 or r == 1:
-        raise DomainError(f"r must be a positive rational != 1, got {r}")
-    if not isinstance(a, int) or not isinstance(d, int) or d < 1 or a < 0:
-        raise DomainError(f"need integers a >= 0 and d >= 1, got a={a!r}, d={d!r}")
-    return (1 - r**a) / (1 - r**d)
 
 
 def binom(m, i):

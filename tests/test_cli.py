@@ -89,6 +89,20 @@ class TestEvalRecords:
         assert record["method"] == "stage"
         assert F(record["value"]["num"], record["value"]["den"]) == F(1, 208)
 
+    def test_float_closed_form_is_the_typed_rational_rounded(self, capsys):
+        # a float evaluation of this closed form printed -194.42
+        assert main(["eval", "qeuler", "--m", "8", "--q", "0.99"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["params"]["q"] == "99/100"
+        assert record["value"] == {"re": float(qeuler_higher(8, 1, F(99, 100))), "im": 0.0}
+
+    def test_polynomial_at_zero_is_the_number(self, capsys):
+        assert main(["eval", "qeuler-poly", "--m", "16", "--q", "0.99", "--x", "0"]) == 0
+        poly = json.loads(capsys.readouterr().out)
+        assert main(["eval", "qeuler", "--m", "16", "--q", "0.99"]) == 0
+        assert poly["value"] == json.loads(capsys.readouterr().out)["value"]
+        assert poly["value"]["re"] == float(qeuler_higher(16, 1, F(99, 100)))
+
     def test_exact_hurwitz_requires_perfect_power_base(self, capsys):
         assert main(["eval", "hurwitz", "--s", "-1", "--x", "1/3", "--q", "1/8",
                      "--exact"]) == 0

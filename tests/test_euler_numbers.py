@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from qeuler import (
     classical_multiplication_residual,
     distribution_residual,
     euler_classical,
+    euler_zeta_neg_int_exact,
     multiplication_residual_x0,
     qeuler_higher,
     qeuler_mixed,
@@ -140,6 +143,50 @@ class TestQEulerPoly:
             qeuler_poly_numeric(1, 0.5, -0.25)
 
 
+def mp_higher(m, k, q):
+    """E_m^(k)(q) by its defining closed form in mpmath, at the binary value
+    of the float q, with enough digits to absorb the cancellation; rounded
+    to a double."""
+    with mpmath.workdps(40 + m * (2 - int(math.log10(1 - q)))):
+        qm = mpmath.mpf(q)
+        total = mpmath.fsum(
+            (-1) ** i * math.comb(m, i) / mpmath.fprod(1 + qm ** (i - m - j) for j in range(k))
+            for i in range(m + 1)
+        )
+        return float((1 + qm) ** k / (1 - qm) ** m * total)
+
+
+class TestFloatBaseIsRoundedOnce:
+    """A float q is evaluated exactly and rounded once, so the result is the
+    correctly rounded value at that double.  Every cell lies where the
+    closed form cancels catastrophically in floating point (a wrong value,
+    inf, or ZeroDivisionError in a float evaluation)."""
+
+    @pytest.mark.parametrize("m,q", [(8, 0.99), (20, 0.9), (150, 1 - 1e-9)])
+    def test_first_order_equals_exact_zeta_value(self, m, q):
+        assert qeuler_higher(m, 1, q) == float(euler_zeta_neg_int_exact(m, F(q)))
+
+    def test_second_order_near_one(self):
+        assert qeuler_higher(60, 2, 0.999) == mp_higher(60, 2, 0.999)
+
+    def test_mixed_and_polynomial(self):
+        want = mp_higher(16, 1, 0.99)
+        assert qeuler_mixed(16, 16, 0.99) == want
+        assert qeuler_poly_numeric(16, 0.99, 0) == want
+        assert qeuler_poly_numeric(16, F(99, 100), 0) == float(qeuler_higher(16, 1, F(99, 100)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_raise(self, bad):
+        with pytest.raises(DomainError):
+            qeuler_higher(2, 1, bad)
+        with pytest.raises(DomainError):
+            qeuler_mixed(2, 1, bad)
+        with pytest.raises(DomainError):
+            qeuler_poly_numeric(3, bad, 0.5)
+        with pytest.raises(DomainError):
+            qeuler_poly_numeric(3, 0.5, bad)
+
+
 class TestEulerClassical:
     def test_first_order_sequence(self):
         want = [F(1), F(-1, 2), F(0), F(1, 4), F(0), F(-1, 2),
@@ -178,9 +225,8 @@ class TestClassicalLimit:
     def test_higher_order_tends_to_classical(self):
         # The gap closes linearly in 1 - q; at 1 - q = 1e-5 every (m, k)
         # with m <= 6, k <= 3 sits inside 1e-3, the largest being (6, 3)
-        # at 567/8 * 1e-5 ~ 7.1e-4, a 1.4x margin.  Exact arithmetic is
-        # essential: the closed form cancels catastrophically in floats
-        # this close to q = 1.
+        # at 567/8 * 1e-5 ~ 7.1e-4, a 1.4x margin.  The gap is taken in
+        # Fractions, so no rounding enters the comparison.
         q = 1 - F(1, 10**5)
         for m in range(7):
             for k in (1, 2, 3):

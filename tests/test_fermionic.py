@@ -32,6 +32,14 @@ F = Fraction
 CTX34 = PAdicQParam(3, 4)
 
 
+def evaluate(f, j, q):
+    """f(j) at base q, as an exact Fraction: the definition of the integrand,
+    which the stage sums replace by their closed form."""
+    q = F(q)
+    br = F(q_bracket(j, q))
+    return sum((t.coeff * br**t.bracket_power * q ** (t.exp_coeff * j) for t in f.terms), F(0))
+
+
 class TestIntegrandAlgebra:
     def test_builders(self):
         assert Integrand.moment(1) == Integrand.term(1, 1, -2)
@@ -42,15 +50,15 @@ class TestIntegrandAlgebra:
         q = F(4)
         for j in range(5):
             bracket = (1 - q**j) / (1 - q)
-            assert f.evaluate(j, q) == F(2, 3) * bracket**2 * q**-j
+            assert evaluate(f, j, q) == F(2, 3) * bracket**2 * q**-j
 
     def test_sum_and_scale(self):
         f = Integrand.moment(1)
         g = Integrand.moment(2)
         h = 2 * f + F(-1, 3) * g
         for j in range(4):
-            want = 2 * f.evaluate(j, 4) - F(1, 3) * g.evaluate(j, 4)
-            assert h.evaluate(j, 4) == want
+            want = 2 * evaluate(f, j, 4) - F(1, 3) * evaluate(g, j, 4)
+            assert evaluate(h, j, 4) == want
 
     def test_rejects_bad_terms(self):
         with pytest.raises(DomainError):
@@ -78,7 +86,7 @@ class TestStageSum:
         for ctx in (CTX34, PAdicQParam(3, F(1, 4)), PAdicQParam(5, F(6, 11)), PAdicQParam(3, 1)):
             for N in (1, 2):
                 P = ctx.p**N
-                brute = sum(f.evaluate(j, ctx.q) * (-ctx.q) ** j for j in range(P))
+                brute = sum(evaluate(f, j, ctx.q) * (-ctx.q) ** j for j in range(P))
                 brute /= q_bracket_signed(P, ctx.q)
                 assert stage_sum(f, ctx, N) == brute
 

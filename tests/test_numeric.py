@@ -18,7 +18,6 @@ from qeuler import (
     is_prime,
     p_valuation,
     q_bracket,
-    q_bracket_pow,
     q_bracket_signed,
 )
 from qeuler.numeric import _exact_sum
@@ -107,27 +106,6 @@ class TestQBracketSigned:
             q_bracket_signed(F(1, 2), F(1, 2))
         with pytest.raises(DomainError):
             q_bracket_signed(2, -1)
-
-
-class TestQBracketPow:
-    def test_matches_definition(self):
-        r = F(1, 2)
-        assert q_bracket_pow(r, 2, 3) == (1 - r**2) / (1 - r**3)
-
-    def test_whole_argument_reduces_to_q_bracket(self):
-        r = F(2, 3)
-        for a in range(4):
-            assert q_bracket_pow(r, 3 * a, 3) == q_bracket(a, r**3)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            q_bracket_pow(1, 1, 2)
-        with pytest.raises(DomainError):
-            q_bracket_pow(F(-1, 2), 1, 2)
-        with pytest.raises(DomainError):
-            q_bracket_pow(F(1, 2), -1, 2)
-        with pytest.raises(DomainError):
-            q_bracket_pow(F(1, 2), 1, 0)
 
 
 class TestBinom:
