@@ -1,0 +1,204 @@
+"""Cost and error bounds of the defining series, and its CRVZ acceleration.
+
+The ``*_direct`` routes of :mod:`qeuler.zeta` sum
+
+    (1+q) sum_n chi(n) (-1)**n q**(s*n) [n+x]**(-s),   n = n0, n0+step, ...,
+
+for Re(s) >= 1, in one of two ways.
+
+* The plain stream: the terms one by one under the series driver.  Its
+  terms are at most T0 r**k with T0 = (1+q) q**(sigma n0) [n0+x]**(-sigma)
+  and r = q**(sigma step), sigma = Re(s), so it needs about
+  ln(T0 / ((1-r) eps)) / (sigma step |ln q|) terms (``plain_length``):
+  O(1 / (sigma (1-q))) as q -> 1.  ``plain_rounding`` bounds its
+  rounding error.
+
+* The accelerated sum (Cohen, Rodriguez Villegas and Zagier,
+  *Convergence acceleration of alternating series*, Experimental Math.
+  9 (2000), Algorithm 1; CRVZ below), one residue class n = a + step k
+  at a time, step odd, so that the class alternates in k.  Expanding
+  [m]**(-s) = (1-q)**s sum_j C(s+j-1, j) q**(m j) writes the class as
+  sum_k (-1)**k a_k with moments
+
+      a_k = q**(s m) [m+x]**(-s) = sum_j w_j t_j**k,   m = a + step k,
+      t_j = z q**(step j),  z = q**(step s),
+      sum_j |w_j| <= W_a = (1-q)**sigma q**(sigma a) (1 - q**(a+x))**(-|s|),
+
+  since |C(s+j-1, j)| <= C(|s|+j-1, j).  CRVZ's n-term sum leaves the
+  error sum_j w_j T_n(1 - 2 t_j) / ((1 + t_j) T_n(3)).  Every t_j lies on
+  the segment [0, z], so 1 - 2 t_j lies in the Bernstein ellipse through
+  1 - 2z, of parameter rho (rho = 1 for real s), where
+  |T_n| <= (rho**n + rho**-n) / 2 (Trefethen, *Approximation Theory and
+  Approximation Practice*, ch. 8); and 1 / |1 + t_j| <= c = 1 where
+  Re z >= 0, else 1 / (1 - |z|).  The truncation bound is therefore
+
+      (1+q) sum_a W_a c (rho**n + rho**-n) / 2 / T_n(3),
+
+  which falls like (rho / (3 + sqrt 8))**n; ``crvz_length`` picks the
+  least n that puts it under eps / 2, leaving the other half of eps to
+  the rounding bound that ``crvz_sum`` reports beside the value.  W_a
+  and the bound are kept in log space, so neither overflows nor
+  underflows.
+
+Both counts read only the inputs; the zeta module runs whichever is
+smaller.  u is the unit roundoff 2**-53 throughout.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+U = 2.0**-53
+BETA = 3 + math.sqrt(8)  # n CRVZ terms leave an error of about BETA**-n
+LOG_BETA = math.log(BETA)
+MAX_N = 390  # keeps T_n(3) below 1e298, so the CRVZ weights stay finite
+
+
+def _log_bracket(y, log_q, log_1mq):
+    """ln [y]_q = ln(1 - q**y) - ln(1 - q), accurate as q -> 1."""
+    return math.log(-math.expm1(y * log_q)) - log_1mq
+
+
+def log_binomial_bound(s, q, shift, x):
+    """ln of (1+q) (1-q)**sigma q**(sigma shift) (1 - q**(shift+x))**(-|s|).
+
+    That bounds (1+q) |(1-q)**s q**(s shift)| sum_j |C(s+j-1, j)| q**((shift+x) j),
+    since |C(s+j-1, j)| <= C(|s|+j-1, j): the class weight times W_a at
+    shift = a, and the continuation's tail after K head terms at shift = K.
+    The rounding of the four logs and their sum, at most
+    8u (sum of their sizes + |s| + 1), is added, so the float result is
+    still an upper bound.
+    """
+    log_q = math.log(q)
+    parts = (math.log1p(q), s.real * math.log1p(-q), s.real * shift * log_q,
+             -abs(s) * math.log(-math.expm1((shift + x) * log_q)))
+    return sum(parts) + 8 * U * (sum(abs(p) for p in parts) + abs(s) + 1)
+
+
+def plain_length(s, q, eps, x, n0, step):
+    """A-priori term count ln(T0 / ((1-r) eps)) / (sigma step |ln q|) of the plain stream."""
+    log_q = math.log(q)
+    rate = -s.real * step * log_q
+    log_t0 = math.log1p(q) + s.real * (n0 * log_q - _log_bracket(n0 + x, log_q, math.log1p(-q)))
+    return (log_t0 - math.log(-math.expm1(-rate) * eps)) / rate
+
+
+def plain_rounding(s, q, x, n0, step, terms):
+    """Rounding bound of the plain stream after ``terms`` terms.
+
+    The stream carries q**(s*n) and q**(n+x) as running products, so term
+    k has a relative error of at most u (A + B k).  Each step multiplies
+    q**(s*n) by exp(s step ln q), which brings 2 |s step ln q| + 7 units
+    (B).  The first powers, exp(-s ln [n+x]) and the products bring the
+    rest (A); there 1 - q**(n+x) magnifies the error of the running
+    q**(n+x) by q**m / (1 - q**m), which sums to at most
+    Q (1 + |(n0+x) ln q|) + 2 / (step |ln q|) units with
+    Q = q**(n0+x) / (1 - q**(n0+x)).  With |term k| <= T0 r**k and 2 N u
+    for N complex additions, the error is at most
+    u T0 ((A + 2N) / (1-r) + B r / (1-r)**2).
+    """
+    log_q = math.log(q)
+    log_1mq = math.log1p(-q)
+    size = abs(s)
+    y0 = n0 + x
+    big_q = q**y0 / -math.expm1(y0 * log_q)
+    log_b0 = _log_bracket(y0, log_q, log_1mq)
+    A = (24 + 2 * size * abs(n0 * log_q) + 2 * size * max(abs(log_b0), -log_1mq)
+         + size * (big_q * (1 + abs(y0 * log_q)) + 2 / (step * -log_q) + 3))
+    B = 2 * size * step * -log_q + 7
+    r = q ** (s.real * step)
+    t0 = (1 + q) * math.exp(s.real * (n0 * log_q - log_b0))
+    return U * t0 * ((A + 2 * terms) / (1 - r) + B * r / (1 - r) ** 2)
+
+
+def _weights(n):
+    """The weights w_k, k < n, of CRVZ Algorithm 1: the sum is sum_k (-1)**k w_k a_k.
+
+    w_k = sum_{i>k} b_i / T_n(3), with b_i = n/(n+i) C(n+i, 2i) 4**i the
+    terms of T_n(3) = sum_i b_i.  Sums of positive terms, so each w_k is
+    accurate to (6n + 2) u relative.
+    """
+    b = [1.0]
+    for i in range(n):
+        b.append(b[-1] * (n + i) * (n - i) / ((i + 0.5) * (i + 1)))
+    w = [0.0] * n
+    tail = 0.0
+    for k in range(n - 1, -1, -1):
+        tail += b[k + 1]
+        w[k] = tail
+    d = tail + 1.0
+    return [v / d for v in w]
+
+
+def _log_truncation(n, log_scale, log_rho):
+    """ln of exp(log_scale) (rho**n + rho**-n) / 2 / T_n(3)."""
+    return (log_scale + n * (log_rho - LOG_BETA)
+            + math.log1p(math.exp(-2 * n * log_rho)) - math.log1p(BETA ** (-2 * n)))
+
+
+def crvz_length(s, q, eps, x, step, first, classes):
+    """(n, truncation bound) of the accelerated sum, or (None, inf) when
+    no n up to ``MAX_N`` puts the bound under eps / 2.
+
+    The sum has ``classes`` classes n = a + step k, the first at a =
+    ``first``, each of weight modulus 1 + q.  W_a falls as a grows, so
+    sum_a W_a <= classes * W_first.
+    """
+    log_q = math.log(q)
+    z = cmath.exp(step * s * log_q)
+    log_rho = 0.0
+    if s.imag:
+        u = 1 - 2 * z
+        log_rho = abs(math.log(abs(u + cmath.sqrt(u * u - 1))))
+    if log_rho >= LOG_BETA:
+        return None, math.inf
+    log_scale = math.log(classes) + log_binomial_bound(s, q, first, x)
+    if z.real < 0:
+        log_scale -= math.log1p(-abs(z))
+    target = math.log(eps / 2)
+    n = max(1, math.ceil((log_scale + math.log(2) - target) / (LOG_BETA - log_rho)))
+    while n > 1 and _log_truncation(n - 1, log_scale, log_rho) <= target:
+        n -= 1
+    while _log_truncation(n, log_scale, log_rho) > target:
+        n += 1
+    if n > MAX_N:
+        return None, math.inf
+    # Rounding of the log-space bound: of log_scale and n ln(beta); of
+    # ln rho, relative to its size and the error of z, and near rho = 1,
+    # where ln rho is ill-conditioned but cosh(n ln rho) is flat, n**2 u.
+    slack = 8 * U * (abs(log_scale) + n * (LOG_BETA + log_rho * (2 + abs(step * s * log_q)))
+                     + n * n + 2)
+    return n, math.exp(_log_truncation(n, log_scale, log_rho) + slack)
+
+
+def crvz_sum(s, q, x, step, classes, n):
+    """(value, rounding bound) of n CRVZ terms per class.
+
+    a_k = exp(s (m ln q - ln [m+x])) is computed directly, to a relative
+    error of at most u (|s| (5 |m ln q| + 4 |ln(1 - q**(a+x))|
+    + 4 |ln(1-q)| + 4) + 4).  The weights add (6n + 2) u, the n-term sum
+    2n u, and the class weights and the sum over the classes
+    2 (classes + 7) u, all relative to sum_a |weight_a| sum_k w_k |a_k|.
+    """
+    w = _weights(n)
+    log_q = math.log(q)
+    log_1mq = math.log1p(-q)
+    size = abs(s)
+    fixed = 8 * n + 2 * len(classes) + 20
+    total = complex(0)
+    rounding = 0.0
+    for a, weight in classes:
+        acc = complex(0)
+        mag = 0.0
+        for k in range(n):
+            m = a + step * k
+            t = w[k] * cmath.exp(s * (m * log_q - _log_bracket(m + x, log_q, log_1mq)))
+            acc = acc - t if k % 2 else acc + t
+            mag += abs(t)
+        total += weight * acc
+        m_top = a + step * (n - 1)
+        delta = size * (5 * abs(m_top * log_q) - 4 * math.log(-math.expm1((a + x) * log_q))
+                        - 4 * log_1mq + 4) + fixed
+        rounding += abs(weight) * mag * delta
+    return total, U * rounding

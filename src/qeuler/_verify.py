@@ -359,8 +359,11 @@ def suite_methods(seed):
                     euler_zeta_q(s, q, policy).value,
                     euler_zeta_q_direct(s, q, policy).value,
                 )
-                for s in (1, 1.5, 2, 3, complex(2, 1))
-                for q in (0.3, 0.5, 0.8)
+                for s, q in [
+                    *((s, q) for s in (1, 1.5, 2, 3, complex(2, 1)) for q in (0.3, 0.5, 0.8)),
+                    (2, 0.999),
+                    (complex(2, 1), 0.999),
+                ]
             ),
             1e-9,
         ),
@@ -372,9 +375,12 @@ def suite_methods(seed):
                     hurwitz_zeta_q(s, x, q, policy).value,
                     hurwitz_zeta_q_direct(s, x, q, policy).value,
                 )
-                for s in (1, 2, complex(1.5, -0.5))
-                for x in (1 / 3, 1.0, 2.5)
-                for q in (0.4, 0.7)
+                for s, x, q in [
+                    *((s, x, q) for s in (1, 2, complex(1.5, -0.5))
+                      for x in (1 / 3, 1.0, 2.5) for q in (0.4, 0.7)),
+                    (2, 1 / 3, 0.999),
+                    (complex(1.5, -0.5), 1 / 3, 0.999),
+                ]
             ),
             1e-9,
         ),
@@ -396,11 +402,11 @@ def suite_methods(seed):
             "methods/partial-direct-vs-decomposition",
             (
                 (
-                    f"s=2 a={a} F={F}",
-                    partial_zeta(2, a, F, 0.5, policy).value,
-                    partial_zeta_direct(2, a, F, 0.5, policy).value,
+                    f"s=2 a={a} F={F} q={q}",
+                    partial_zeta(2, a, F, q, policy).value,
+                    partial_zeta_direct(2, a, F, q, policy).value,
                 )
-                for F in (3, 5)
+                for F, q in ((3, 0.5), (5, 0.5), (3, 0.999))
                 for a in range(1, F + 1)
             ),
             1e-9,

@@ -9,8 +9,25 @@ Two evaluation routes are kept deliberately separate:
 
       (1+q) sum_n chi(n) (-1)**n q**(s*n) / [n+x]**s,
 
-  with chi = 1 except for the L-series; one private generator makes
-  the terms.
+  with chi = 1 except for the L-series.  It is summed one of two ways,
+  whichever needs fewer terms by a count that reads only the inputs
+  (:mod:`qeuler._direct` has the derivations):
+
+  - the plain stream, term by term under the driver below, about
+    ln(1/eps) / (Re(s) step |ln q|) terms: short for small q, but
+    O(1/(Re(s) (1-q))) as q -> 1;
+  - CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier, 2000), one
+    residue class a + step k at a time (one per chi(a) != 0 for the
+    L-series, step = the modulus).  Each class is an alternating
+    sequence of moments of points on the segment [0, q**(step s)], so n
+    terms leave a proven error of about (rho / 5.83)**n, rho the
+    Bernstein-ellipse parameter of 1 - 2 q**(step s) (1 for real s):
+    about 20 terms per class wherever |Im s| is moderate, at any q.
+
+  Both report truncation plus rounding in ``abs_error_estimate``.  The
+  plain stream stays where its count is the smaller (small q, the many
+  classes of a large modulus at moderate q, large |Im s|) or where the
+  accelerated sum would pass ``max_terms``.
 
 * the binomial continuation -- for 0 < q < 1 and x > 0,
 
@@ -41,14 +58,17 @@ Two evaluation routes are kept deliberately separate:
   so a comparison with the ``*_direct`` route checks the continuation
   only through its shifted tail.
 
-Series are driven by a :class:`PrecisionPolicy`: stopping needs
+Term streams are driven by a :class:`PrecisionPolicy`: stopping needs
 ``consecutive_small`` successive terms below eps * max(1, |partial|)
 AND a geometric tail bound below the same threshold; the bound uses the
-larger of the a-priori ratio (q**x, resp. q**Re(s)) and the observed
-recent term ratio.  Exhausting ``max_terms`` raises
-:class:`~qeuler.errors.NonConvergenceError` carrying the partial value;
-a continuation denominator within 1e-12 of zero raises
-:class:`~qeuler.errors.NearSingularError` naming the term index.
+larger of the a-priori ratio (q**x, resp. q**(Re(s) step)) and the
+observed recent term ratio.  A continuation whose tail is provably
+below the smallest positive double ends after its head.  Exhausting
+``max_terms`` raises :class:`~qeuler.errors.NonConvergenceError`
+carrying the partial value; a continuation denominator within 1e-12 of
+zero raises :class:`~qeuler.errors.NearSingularError` naming the term
+index.  The accelerated direct sum fixes its length in advance, with
+its truncation bound under eps / 2.
 """
 
 from __future__ import annotations
@@ -58,6 +78,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _direct
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import DomainError, NearSingularError, NonConvergenceError
 from .euler_numbers import qeuler_poly_exact
@@ -82,6 +103,7 @@ __all__ = [
 ]
 
 NEAR_SINGULAR_TOL = 1e-12
+_LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
 
 
 @dataclass(frozen=True)
@@ -208,6 +230,55 @@ def _check_direct(s):
         raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
 
 
+def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
+    """The defining series term by term under the driver, plus its rounding bound."""
+    got = _sum_series(_direct_terms(s, q, chi, x, n0, step), q ** (s.real * step), policy, "direct")
+    err = got.abs_error_estimate + _direct.plain_rounding(s, q, x, n0, step, got.terms_used)
+    return SeriesValue(got.value, err, got.terms_used, "direct")
+
+
+def _crvz_plan(s, q, eps, x, n0, step, chi):
+    """(first index of each class, class step, n, truncation bound) of the
+    accelerated sum: one class unless chi is given, then one per a with
+    chi(a) != 0, that is gcd(a, d) = 1."""
+    starts = [n0]
+    if chi is not None:
+        step = chi.modulus
+        starts = [a for a in range(1, step + 1) if math.gcd(a, step) == 1]
+    return (starts, step, *_direct.crvz_length(s, q, eps, x, step, starts[0], len(starts)))
+
+
+def _crvz(s, q, x, chi, starts, step, n, truncation):
+    """The accelerated sum of a ``_crvz_plan``; the class weights are (1+q) chi(a) (-1)**a."""
+    classes = [(a, (1 + q) * (-1) ** a * (1 if chi is None else chi(a).to_complex()))
+               for a in starts]
+    value, rounding = _direct.crvz_sum(s, q, x, step, classes, n)
+    return SeriesValue(value, truncation + rounding, len(classes) * n, "direct")
+
+
+def _direct_accelerated(s, q, policy, x=0.0, n0=1, step=1, chi=None):
+    """The defining series by CRVZ acceleration, one residue class at a time."""
+    starts, step, n, truncation = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
+    if n is None:
+        raise NonConvergenceError(f"no CRVZ length up to {_direct.MAX_N} meets eps={policy.eps}")
+    return _crvz(s, q, x, chi, starts, step, n, truncation)
+
+
+def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
+    """The defining series by whichever sum needs fewer terms (see ``_direct``).
+
+    The accelerated sum must also fit in max_terms; otherwise the plain
+    stream runs, and raises NonConvergenceError with its partial when it
+    runs out.
+    """
+    plan = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
+    starts, _, n, _ = plan
+    cost = len(starts) * n if n is not None else math.inf
+    if cost <= policy.max_terms and cost < _direct.plain_length(s, q, policy.eps, x, n0, step):
+        return _crvz(s, q, x, chi, *plan)
+    return _direct_plain(s, q, policy, x, n0, step, chi)
+
+
 def _class_weight(q, d, s):
     """The weight of the class n = a (mod d) as a function of a (and chi(a)):
 
@@ -240,6 +311,22 @@ def _shift_length(s, x, q, eps):
     return max(0, round(target - x))
 
 
+def _tail_underflows(s, x, q, K):
+    """True when the continuation at x+K is below the smallest double.
+
+    The tail is at most exp(``_direct.log_binomial_bound``) /
+    min_j |1 + q**(s+j)|, and the q**(s+j) share the phase of q**s: the
+    minimum is at least 1 where Re q**s >= 0, else 1 - |q**s|.
+    """
+    if s.real <= 0:
+        return False
+    qs = _rpow(q, s)
+    log_bound = _direct.log_binomial_bound(s, q, K, x)
+    if qs.real < 0:
+        log_bound -= math.log1p(-abs(qs))
+    return log_bound < _LOG_TINY
+
+
 def hurwitz_zeta_q(s, x, q, policy=None):
     """Hurwitz-type q-Euler zeta zeta_H(s, x) by the (shifted) binomial continuation.
 
@@ -262,6 +349,7 @@ def hurwitz_zeta_q(s, x, q, policy=None):
         # (-1)**K q**(s*K) scales the continuation at x+K
         prefactor *= (-1) ** K * _rpow(q, s * K)
     qx = q ** (x + K)
+    drop_tail = _tail_underflows(s, x, q, K)
 
     def terms():
         # Head: (1+q) (-1)**n q**(s*n) [n+x]**(-s) for n < K, with
@@ -271,6 +359,8 @@ def hurwitz_zeta_q(s, x, q, policy=None):
             bracket = -math.expm1((n + x) * log_q) / (1 - q)
             term = (1 + q) * cmath.exp(s * (n * log_q - math.log(bracket)))
             yield -term if n % 2 else term
+        if drop_tail:
+            return
         # Tail: the binomial continuation at x+K.
         coeff = complex(1)  # C(s+j-1, j)
         qxj = 1.0  # q**((x+K)*j)
@@ -296,10 +386,13 @@ def hurwitz_zeta_q(s, x, q, policy=None):
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):
-    """Defining series sum_{n>=0} (-1)**n q**(s*n) / [n+x]**s, Re(s) >= 1.
+    """Defining series (1+q) sum_{n>=0} (-1)**n q**(s*n) / [n+x]**s, Re(s) >= 1.
 
     Oracle route; raises DomainError left of Re(s) = 1 instead of
-    pretending the series still means anything there.
+    pretending the series still means anything there.  Summed by the
+    plain stream or by CRVZ acceleration of its one class, whichever
+    needs fewer terms by an a-priori count (see the module docstring);
+    ``abs_error_estimate`` is truncation plus rounding.
     """
     policy = policy or PrecisionPolicy()
     s = complex(s)
@@ -308,7 +401,7 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     if not x > 0:
         raise DomainError(f"x must be positive, got {x}")
     _check_direct(s)
-    return _sum_series(_direct_terms(s, q, x=x, n0=0), q**s.real, policy, "direct")
+    return _direct_series(s, q, policy, x=x, n0=0)
 
 
 def _hurwitz_trunc_exact(m, r, d, a):
@@ -341,12 +434,16 @@ def euler_zeta_q(s, q, policy=None):
 
 
 def euler_zeta_q_direct(s, q, policy=None):
-    """Defining series sum_{n>=1} (-1)**n q**(s*n) / [n]**s, Re(s) >= 1."""
+    """Defining series (1+q) sum_{n>=1} (-1)**n q**(s*n) / [n]**s, Re(s) >= 1.
+
+    Summed like :func:`hurwitz_zeta_q_direct` (plain stream or one
+    accelerated class); the bound is truncation plus rounding.
+    """
     policy = policy or PrecisionPolicy()
     s = complex(s)
     q = _check_base(q)
     _check_direct(s)
-    return _sum_series(_direct_terms(s, q), q**s.real, policy, "direct")
+    return _direct_series(s, q, policy)
 
 
 def euler_zeta_neg_int_exact(m, r):
@@ -399,14 +496,19 @@ def l_series(s, chi, q, policy=None):
 
 
 def l_series_direct(s, chi, q, policy=None):
-    """Defining series sum_{n>=1} chi(n) (-1)**n q**(s*n) / [n]**s, Re(s) >= 1."""
+    """Defining series (1+q) sum_{n>=1} chi(n) (-1)**n q**(s*n) / [n]**s, Re(s) >= 1.
+
+    The accelerated sum takes one class n = a (mod d) per chi(a) != 0,
+    so it costs (classes) x n terms against the plain stream's count over
+    every n; the cheaper one runs.  The bound is truncation plus rounding.
+    """
     if not isinstance(chi, DirichletCharacter):
         raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
     policy = policy or PrecisionPolicy()
     s = complex(s)
     q = _check_base(q)
     _check_direct(s)
-    return _sum_series(_direct_terms(s, q, chi), q**s.real, policy, "direct")
+    return _direct_series(s, q, policy, chi=chi)
 
 
 def l_neg_int_exact(k, chi, r):
@@ -463,13 +565,18 @@ def partial_zeta(s, a, F, q, policy=None):
 
 
 def partial_zeta_direct(s, a, F, q, policy=None):
-    """Defining restricted series over n = a, a+F, a+2F, ...; Re(s) >= 1."""
+    """Defining restricted series over n = a, a+F, a+2F, ...; Re(s) >= 1.
+
+    The class alternates (F is odd), so it is summed like
+    :func:`hurwitz_zeta_q_direct` with step F; the bound is truncation
+    plus rounding.
+    """
     _check_partial_args(a, F)
     policy = policy or PrecisionPolicy()
     s = complex(s)
     q = _check_base(q)
     _check_direct(s)
-    return _sum_series(_direct_terms(s, q, n0=a, step=F), q ** (s.real * F), policy, "direct")
+    return _direct_series(s, q, policy, n0=a, step=F)
 
 
 def partial_zeta_neg_int_exact(n, a, F, r):
