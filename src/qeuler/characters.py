@@ -15,7 +15,8 @@ N-th cyclotomic polynomial; the orthogonality relations hold exactly,
 not just to floating tolerance.
 
 ``generalized_qeuler`` builds the chi-twisted q-Euler numbers out of the
-exact polynomial values of :mod:`qeuler.euler_numbers`; the result is a
+exact polynomial values of :mod:`qeuler.euler_numbers`, all residue
+classes from one shared coefficient vector; the result is a
 Fraction whenever chi is real-valued and a complex number (assembled
 from exact rational prestages) otherwise.
 """
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .euler_numbers import qeuler_poly_exact
+from .euler_numbers import _binomial_sum
 from .numeric import _exact_sum, is_prime, q_bracket
 
 __all__ = [
@@ -379,12 +380,12 @@ def generalized_qeuler(m, chi, r):
         raise DomainError(f"r must be a rational in (0, 1), got {r}")
     d = chi.modulus
     prefactor = (1 + r) / (1 + r**d) * Fraction(q_bracket(d, r)) ** m
+    units = [(i, v) for i in range(d) if (v := chi(i)) != 0]
+    # E_m(i/d) at base r**d for every unit i, from one coefficient vector
+    values = _binomial_sum(m, m, r**d, [r**i for i, _ in units])
     weights = []  # (chi(i), exact rational cofactor) for units i
-    for i in range(d):
-        v = chi(i)
-        if v == 0:
-            continue
-        c = prefactor * r ** (-m * i) * qeuler_poly_exact(m, r, d, i)
+    for (i, v), value in zip(units, values):
+        c = prefactor * r ** (-m * i) * value
         weights.append((v, -c if i % 2 else c))
     return _chi_combination(chi, weights)
 

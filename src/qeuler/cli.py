@@ -16,6 +16,7 @@ overrides the default series term cap (explicit --max-terms wins).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -504,8 +505,16 @@ def _call_label(args):
     return f"{args.command} {function} (route {route})"
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process, built on the first call of ``main``
+    (not at import); each parse gets a fresh namespace, so no option state
+    carries over from one call to the next."""
+    return _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))

@@ -13,11 +13,21 @@ Every closed form has one arithmetic path, over Fraction.  A rational
 base gives the exact Fraction.  A float base is exact as a Fraction too,
 so it gets the same exact evaluation and the result is rounded once with
 ``float()``: the correctly rounded value of the formula at that double,
-with no cancellation however close q is to 1.  The price is the size of
-the value, since ``Fraction(0.99)`` has a denominator of 2**52.  On a
-2-core Xeon, (m, k, q) = (8, 1, 0.99) takes about 0.4 ms, (60, 2, 0.999)
-40 ms, (150, 3, 0.99) 1 s and (300, 1, 0.3) 8 s; (150, 3) and (300, 1)
-at the rationals 99/100 and 3/10 take 25 and 47 ms.
+with no cancellation however close q is to 1.
+
+Each term is built from integers as one reduced Fraction: with q = a/b,
+1/(1 + q**-k) is a**k/(a**k + b**k), so a term is an integer numerator
+over an integer denominator and costs one gcd, not a chain of Fraction
+operations.  The polynomial sum forms its coefficient vector once per
+call and evaluates it at every y the call asks for, so the d residue
+classes of the distribution and twisted sums share it.  The terms are
+added by the balanced ``_exact_sum``, so the cost follows the size of
+the value, and ``Fraction(0.99)`` has a denominator of 2**52.  On a
+2-core Xeon (Python 3.11), (m, k, q) = (8, 1, 0.99) takes about 0.1 ms,
+(60, 2, 0.999) 35 ms, (150, 3, 0.99) 1.2 s and (300, 1, 0.3) 9 s;
+(150, 3) and (300, 1) at the rationals 99/100 and 3/10 take 24 and
+59 ms.
+
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
 distribution and multiplication identities as "should be exactly zero"
@@ -62,18 +72,43 @@ def _check_q(q):
     return q, rounded
 
 
-def _binomial_sum(n, m, q, y):
-    """(1+q)/(1-q)**n * sum_{j=0}^{n} C(n,j) (-1)**j y**j / (1 + q**(j-m)), exact.
+def _powers(x, n):
+    """[x**0, x**1, ..., x**n] for an integer x, by repeated multiplication."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def _binomial_sum(n, m, q, ys):
+    """(1+q)/(1-q)**n * sum_{j=0}^{n} C(n,j) (-1)**j y**j / (1 + q**(j-m)), exact,
+    one value for each y in ys.
 
     The one evaluation of the polynomial closed form: E_m(x) is n = m with
-    y = q**x, and the two-index number E_{n,m} is y = 1.  The denominators
-    are positive for the positive q that every caller admits.
+    y = q**x, and the two-index number E_{n,m} is y = 1.  The n+1
+    coefficients are formed once per call, from integer powers of
+    q = a/b: 1/(1 + q**(j-m)) is b**k/(a**k + b**k) for j - m = k >= 0 and
+    a**k/(a**k + b**k) for j - m = -k, positive for the positive q that
+    every caller admits.  For y = s/t each term is then one
+    Fraction(c_num * s**j, c_den * t**j), reduced once, and the terms are
+    added by the balanced ``_exact_sum``.
     """
-    terms = []
+    a, b = q.numerator, q.denominator
+    top = max(m, n - m)
+    apow, bpow = _powers(a, top), _powers(b, top)
+    coeffs = []
     for j in range(n + 1):
-        term = binom(n, j) * y**j / (1 + q ** (j - m))
-        terms.append(-term if j % 2 else term)
-    return (1 + q) / (1 - q) ** n * _exact_sum(terms)
+        k = abs(j - m)
+        c = -math.comb(n, j) if j % 2 else math.comb(n, j)
+        coeffs.append((c * (bpow[k] if j >= m else apow[k]), apow[k] + bpow[k]))
+    prefactor = (1 + q) / (1 - q) ** n
+    values = []
+    for y in ys:
+        y = Fraction(y)
+        spow, tpow = _powers(y.numerator, n), _powers(y.denominator, n)
+        terms = [Fraction(cn * sj, cd * tj) for (cn, cd), sj, tj in zip(coeffs, spow, tpow)]
+        values.append(prefactor * _exact_sum(terms))
+    return values
 
 
 def qeuler_higher(m, k, q):
@@ -93,16 +128,19 @@ def qeuler_higher(m, k, q):
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
     q, rounded = _check_q(q)
+    # 1/(1 + q**-e) = a**e/(a**e + b**e) for q = a/b and e = m + j - i >= 0
+    apow, bpow = _powers(q.numerator, m + k - 1), _powers(q.denominator, m + k - 1)
     terms = []
     for i in range(m + 1):
-        prod = Fraction(1)
-        for j in range(k):
-            den = 1 + q ** (i - m - j)
-            if den == 0:
-                raise DomainError(f"vanishing denominator 1 + q**{i - m - j}")
-            prod /= den
-        term = binom(m, i) * prod
-        terms.append(-term if i % 2 else term)
+        num = -math.comb(m, i) if i % 2 else math.comb(m, i)
+        den = 1
+        for e in range(m - i, m - i + k):
+            factor = apow[e] + bpow[e]
+            if factor == 0:
+                raise DomainError(f"vanishing denominator 1 + q**{-e}")
+            num *= apow[e]
+            den *= factor
+        terms.append(Fraction(num, den))
     value = (1 + q) ** k / (1 - q) ** m * _exact_sum(terms)
     return float(value) if rounded else value
 
@@ -123,7 +161,7 @@ def qeuler_mixed(kdeg, m, q):
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
     q, rounded = _check_q(q)
-    value = _binomial_sum(kdeg, m, q, 1)
+    value = _binomial_sum(kdeg, m, q, [1])[0]
     return float(value) if rounded else value
 
 
@@ -142,7 +180,7 @@ def qeuler_poly_exact(m, r, d, a):
     r = Fraction(r)
     if not 0 < r < 1:
         raise DomainError(f"r must be a rational in (0, 1), got {r}")
-    return _binomial_sum(m, m, r**d, r**a)
+    return _binomial_sum(m, m, r**d, [r**a])[0]
 
 
 def qeuler_poly_numeric(m, q, x):
@@ -161,7 +199,7 @@ def qeuler_poly_numeric(m, q, x):
     x = float(x)
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"x must be finite and nonnegative, got {x}")
-    return float(_binomial_sum(m, m, q, Fraction(float(q) ** x)))
+    return float(_binomial_sum(m, m, q, [Fraction(float(q) ** x)])[0])
 
 
 @lru_cache(maxsize=None)
@@ -215,9 +253,10 @@ def distribution_residual(n, d, x, r):
         raise DomainError(f"x must be a nonnegative integer, got {x!r}")
     r = Fraction(r)
     lhs = qeuler_poly_exact(n, r, 1, x)
+    inner = _binomial_sum(n, n, r**d, [r ** (x + i) for i in range(d)])
     rhs = Fraction(0)
-    for i in range(d):
-        term = r ** (-n * i) * qeuler_poly_exact(n, r, d, x + i)
+    for i, value in enumerate(inner):
+        term = r ** (-n * i) * value
         rhs += -term if i % 2 else term
     rhs *= (1 + r) / (1 + r**d) * q_bracket(d, r) ** n
     return lhs - rhs

@@ -219,7 +219,13 @@ def _direct_terms(s, q, chi=None, x=0, n0=1, step=1):
             w = prefactor * (-1 if n % 2 else 1)
             if chi is not None:
                 w = w * v.to_complex()
-            yield w * qsn / _rpow((1 - qnx) / (1 - q), s)
+            bracket_s = _rpow((1 - qnx) / (1 - q), s)
+            if bracket_s == 0:
+                raise OverflowError(
+                    f"direct term n = {n}: [n+x]_q**s underflows to 0, "
+                    "so the term cannot be represented in double precision"
+                )
+            yield w * qsn / bracket_s
         n += step
         qsn *= qs_step
         qnx *= q_step
@@ -408,8 +414,15 @@ def _hurwitz_trunc_exact(m, r, d, a):
     """Exact truncation of the continuation at s = -m (m >= 0) and x = a/d,
     evaluated at base q = r**d so q**x = r**a is rational."""
     q = r**d
-    total = _exact_sum(gen_binom(-m, j) * r ** (a * j) / (1 + q ** (j - m)) for j in range(m + 1))
-    return (1 + q) * total / (1 - q) ** m
+    # With q = qa/qb, r**a = s/t and e = m - j, the j-th term
+    # c (s/t)**j / (1 + q**-e) is the integer fraction c qa**e s**j / ((qa**e + qb**e) t**j).
+    qa, qb = q.numerator, q.denominator
+    s, t = r.numerator**a, r.denominator**a
+    terms = []
+    for j in range(m + 1):
+        c, e = gen_binom(-m, j), m - j
+        terms.append(Fraction(c.numerator * qa**e * s**j, c.denominator * (qa**e + qb**e) * t**j))
+    return (1 + q) * _exact_sum(terms) / (1 - q) ** m
 
 
 def hurwitz_neg_int_exact(m, r, d, a):

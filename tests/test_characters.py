@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler import (
     DirichletCharacter,
@@ -21,6 +23,8 @@ from qeuler import (
 )
 
 from qeuler.characters import _unit_group
+
+import closed_form_oracle as oracle
 
 F = Fraction
 
@@ -313,3 +317,24 @@ class TestGeneralizedQEuler:
             generalized_qeuler(1, "chi", F(1, 2))
         with pytest.raises(DomainError):
             generalized_qeuler(1, chi, F(3, 2))
+
+
+RATIONALS = st.integers(2, 100).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: F(num, den))
+)
+REAL_CHARACTERS = [c for d in (1, 3, 5, 15) for c in characters_mod(d) if c.order <= 2]
+
+
+class TestSharedCoefficientsAcrossClasses:
+    """All residue classes of one call come from one coefficient vector; each
+    value must equal the per-class Fraction formula."""
+
+    @given(m=st.integers(0, 20), chi=st.sampled_from(REAL_CHARACTERS), r=RATIONALS)
+    @settings(deadline=None)
+    def test_real_characters_equal_per_term_oracle(self, m, chi, r):
+        assert generalized_qeuler(m, chi, r) == oracle.generalized_qeuler_real(m, chi, r)
+
+    def test_real_primitive_character_mod_105(self):
+        chi = next(c for c in characters_mod(105) if c.order == 2 and is_primitive(c))
+        for m, r in ((6, F(2, 3)), (10, F(1, 2))):
+            assert generalized_qeuler(m, chi, r) == oracle.generalized_qeuler_real(m, chi, r)

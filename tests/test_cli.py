@@ -14,6 +14,8 @@ import pytest
 from qeuler import qeuler_higher
 from qeuler.cli import main
 
+from gen_verify_golden import SEEDS, verify_args
+
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +52,33 @@ class TestGoldenTables:
         assert run_cli(*args).stdout == run_cli(*args).stdout
         vargs = ["verify", "identities", "--seed", "5"]
         assert run_cli(*vargs).stdout == run_cli(*vargs).stdout
+
+
+class TestGoldenVerify:
+    """``verify all`` output is pinned byte for byte (regenerate with
+    ``tests/gen_verify_golden.py``): check names, case counts and details."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_byte_equality(self, seed):
+        proc = run_cli(*verify_args(seed))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / f"verify_all_seed{seed}.json").read_bytes()
+
+
+class TestParserReuse:
+    CALLS = [
+        ["eval", "qeuler", "--q", "1/2", "--m", "4", "--exact"],
+        ["eval", "qeuler", "--q", "1/2", "--m", "4"],
+        ["table", "qeuler", "--q", "1/2", "--m", "0..6", "--exact"],
+        ["verify", "identities", "--seed", "3"],
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # the parser is built once per process; no option of one call may
+        # leak into the next
+        for argv in self.CALLS:
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == run_cli(*argv).stdout, argv
 
 
 class TestEvalRecords:
@@ -210,6 +239,15 @@ class TestNonFiniteAndHugeS:
         err = capsys.readouterr().err
         assert err.startswith("qeuler: error:")
         assert f"eval {argv[1]}" in err and "direct" in err
+
+    def test_underflowing_direct_bracket_is_reported_as_overflow(self, capsys):
+        # [0.1]_q**2000 underflows to 0 while the n = 0 term is about 1e1746
+        argv = ["eval", "hurwitz", "--s", "2000", "--x", "0.1", "--q", "0.5",
+                "--method", "direct"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qeuler: error: eval hurwitz (route direct): ")
+        assert "direct term n = 0" in err
 
     def test_non_finite_term_is_non_convergence(self, capsys):
         # the continuation stops at its first NaN term instead of summing 10,000

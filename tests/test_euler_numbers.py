@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
@@ -16,12 +16,16 @@ from qeuler import (
     distribution_residual,
     euler_classical,
     euler_zeta_neg_int_exact,
+    hurwitz_neg_int_exact,
     multiplication_residual_x0,
     qeuler_higher,
     qeuler_mixed,
     qeuler_poly_exact,
     qeuler_poly_numeric,
 )
+from qeuler.euler_numbers import _binomial_sum
+
+import closed_form_oracle as oracle
 
 F = Fraction
 
@@ -266,3 +270,63 @@ class TestResiduals:
             classical_multiplication_residual(0, 3)
         with pytest.raises(DomainError):
             classical_multiplication_residual(2, 4)
+
+
+# Differential tests: the integer-built terms and the coefficient vector
+# shared by every y of a call against the per-term Fraction formula.
+
+RATIONALS = st.integers(2, 100).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: F(num, den))
+)
+MODULI = st.sampled_from([1, 3, 5, 15])
+
+
+class TestSharedCoefficientSum:
+    @given(m=st.integers(0, 20), r=RATIONALS, d=MODULI, data=st.data())
+    @settings(deadline=None)
+    def test_polynomial_equals_per_term_oracle(self, m, r, d, data):
+        a = data.draw(st.integers(0, 2 * d))
+        assert qeuler_poly_exact(m, r, d, a) == oracle.qeuler_poly_exact(m, r, d, a)
+
+    @given(m=st.integers(1, 20), r=RATIONALS, d=MODULI, data=st.data())
+    @settings(deadline=None)
+    def test_continuation_truncation_equals_per_term_oracle(self, m, r, d, data):
+        a = data.draw(st.integers(1, 2 * d))
+        assert hurwitz_neg_int_exact(m, r, d, a) == oracle.qeuler_poly_exact(m, r, d, a)
+
+    @given(kdeg=st.integers(0, 20), m=st.integers(0, 20), r=RATIONALS, inverse=st.booleans())
+    @settings(deadline=None)
+    def test_mixed_equals_per_term_oracle(self, kdeg, m, r, inverse):
+        q = 1 / r if inverse else r
+        assert qeuler_mixed(kdeg, m, q) == oracle.qeuler_mixed(kdeg, m, q)
+
+    @given(m=st.integers(0, 20), k=st.integers(1, 3), r=RATIONALS, inverse=st.booleans())
+    @settings(deadline=None)
+    def test_higher_order_equals_per_term_oracle(self, m, k, r, inverse):
+        q = 1 / r if inverse else r
+        assert qeuler_higher(m, k, q) == oracle.qeuler_higher(m, k, q)
+
+    @given(n=st.integers(0, 20), d=st.sampled_from([1, 3, 5]), x=st.integers(0, 2),
+           r=RATIONALS)
+    @settings(deadline=None)
+    def test_distribution_residual_equals_per_term_oracle(self, n, d, x, r):
+        got = distribution_residual(n, d, x, r)
+        assert got == oracle.distribution_residual(n, d, x, r) == 0
+
+    @given(n=st.integers(0, 20), m=st.integers(0, 20), r=RATIONALS, d=MODULI)
+    @settings(deadline=None)
+    def test_batched_call_equals_one_call_per_y(self, n, m, r, d):
+        ys = [1, *(r**a for a in range(2 * d + 1)), F(r.denominator, r.numerator + r.denominator)]
+        batched = _binomial_sum(n, m, r**d, ys)
+        assert batched == [_binomial_sum(n, m, r**d, [y])[0] for y in ys]
+        assert batched == [oracle.binomial_sum(n, m, r**d, y) for y in ys]
+
+    def test_empty_batch(self):
+        assert _binomial_sum(4, 4, F(1, 2), []) == []
+
+    def test_pinned_float_cells(self):
+        # the exact value at the double 0.99, rounded once
+        assert qeuler_mixed(16, 16, 0.99).hex() == "-0x1.048599616686cp+17"
+        assert qeuler_poly_numeric(16, 0.99, 0).hex() == "-0x1.048599616686cp+17"
+        assert qeuler_poly_numeric(40, 0.99, 0.3).hex() == "-0x1.4e85ffb30ec63p+93"
+        assert float(oracle.qeuler_mixed(16, 16, F(0.99))).hex() == "-0x1.048599616686cp+17"

@@ -651,6 +651,13 @@ class TestHurwitzDirect:
         with pytest.raises(DomainError):
             hurwitz_zeta_q_direct(complex(0.99, 5), 1.0, 0.5)
 
+    @pytest.mark.parametrize("s", [2000, complex(2000, 1)])
+    def test_term_beyond_double_range_raises_overflow(self, s):
+        # [0.1]_q**2000 underflows to 0: the n = 0 term (about 1e1746) is a
+        # typed OverflowError naming its index, not a ZeroDivisionError
+        with pytest.raises(OverflowError, match="direct term n = 0"):
+            hurwitz_zeta_q_direct(s, 0.1, 0.5)
+
 
 def direct_ref(cell):
     return mpmath.mpc(*DIRECT_REFS[cell])
