@@ -1,13 +1,25 @@
 """Verification suites behind ``qeuler verify``.
 
-Each suite returns a list of :class:`Check` results; a check that fails
-reports the first offending case with its exact residual so the failure
-is reproducible from the printed line alone.  Randomized checks draw
-from ``random.Random(seed)`` only, so a seed pins the whole run.
+Each suite is a table of checks.  A row is ``(name, cases, tol)``, or
+``(name, cases, tol, summary)``: ``cases`` yields ``(label, got, want)``
+and ``tol`` is ``None`` for exact equality ``got == want``, else the
+relative tolerance of a floating comparison.  One runner, :func:`_run`,
+evaluates every row: it owns the pass rule, counts the cases, and reports
+the first failing case with its residual ``got - want`` (or
+``|got - want|`` against its bound), so a failure is reproducible from
+the printed line alone.  ``summary``, if given, replaces the case count
+of a passing row.  A check whose report is bespoke (the pinned p-adic
+convergence runs, the induced character mod 9) is a finished
+:class:`Check` in its table.
+
+Every suite is a function of ``seed``; :func:`_seeded` builds its table
+from ``random.Random(seed)``, the only source of randomness, so a seed
+pins the whole run.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +31,6 @@ from . import (
     characters_mod,
     classical_multiplication_residual,
     conductor,
-    convergence_report,
     distribution_residual,
     euler_classical,
     euler_zeta_neg_int_exact,
@@ -56,83 +67,94 @@ class Check:
     detail: str = ""
 
 
+def _run(name, cases, tol=None, summary=None):
+    """The check ``name``: passes iff every case has got == want (tol None)
+    or |got - want| <= tol * max(1, |want|)."""
+    count = 0
+    for label, got, want in cases:
+        count += 1
+        if tol is None:
+            if got == want:
+                continue
+            # a truth value has no residual: the case alone is reported
+            why = "" if isinstance(got, bool) else f": residual = {got - want}"
+        else:
+            err = abs(got - want)
+            bound = tol * max(1.0, abs(want))
+            if err <= bound:
+                continue
+            why = f": |{got} - {want}| = {err} > {bound}"
+        return Check(name, False, f"first failure at {label}{why}")
+    if summary is None:
+        if tol is None:
+            summary = f"{count} cases, all residuals exactly 0"
+        else:
+            summary = f"{count} cases within {tol} relative"
+    return Check(name, True, summary)
+
+
+def _seeded(table):
+    """The suite of ``seed`` whose checks are the rows of ``table(rng)``."""
+
+    @functools.wraps(table)
+    def suite(seed):
+        rows = table(random.Random(seed))
+        return [row if isinstance(row, Check) else _run(*row) for row in rows]
+
+    return suite
+
+
 def _random_q(rng):
     den = rng.choice([7, 10, 16, 23, 100])
     return Fraction(rng.randrange(1, den), den)
 
 
-def _check_all(name, cases):
-    """cases yields (label, residual); pass iff every residual == 0."""
-    count = 0
-    for label, residual in cases:
-        count += 1
-        if residual != 0:
-            return Check(name, False, f"first failure at {label}: residual = {residual}")
-    return Check(name, True, f"{count} cases, all residuals exactly 0")
-
-
-def _check_close(name, cases, tol):
-    count = 0
-    for label, got, want in cases:
-        count += 1
-        err = abs(got - want)
-        bound = tol * max(1.0, abs(want))
-        if not err <= bound:
-            return Check(name, False, f"first failure at {label}: |{got} - {want}| = {err} > {bound}")
-    return Check(name, True, f"{count} cases within {tol} relative")
-
-
-def suite_identities(seed):
-    rng = random.Random(seed)
+@_seeded
+def suite_identities(rng):
     qs = [Fraction(1, 2), Fraction(2, 3)] + [_random_q(rng) for _ in range(4)]
-    checks = [
-        _check_all(
-            "identities/E1-constant",
-            ((f"q={q}", qeuler_higher(1, 1, q) + Fraction(1, 2)) for q in qs),
-        ),
-        _check_all(
+    half = Fraction(1, 2)
+    return [
+        ("identities/E1-constant", ((f"q={q}", qeuler_higher(1, 1, q), -half) for q in qs)),
+        (
             "identities/E0-closed-form",
-            ((f"q={q}", qeuler_higher(0, 1, q) - (1 + q) / 2) for q in qs),
+            ((f"q={q}", qeuler_higher(0, 1, q), (1 + q) / 2) for q in qs),
         ),
-        _check_all(
+        (
             "identities/E2-closed-form",
-            ((f"q={q}", qeuler_higher(2, 1, q) - (1 - q) / (2 * (1 + q**2))) for q in qs),
+            ((f"q={q}", qeuler_higher(2, 1, q), (1 - q) / (2 * (1 + q**2))) for q in qs),
         ),
-        _check_all(
+        (
             "identities/mixed-diagonal",
-            (
-                (f"m={m}", qeuler_mixed(m, m, Fraction(1, 2)) - qeuler_higher(m, 1, Fraction(1, 2)))
-                for m in range(16)
-            ),
+            ((f"m={m}", qeuler_mixed(m, m, half), qeuler_higher(m, 1, half)) for m in range(16)),
         ),
-        _check_all(
+        (
             "identities/distribution",
             (
-                (f"n={n} d={d} x={x} q={q}", distribution_residual(n, d, x, q))
+                (f"n={n} d={d} x={x} q={q}", distribution_residual(n, d, x, q), 0)
                 for q in qs[:3]
                 for n in range(6)
                 for d in (1, 3, 5)
                 for x in (0, 1, 2)
             ),
         ),
-        _check_all(
+        (
             "identities/multiplication-x0",
             (
-                (f"m={m} n={n} q={q}", multiplication_residual_x0(m, n, q))
+                (f"m={m} n={n} q={q}", multiplication_residual_x0(m, n, q), 0)
                 for q in qs[:2]
                 for m in range(7)
                 for n in (1, 3, 5)
             ),
         ),
-        _check_all(
+        (
             "identities/classical-multiplication",
             (
-                (f"m={m} n={n}", classical_multiplication_residual(m, n))
+                (f"m={m} n={n}", classical_multiplication_residual(m, n), 0)
                 for m in range(1, 9)
                 for n in (1, 3, 5)
             ),
         ),
-        _check_close(
+        (
             "identities/classical-limit",
             (
                 (
@@ -146,31 +168,31 @@ def suite_identities(seed):
             1e-4,
         ),
     ]
-    return checks
 
 
-def suite_interpolation(seed):
-    rng = random.Random(seed)
+@_seeded
+def suite_interpolation(rng):
     qs = [Fraction(1, 2), Fraction(2, 3), Fraction(9999, 10000), _random_q(rng)]
-    checks = [
-        _check_all(
+    return [
+        (
             "interpolation/zeta-neg-int",
             (
-                (f"m={m} q={q}", euler_zeta_neg_int_exact(m, q) - qeuler_higher(m, 1, q))
+                (f"m={m} q={q}", euler_zeta_neg_int_exact(m, q), qeuler_higher(m, 1, q))
                 for q in qs
                 for m in range(1, 13)
             ),
         ),
-        _check_all(
+        (
             "interpolation/zeta-sign-boundary",
-            ((f"q={q}", euler_zeta_neg_int_exact(0, q) + (1 + q) / 2) for q in qs),
+            ((f"q={q}", euler_zeta_neg_int_exact(0, q), -(1 + q) / 2) for q in qs),
         ),
-        _check_all(
+        (
             "interpolation/hurwitz-neg-int",
             (
                 (
                     f"m={m} r={r} d={d} a={a}",
-                    hurwitz_neg_int_exact(m, r, d, a) - qeuler_poly_exact(m, r, d, a),
+                    hurwitz_neg_int_exact(m, r, d, a),
+                    qeuler_poly_exact(m, r, d, a),
                 )
                 for r in (Fraction(1, 2), Fraction(2, 3))
                 for m in range(1, 9)
@@ -178,26 +200,21 @@ def suite_interpolation(seed):
                 for a in range(1, d + 1)
             ),
         ),
-        _check_close(
+        (
             "interpolation/continuation-terminates",
             (
-                (
-                    f"m={m} q={q}",
-                    euler_zeta_q(-m, float(q)).value,
-                    float(qeuler_higher(m, 1, q)),
-                )
+                (f"m={m} q={q}", euler_zeta_q(-m, float(q)).value, float(qeuler_higher(m, 1, q)))
                 for q in (Fraction(1, 2), Fraction(2, 3))
                 for m in range(1, 7)
             ),
             1e-12,
         ),
-        _check_close(
+        (
             "interpolation/sign-boundary-continuation",
             ((f"q={q}", euler_zeta_q(0, float(q)).value, -(1 + float(q)) / 2) for q in qs),
             1e-12,
         ),
     ]
-    return checks
 
 
 # Committed regression values for the p-adic convergence runs (p = 3, q = 4):
@@ -212,237 +229,229 @@ _PADIC_PINS = [
 ]
 
 
-def suite_padic(seed):
-    ctx = PAdicQParam(3, Fraction(4))
-    checks = [
-        _check_all(
-            "padic/normalization",
-            (
-                (f"N={N}", stage_sum(Integrand.constant(), ctx, N) - 1)
-                for N in range(1, 5)
-            ),
-        ),
-        _check_all(
-            "padic/worked-example-N1",
-            [("f=[t]q^-2t", stage_sum(Integrand.term(1, 1, -2), ctx, 1) - Fraction(1, 208))],
-        ),
+def _padic_pin(ctx, m, k, n_max, ref, expected):
+    vals = [
+        p_valuation(higher_order_stage(m, k, ctx, N) - ref, 3)
+        for N in range(1, n_max + 1)
     ]
-    for m, k, n_max, ref, expected in _PADIC_PINS:
-        vals = [
-            p_valuation(higher_order_stage(m, k, ctx, N) - ref, 3)
-            for N in range(1, n_max + 1)
-        ]
-        nondecreasing = all(b >= a for a, b in zip(vals, vals[1:]))
-        detail = f"valuations {vals} (pinned {expected}), reference {ref}"
-        closed = qeuler_higher(m, k, Fraction(4))
-        if closed != ref:
-            detail += f" != closed form {closed}"
-        checks.append(
-            Check(
-                f"padic/convergence-m{m}-k{k}",
-                vals == expected and nondecreasing and closed == ref,
-                detail,
-            )
-        )
-    return checks
-
-
-def suite_characters(seed):
-    rng = random.Random(seed)
-    checks = []
-    counts = {1: 1, 3: 2, 5: 4, 9: 6, 15: 8}
-    checks.append(
-        _check_all(
-            "characters/counts",
-            ((f"d={d}", len(characters_mod(d)) - n) for d, n in counts.items()),
-        )
+    nondecreasing = all(b >= a for a, b in zip(vals, vals[1:]))
+    detail = f"valuations {vals} (pinned {expected}), reference {ref}"
+    closed = qeuler_higher(m, k, Fraction(4))
+    if closed != ref:
+        detail += f" != closed form {closed}"
+    return Check(
+        f"padic/convergence-m{m}-k{k}",
+        vals == expected and nondecreasing and closed == ref,
+        detail,
     )
-    ortho_ok = True
-    detail = ""
+
+
+@_seeded
+def suite_padic(rng):
+    ctx = PAdicQParam(3, Fraction(4))
+    return [
+        (
+            "padic/normalization",
+            ((f"N={N}", stage_sum(Integrand.constant(), ctx, N), 1) for N in range(1, 5)),
+        ),
+        (
+            "padic/worked-example-N1",
+            [("f=[t]q^-2t", stage_sum(Integrand.term(1, 1, -2), ctx, 1), Fraction(1, 208))],
+        ),
+        *(_padic_pin(ctx, *pin) for pin in _PADIC_PINS),
+    ]
+
+
+def _orthogonality_cases():
+    # sum over a of chi(a) conj(psi(a)): phi(d) when chi == psi, else 0
     for d in (3, 5, 9, 15):
         chars = characters_mod(d)
-        for c1 in chars:
-            for c2 in chars:
-                vals = []
-                for a in range(d):
-                    v1, v2 = c1(a), c2(a)
-                    vals.append(v1 * v2.conjugate() if v1 != 0 and v2 != 0 else 0)
+        rows = [[c(a) for a in range(d)] for c in chars]
+        for c1, row1 in zip(chars, rows):
+            for c2, row2 in zip(chars, rows):
+                vals = [u * v.conjugate() if u != 0 and v != 0 else 0 for u, v in zip(row1, row2)]
                 if c1 == c2:
                     good = all(v == 0 or v.is_one() for v in vals)
                 else:
                     good = root_sum_is_zero(vals)
-                if not good:
-                    ortho_ok = False
-                    detail = f"first failure at d={d}, chi={c1.index}, psi={c2.index}"
-                    break
-            if not ortho_ok:
-                break
-        if not ortho_ok:
-            break
-    checks.append(
-        Check(
-            "characters/orthogonality-exact",
-            ortho_ok,
-            detail or "rows orthogonal over d in {3, 5, 9, 15}, cyclotomic reduction",
-        )
+                yield f"d={d}, chi={c1.index}, psi={c2.index}", good, True
+
+
+def _column_cases():
+    # sum over chi mod d of chi(n): phi(d) when n == 1 (mod d), else 0
+    for d in (3, 5, 9, 15):
+        chars = characters_mod(d)
+        for n in range(d):
+            col = [c(n) for c in chars]
+            if n % d == 1:
+                ok = all(isinstance(v, RootOfUnity) and v.is_one() for v in col)
+            else:
+                ok = root_sum_is_zero(col)
+            yield f"d={d} n={n}", 0 if ok else 1, 0
+
+
+def _multiplicative_cases(rng):
+    chars = {d: characters_mod(d) for d in (3, 5, 9, 15, 45)}
+    for _ in range(500):
+        d = rng.choice([3, 5, 9, 15, 45])
+        chi = rng.choice(chars[d])
+        a = rng.randrange(2 * d)
+        b = rng.randrange(2 * d)
+        va, vb, vab = chi(a), chi(b), chi(a * b)
+        if va == 0 or vb == 0:
+            ok = vab == 0
+        else:
+            ok = vab == va * vb
+        yield f"d={d} chi={chi.index} a={a} b={b}", 0 if ok else 1, 0
+
+
+def _brute_force_conductor(chi):
+    # smallest divisor f of d with chi(n) = 1 whenever n == 1 (mod f) and
+    # gcd(n, d) = 1 (n % f == 1 % f: for f = 1 every n is congruent)
+    d = chi.modulus
+    return next(
+        f
+        for f in range(1, d + 1)
+        if d % f == 0
+        and all(chi(n).is_one() for n in range(1, d + 1) if n % f == 1 % f and chi(n) != 0)
     )
 
-    def _column_cases():
-        # sum over chi mod d of chi(n): phi(d) when n == 1 (mod d), else 0
-        for d in (3, 5, 9, 15):
-            chars = characters_mod(d)
-            for n in range(d):
-                col = [c(n) for c in chars]
-                if n % d == 1:
-                    ok = all(isinstance(v, RootOfUnity) and v.is_one() for v in col)
-                else:
-                    ok = root_sum_is_zero(col)
-                yield f"d={d} n={n}", 0 if ok else 1
 
-    checks.append(_check_all("characters/column-orthogonality", _column_cases()))
-
-    def _mult_cases():
-        chars = {d: characters_mod(d) for d in (3, 5, 9, 15, 45)}
-        for _ in range(500):
-            d = rng.choice([3, 5, 9, 15, 45])
-            chi = rng.choice(chars[d])
-            a = rng.randrange(2 * d)
-            b = rng.randrange(2 * d)
-            va, vb, vab = chi(a), chi(b), chi(a * b)
-            if va == 0 or vb == 0:
-                ok = vab == 0
-            else:
-                ok = vab == va * vb
-            yield f"d={d} chi={chi.index} a={a} b={b}", 0 if ok else 1
-
-    checks.append(_check_all("characters/multiplicative", _mult_cases()))
-
-    def _conductor_cases():
-        for d in (3, 5, 9, 15, 45):
-            for chi in characters_mod(d):
-                f = conductor(chi)
-                # brute force: smallest odd divisor m of d with chi(n) = 1
-                # whenever n == 1 (mod m) and gcd(n, d) = 1
-                best = None
-                for mdiv in sorted(k for k in range(1, d + 1) if d % k == 0):
-                    # n % mdiv == 1 % mdiv: for mdiv = 1 every n is congruent.
-                    if all(
-                        chi(n).is_one()
-                        for n in range(1, d + 1)
-                        if n % mdiv == 1 % mdiv and chi(n) != 0
-                    ):
-                        best = mdiv
-                        break
-                yield f"d={d} chi={chi.index}", f - best
-
-    checks.append(_check_all("characters/conductor-brute-force", _conductor_cases()))
-    chars9 = characters_mod(9)
-    induced = [c for c in chars9 if c.order == 2]
-    checks.append(
+@_seeded
+def suite_characters(rng):
+    counts = {1: 1, 3: 2, 5: 4, 9: 6, 15: 8}
+    induced = [c for c in characters_mod(9) if c.order == 2]
+    return [
+        (
+            "characters/counts",
+            ((f"d={d}", len(characters_mod(d)), n) for d, n in counts.items()),
+        ),
+        (
+            "characters/orthogonality-exact",
+            _orthogonality_cases(),
+            None,
+            "rows orthogonal over d in {3, 5, 9, 15}, cyclotomic reduction",
+        ),
+        ("characters/column-orthogonality", _column_cases()),
+        ("characters/multiplicative", _multiplicative_cases(rng)),
+        (
+            "characters/conductor-brute-force",
+            (
+                (f"d={d} chi={chi.index}", conductor(chi), _brute_force_conductor(chi))
+                for d in (3, 5, 9, 15, 45)
+                for chi in characters_mod(d)
+            ),
+        ),
         Check(
             "characters/induced-mod9",
             len(induced) == 1 and conductor(induced[0]) == 3,
             f"quadratic character mod 9 has conductor {conductor(induced[0])}",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
-def suite_methods(seed):
-    rng = random.Random(seed)
-    policy = None
-    checks = [
-        _check_close(
+def _route_cases(route, other, grid):
+    """Cases comparing two routes of one function: ``grid`` yields
+    (label, args), and each route is called with ``args``."""
+    for label, args in grid:
+        yield label, route(*args).value, other(*args).value
+
+
+@_seeded
+def suite_methods(rng):
+    spot = _random_q(rng)
+    half = Fraction(1, 2)
+    return [
+        (
             "methods/zeta-direct-vs-continuation",
-            (
+            _route_cases(
+                euler_zeta_q,
+                euler_zeta_q_direct,
                 (
-                    f"s={s} q={q}",
-                    euler_zeta_q(s, q, policy).value,
-                    euler_zeta_q_direct(s, q, policy).value,
-                )
-                for s, q in [
-                    *((s, q) for s in (1, 1.5, 2, 3, complex(2, 1)) for q in (0.3, 0.5, 0.8)),
-                    (2, 0.999),
-                    (complex(2, 1), 0.999),
-                ]
+                    (f"s={s} q={q}", (s, q))
+                    for s, q in [
+                        *((s, q) for s in (1, 1.5, 2, 3, complex(2, 1)) for q in (0.3, 0.5, 0.8)),
+                        (2, 0.999),
+                        (complex(2, 1), 0.999),
+                    ]
+                ),
             ),
             1e-9,
         ),
-        _check_close(
+        (
             "methods/hurwitz-direct-vs-continuation",
-            (
+            _route_cases(
+                hurwitz_zeta_q,
+                hurwitz_zeta_q_direct,
                 (
-                    f"s={s} x={x} q={q}",
-                    hurwitz_zeta_q(s, x, q, policy).value,
-                    hurwitz_zeta_q_direct(s, x, q, policy).value,
-                )
-                for s, x, q in [
-                    *((s, x, q) for s in (1, 2, complex(1.5, -0.5))
-                      for x in (1 / 3, 1.0, 2.5) for q in (0.4, 0.7)),
-                    (2, 1 / 3, 0.999),
-                    (complex(1.5, -0.5), 1 / 3, 0.999),
-                ]
+                    (f"s={s} x={x} q={q}", (s, x, q))
+                    for s, x, q in [
+                        *((s, x, q) for s in (1, 2, complex(1.5, -0.5))
+                          for x in (1 / 3, 1.0, 2.5) for q in (0.4, 0.7)),
+                        (2, 1 / 3, 0.999),
+                        (complex(1.5, -0.5), 1 / 3, 0.999),
+                    ]
+                ),
             ),
             1e-9,
         ),
-        _check_close(
+        (
             "methods/lseries-direct-vs-decomposition",
-            (
+            _route_cases(
+                l_series,
+                l_series_direct,
                 (
-                    f"s={s} d={chi.modulus} chi={chi.index} q={q}",
-                    l_series(s, chi, q, policy).value,
-                    l_series_direct(s, chi, q, policy).value,
-                )
-                for chi in characters_mod(3) + characters_mod(5)
-                for s in (2, complex(2, 1))
-                for q in (0.5,)
+                    (f"s={s} d={chi.modulus} chi={chi.index} q=0.5", (s, chi, 0.5))
+                    for chi in characters_mod(3) + characters_mod(5)
+                    for s in (2, complex(2, 1))
+                ),
             ),
             1e-9,
         ),
-        _check_close(
+        (
             "methods/partial-direct-vs-decomposition",
-            (
+            _route_cases(
+                partial_zeta,
+                partial_zeta_direct,
                 (
-                    f"s=2 a={a} F={F} q={q}",
-                    partial_zeta(2, a, F, q, policy).value,
-                    partial_zeta_direct(2, a, F, q, policy).value,
-                )
-                for F, q in ((3, 0.5), (5, 0.5), (3, 0.999))
-                for a in range(1, F + 1)
+                    (f"s=2 a={a} F={F} q={q}", (2, a, F, q))
+                    for F, q in ((3, 0.5), (5, 0.5), (3, 0.999))
+                    for a in range(1, F + 1)
+                ),
             ),
             1e-9,
         ),
-        _check_all(
+        (
             "methods/partial-partition-exact",
             (
                 (
                     f"n={n} F={F}",
-                    sum(partial_zeta_neg_int_exact(n, a, F, Fraction(1, 2)) for a in range(1, F + 1))
-                    - euler_zeta_neg_int_exact(n, Fraction(1, 2)),
+                    sum(partial_zeta_neg_int_exact(n, a, F, half) for a in range(1, F + 1)),
+                    euler_zeta_neg_int_exact(n, half),
                 )
                 for n in range(1, 5)
                 for F in (3, 5)
             ),
         ),
-        _check_all(
+        (
             "methods/lseries-neg-int-exact",
             (
                 (
                     f"k={k} d={chi.modulus} chi={chi.index}",
-                    l_neg_int_decomposition(k, chi, Fraction(1, 2))
-                    - l_neg_int_exact(k, chi, Fraction(1, 2)),
+                    l_neg_int_decomposition(k, chi, half),
+                    l_neg_int_exact(k, chi, half),
                 )
                 for k in (1, 2, 3)
                 for chi in characters_mod(3) + [c for c in characters_mod(5) if c.order <= 2]
             ),
         ),
-        _check_close(
+        (
             "methods/lseries-neg-int-complex",
             (
                 (
                     f"k={k} d=5 chi={chi.index}",
-                    l_neg_int_decomposition(k, chi, Fraction(1, 2)),
-                    l_neg_int_exact(k, chi, Fraction(1, 2)),
+                    l_neg_int_decomposition(k, chi, half),
+                    l_neg_int_exact(k, chi, half),
                 )
                 for k in (1, 2)
                 for chi in characters_mod(5)
@@ -450,35 +459,25 @@ def suite_methods(seed):
             ),
             1e-12,
         ),
-        _check_close(
+        (
             "methods/lseries-continuation-at-neg-int",
             (
                 (
                     f"k={k} d={chi.modulus} chi={chi.index}",
-                    l_series(-k, chi, 0.5, policy).value,
-                    complex(generalized_qeuler(k, chi, Fraction(1, 2))),
+                    l_series(-k, chi, 0.5).value,
+                    complex(generalized_qeuler(k, chi, half)),
                 )
                 for k in (1, 2)
                 for chi in characters_mod(3) + characters_mod(5)
             ),
             1e-9,
         ),
-    ]
-    q = _random_q(rng)
-    checks.append(
-        _check_close(
+        (
             "methods/seeded-spot-check",
-            [
-                (
-                    f"s=2 q={q}",
-                    euler_zeta_q(2, float(q), policy).value,
-                    euler_zeta_q_direct(2, float(q), policy).value,
-                )
-            ],
+            _route_cases(euler_zeta_q, euler_zeta_q_direct, [(f"s=2 q={spot}", (2, float(spot)))]),
             1e-9,
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 SUITES = {
@@ -491,7 +490,4 @@ SUITES = {
 
 
 def run_suites(names, seed=0):
-    checks = []
-    for name in names:
-        checks.extend(SUITES[name](seed))
-    return checks
+    return [check for name in names for check in SUITES[name](seed)]

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .euler_numbers import _binomial_sum
-from .numeric import _exact_sum, is_prime, q_bracket
+from .numeric import _exact_sum, q_bracket
 
 __all__ = [
     "RootOfUnity",
@@ -176,43 +176,26 @@ def root_sum_is_zero(values):
 # Unit-group structure of an odd modulus.
 
 
-def _factorize_odd(d):
-    """Prime-power factorization of an odd d >= 1, ascending primes."""
+def _factorize(n):
+    """Prime-power factorization of n >= 1: (p, e) pairs, ascending primes."""
     out = []
-    f = 3
-    while f * f <= d:
-        if d % f == 0:
-            e = 0
-            while d % f == 0:
-                d //= f
-                e += 1
-            out.append((f, e))
-        f += 2
-    if d > 1:
-        out.append((d, 1))
-    return out
-
-
-def _prime_factors(n):
-    """Set of prime divisors of n >= 1."""
-    out = set()
-    while n % 2 == 0:
-        out.add(2)
-        n //= 2
-    f = 3
+    f = 2
     while f * f <= n:
+        e = 0
         while n % f == 0:
-            out.add(f)
             n //= f
-        f += 2
+            e += 1
+        if e:
+            out.append((f, e))
+        f += 1 if f == 2 else 2
     if n > 1:
-        out.add(n)
+        out.append((n, 1))
     return out
 
 
 def _primitive_root(p, e):
     """A generator of (Z/p**e)* for odd prime p."""
-    pf = _prime_factors(p - 1)
+    pf = [f for f, _ in _factorize(p - 1)]
     g = next(
         g
         for g in range(2, p)
@@ -238,7 +221,7 @@ def _unit_group(d):
     if not isinstance(d, int) or d < 1 or d % 2 == 0:
         raise DomainError(f"modulus must be an odd positive integer, got {d!r}")
     factors = []
-    for p, e in _factorize_odd(d):
+    for p, e in _factorize(d):
         pe = p**e
         phi = pe // p * (p - 1)
         g = _primitive_root(p, e)
@@ -349,10 +332,7 @@ def conductor(chi):
         if t == 0:
             continue
         local_order = fac.order // math.gcd(fac.order, t)
-        v = 0
-        while local_order % fac.prime == 0:
-            local_order //= fac.prime
-            v += 1
+        v = dict(_factorize(local_order)).get(fac.prime, 0)
         f *= fac.prime ** (1 + v)
     return f
 

@@ -281,14 +281,17 @@ def multiplication_residual_x0(m, n, r):
         raise DomainError(f"r must be a positive rational != 1, got {r}")
     rn = r**n
     ratio = (1 + r) / (1 + rn)
-    lhs = qeuler_higher(m, 1, r) - ratio * q_bracket(n, r) ** m * qeuler_higher(m, 1, rn)
+    bracket_n = q_bracket(n, r)
+    # r**(-j) [j]_r for j = 1..n-1, the same for every k
+    scaled = [q_bracket(j, r) / r**j for j in range(1, n)]
+    lhs = qeuler_higher(m, 1, r) - ratio * bracket_n**m * qeuler_higher(m, 1, rn)
     rhs = Fraction(0)
     for k in range(m):
         inner = Fraction(0)
-        for j in range(1, n):
-            term = r ** (-(m - k) * j) * q_bracket(j, r) ** (m - k)
+        for j, b in enumerate(scaled, 1):
+            term = b ** (m - k)
             inner += -term if j % 2 else term
-        rhs += binom(m, k) * q_bracket(n, r) ** k * qeuler_mixed(k, m, rn) * inner
+        rhs += binom(m, k) * bracket_n**k * qeuler_mixed(k, m, rn) * inner
     rhs *= ratio
     return lhs - rhs
 

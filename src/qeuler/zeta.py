@@ -81,7 +81,6 @@ from fractions import Fraction
 from . import _direct
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import DomainError, NearSingularError, NonConvergenceError
-from .euler_numbers import qeuler_poly_exact
 from .numeric import _exact_sum, gen_binom, q_bracket
 
 __all__ = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from qeuler import qeuler_higher
 from qeuler.cli import main
 
-from gen_verify_golden import SEEDS, verify_args
+from gen_verify_golden import SEEDS, TEXT_SEED, verify_args, verify_text_args
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +64,11 @@ class TestGoldenVerify:
         proc = run_cli(*verify_args(seed))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / f"verify_all_seed{seed}.json").read_bytes()
+
+    def test_text_byte_equality(self):
+        proc = run_cli(*verify_text_args(TEXT_SEED))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / f"verify_all_seed{TEXT_SEED}.txt").read_bytes()
 
 
 class TestParserReuse:
@@ -198,6 +204,56 @@ class TestVerifyOutput:
         failed = [c for c in _verify.suite_padic(0) if not c.passed]
         assert [c.name for c in failed] == ["padic/convergence-m1-k1"]
         assert "!= closed form -1/2" in failed[0].detail
+
+    # name and detail of every failing check under the three faults injected
+    # below, so a failing run reports its first offending case as before
+    INJECTED_FAILURES = [
+        ("identities/E2-closed-form", "first failure at q=1/2: residual = 1/7"),
+        ("identities/mixed-diagonal", "first failure at m=2: residual = -1/7"),
+        ("identities/classical-limit",
+         "first failure at m=2 k=1: |0.14285739285739285 - 0.0| = 0.14285739285739285 > 0.0001"),
+        ("interpolation/zeta-neg-int", "first failure at m=2 q=1/2: residual = -1/7"),
+        ("interpolation/continuation-terminates",
+         "first failure at m=2 q=1/2: |(0.20000000000000018-0j) - 0.34285714285714286| "
+         "= 0.14285714285714268 > 1e-12"),
+        ("padic/convergence-m2-k1",
+         "valuations [1, 2, 3, 4, 5, 6] (pinned [1, 2, 3, 4, 5, 6]), reference -3/34 "
+         "!= closed form 13/238"),
+        ("padic/convergence-m2-k2",
+         "valuations [1, 2, 3] (pinned [1, 2, 3]), reference -110/221 "
+         "!= closed form -549/1547"),
+        ("characters/orthogonality-exact", "first failure at d=3, chi=0, psi=1"),
+        ("characters/column-orthogonality", "first failure at d=3 n=0: residual = 1"),
+        ("methods/zeta-direct-vs-continuation",
+         "first failure at s=1 q=0.3: |(-0.319526548425263-0j) - (-0.3195268679516682+0j)| "
+         "= 3.195264051680802e-07 > 1e-09"),
+        ("methods/seeded-spot-check",
+         "first failure at s=2 q=14/23: |(-0.5268798247513898-0j) - (-0.5268803516312279+0j)| "
+         "= 5.268798380919648e-07 > 1e-09"),
+    ]
+
+    def test_failing_details_are_pinned(self, monkeypatch, capsys):
+        # E_2 off by 1/7, the direct zeta route off by one part in 10^6, and
+        # no cyclotomic sum vanishing
+        from qeuler import _verify
+
+        higher, direct = _verify.qeuler_higher, _verify.euler_zeta_q_direct
+
+        def shifted_higher(m, k, q):
+            return higher(m, k, q) + (F(1, 7) if m == 2 else 0)
+
+        def scaled_direct(*args):
+            result = direct(*args)
+            return dataclasses.replace(result, value=result.value * (1 + 1e-6))
+
+        monkeypatch.setattr(_verify, "qeuler_higher", shifted_higher)
+        monkeypatch.setattr(_verify, "euler_zeta_q_direct", scaled_direct)
+        monkeypatch.setattr(_verify, "root_sum_is_zero", lambda values: False)
+        assert main(["verify", "all", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        failed = [(c["name"], c["detail"]) for c in report["checks"] if not c["passed"]]
+        assert failed == self.INJECTED_FAILURES
 
 
 class TestTableFormats:
