@@ -65,8 +65,7 @@ def log_binomial_bound(s, q, shift, x):
 
     That bounds (1+q) |(1-q)**s q**(s shift)| sum_j |C(s+j-1, j)| q**((shift+x) j),
     since |C(s+j-1, j)| <= C(|s|+j-1, j): the class weight times W_a at
-    shift = a, and the continuation's tail after K head terms at shift = K.
-    The rounding of the four logs and their sum, at most
+    shift = a.  The rounding of the four logs and their sum, at most
     8u (sum of their sizes + |s| + 1), is added, so the float result is
     still an upper bound.
     """

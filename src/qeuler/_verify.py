@@ -284,10 +284,10 @@ def _column_cases():
         for n in range(d):
             col = [c(n) for c in chars]
             if n % d == 1:
-                ok = all(isinstance(v, RootOfUnity) and v.is_one() for v in col)
+                good = all(isinstance(v, RootOfUnity) and v.is_one() for v in col)
             else:
-                ok = root_sum_is_zero(col)
-            yield f"d={d} n={n}", 0 if ok else 1, 0
+                good = root_sum_is_zero(col)
+            yield f"d={d} n={n}", good, True
 
 
 def _multiplicative_cases(rng):
@@ -298,11 +298,8 @@ def _multiplicative_cases(rng):
         a = rng.randrange(2 * d)
         b = rng.randrange(2 * d)
         va, vb, vab = chi(a), chi(b), chi(a * b)
-        if va == 0 or vb == 0:
-            ok = vab == 0
-        else:
-            ok = vab == va * vb
-        yield f"d={d} chi={chi.index} a={a} b={b}", 0 if ok else 1, 0
+        good = vab == 0 if va == 0 or vb == 0 else vab == va * vb
+        yield f"d={d} chi={chi.index} a={a} b={b}", good, True
 
 
 def _brute_force_conductor(chi):

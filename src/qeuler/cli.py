@@ -196,9 +196,7 @@ def _policy_from_args(args):
                 raise DomainError(f"QEULER_MAX_TERMS must be an integer, got {env!r}") from None
     if max_terms is None:
         max_terms = 10_000
-    return PrecisionPolicy(
-        eps=args.eps, max_terms=max_terms, consecutive_small=args.consecutive_small
-    )
+    return PrecisionPolicy(eps=args.eps, max_terms=max_terms)
 
 
 def _require(args, names):
@@ -417,8 +415,6 @@ def _build_parser():
         p.add_argument("--eps", type=float, default=1e-12, help="stopping threshold")
         p.add_argument("--max-terms", type=int, default=None,
                        help="series term cap (default 10000; env QEULER_MAX_TERMS)")
-        p.add_argument("--consecutive-small", type=int, default=3,
-                       help="small terms required before stopping")
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
     p_eval.add_argument("function", choices=list(_FUNCTIONS))

@@ -58,13 +58,22 @@ Two evaluation routes are kept deliberately separate:
   so a comparison with the ``*_direct`` route checks the continuation
   only through its shifted tail.
 
-Term streams are driven by a :class:`PrecisionPolicy`: stopping needs
-``consecutive_small`` successive terms below eps * max(1, |partial|)
-AND a geometric tail bound below the same threshold; the bound uses the
-larger of the a-priori ratio (q**x, resp. q**(Re(s) step)) and the
-observed recent term ratio.  A continuation whose tail is provably
-below the smallest positive double ends after its head.  Exhausting
-``max_terms`` raises :class:`~qeuler.errors.NonConvergenceError`
+Every term stream yields ``(term, tail)``, ``tail`` a proven bound on
+|sum of all later terms|, and the driver stops at the first tail at
+most eps * max(1, |partial|); that tail is the ``abs_error_estimate``.
+The bounds hold in exact arithmetic; rounding is not in them.
+
+* The defining series (the plain direct stream, and the head of a
+  shifted continuation): [n+x] grows with n, so the moduli without chi
+  fall at least by r = q**(Re(s) step) per step, and the tail is the
+  last modulus times r / (1-r).
+* The continuation: |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1), so
+  after term j the numerators fall at least by rho_j = q**(x+K)
+  max(1, (|s|+j) / (j+1)), and every later |1 + q**(s+i)| is at least 1
+  where Re q**s >= 0 (the q**(s+i) share its phase), else
+  1 - q**(Re(s)+j+1).  The tail is infinite while rho_j >= 1.
+
+Exhausting ``max_terms`` raises :class:`~qeuler.errors.NonConvergenceError`
 carrying the partial value; a continuation denominator within 1e-12 of
 zero raises :class:`~qeuler.errors.NearSingularError` naming the term
 index.  The accelerated direct sum fixes its length in advance, with
@@ -102,7 +111,6 @@ __all__ = [
 ]
 
 NEAR_SINGULAR_TOL = 1e-12
-_LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
 
 
 @dataclass(frozen=True)
@@ -111,22 +119,22 @@ class PrecisionPolicy:
 
     eps: float = 1e-12
     max_terms: int = 10_000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not self.eps > 0:
             raise DomainError(f"eps must be positive, got {self.eps!r}")
         if not isinstance(self.max_terms, int) or self.max_terms < 1:
             raise DomainError(f"max_terms must be a positive integer, got {self.max_terms!r}")
-        if not isinstance(self.consecutive_small, int) or self.consecutive_small < 1:
-            raise DomainError(
-                f"consecutive_small must be a positive integer, got {self.consecutive_small!r}"
-            )
 
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A series evaluation: value, tail bound, cost, and which route ran."""
+    """A series evaluation: value, error bound, cost, and which route ran.
+
+    ``abs_error_estimate`` is a proven bound on the truncation error of a
+    continuation; the rounding of the terms and their sum is not in it.
+    The direct routes add a rounding bound to their truncation bound.
+    """
 
     value: complex
     abs_error_estimate: float
@@ -134,46 +142,36 @@ class SeriesValue:
     method: str
 
 
-def _sum_series(terms, ratio_bound, policy, method):
-    """Drive a term generator under the stopping rule.
+def _sum_series(terms, policy, method):
+    """Sum ``terms``, which yields ``(term, tail)`` with ``tail`` a proven
+    bound on |sum of all later terms|, until tail <= eps * max(1, |partial|).
 
-    ``terms`` yields complex term values and is exhausted only when every
-    remaining term is exactly zero (then the partial sum is the exact
-    series value).  ``ratio_bound`` is the a-priori limit of the term
-    ratio, in [0, 1).  A non-finite term stops the sum at once with
+    The stopping tail is the returned ``abs_error_estimate`` (truncation
+    only).  ``terms`` is exhausted only when every remaining term is
+    exactly zero; the partial sum is then the exact series value.  A
+    non-finite term stops the sum at once with
     :class:`NonConvergenceError`; its partial holds the finite terms before it.
     """
     total = complex(0)
-    small_run = 0
-    last_nonzero = 0.0
-    ratio = ratio_bound
     tail = math.inf
     n = 0
-    for term in terms:
+    for term, bound in terms:
         n += 1
-        a = abs(term)
-        if not math.isfinite(a):
+        if not cmath.isfinite(term):
             raise NonConvergenceError(
                 f"term {n} is non-finite: {term} (method {method}); "
                 f"partial value {total} from the {n - 1} terms before it",
                 partial=SeriesValue(total, tail, n, method),
             )
         total += term
-        if a > 0:
-            if last_nonzero > 0:
-                ratio = max(ratio_bound, a / last_nonzero)
-            last_nonzero = a
-            tail = last_nonzero * ratio / (1 - ratio) if ratio < 1 else math.inf
-        threshold = policy.eps * max(1.0, abs(total))
-        small_run = small_run + 1 if a <= threshold else 0
-        if small_run >= policy.consecutive_small and tail <= threshold:
+        tail = bound
+        if tail <= policy.eps * max(1.0, abs(total)):
             return SeriesValue(total, tail, n, method)
         if n >= policy.max_terms:
-            partial = SeriesValue(total, tail, n, method)
             raise NonConvergenceError(
                 f"no convergence in {n} terms (method {method}); "
                 f"partial value {total}",
-                partial=partial,
+                partial=SeriesValue(total, tail, n, method),
             )
     return SeriesValue(total, 0.0, n, method)
 
@@ -200,31 +198,39 @@ def _rpow(base, s):
 
 
 def _direct_terms(s, q, chi=None, x=0, n0=1, step=1):
-    """Terms (1+q) chi(n) (-1)**n q**(s*n) / [n+x]**s for n = n0, n0+step, ...
+    """Terms (1+q) chi(n) (-1)**n q**(s*n) / [n+x]**s for n = n0, n0+step, ...,
+    each as ``(term, tail)``.
 
-    ``chi=None`` weighs every term by 1.
+    ``chi=None`` weighs every term by 1.  [n+x] grows with n, so the moduli
+    without chi fall at least by r = q**(Re(s) step) per step and the tail
+    is the last such modulus times r / (1-r); a term with chi(n) = 0
+    keeps the tail before it (inf before the first term).
     """
     prefactor = 1 + q
     qsn = _rpow(q, s * n0)  # q**(s*n)
     qs_step = _rpow(q, s * step)
     qnx = q ** (n0 + x)  # q**(n+x)
     q_step = q**step
+    r = q ** (s.real * step)
+    geometric = r / (1 - r)
+    tail = math.inf
     n = n0
     while True:
         v = 1 if chi is None else chi(n)
         if v == 0:
-            yield complex(0)
+            yield complex(0), tail
         else:
-            w = prefactor * (-1 if n % 2 else 1)
-            if chi is not None:
-                w = w * v.to_complex()
             bracket_s = _rpow((1 - qnx) / (1 - q), s)
             if bracket_s == 0:
                 raise OverflowError(
                     f"direct term n = {n}: [n+x]_q**s underflows to 0, "
                     "so the term cannot be represented in double precision"
                 )
-            yield w * qsn / bracket_s
+            term = prefactor * qsn / bracket_s
+            tail = abs(term) * geometric
+            if n % 2:
+                term = -term
+            yield (term if chi is None else term * v.to_complex()), tail
         n += step
         qsn *= qs_step
         qnx *= q_step
@@ -237,7 +243,7 @@ def _check_direct(s):
 
 def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The defining series term by term under the driver, plus its rounding bound."""
-    got = _sum_series(_direct_terms(s, q, chi, x, n0, step), q ** (s.real * step), policy, "direct")
+    got = _sum_series(_direct_terms(s, q, chi, x, n0, step), policy, "direct")
     err = got.abs_error_estimate + _direct.plain_rounding(s, q, x, n0, step, got.terms_used)
     return SeriesValue(got.value, err, got.terms_used, "direct")
 
@@ -316,22 +322,6 @@ def _shift_length(s, x, q, eps):
     return max(0, round(target - x))
 
 
-def _tail_underflows(s, x, q, K):
-    """True when the continuation at x+K is below the smallest double.
-
-    The tail is at most exp(``_direct.log_binomial_bound``) /
-    min_j |1 + q**(s+j)|, and the q**(s+j) share the phase of q**s: the
-    minimum is at least 1 where Re q**s >= 0, else 1 - |q**s|.
-    """
-    if s.real <= 0:
-        return False
-    qs = _rpow(q, s)
-    log_bound = _direct.log_binomial_bound(s, q, K, x)
-    if qs.real < 0:
-        log_bound -= math.log1p(-abs(qs))
-    return log_bound < _LOG_TINY
-
-
 def hurwitz_zeta_q(s, x, q, policy=None):
     """Hurwitz-type q-Euler zeta zeta_H(s, x) by the (shifted) binomial continuation.
 
@@ -354,26 +344,27 @@ def hurwitz_zeta_q(s, x, q, policy=None):
         # (-1)**K q**(s*K) scales the continuation at x+K
         prefactor *= (-1) ** K * _rpow(q, s * K)
     qx = q ** (x + K)
-    drop_tail = _tail_underflows(s, x, q, K)
 
     def terms():
         # Head: (1+q) (-1)**n q**(s*n) [n+x]**(-s) for n < K, with
         # 1 - q**(n+x) = -expm1((n+x) ln q) to keep [n+x] accurate as q -> 1.
+        # Head and scaled tail are the rest of the defining series (K > 0
+        # only where Re(s) > 0), whose moduli fall at least by q**Re(s).
         log_q = math.log(q)
+        r = q**s.real if K else 0.0  # unused where K = 0, and it may overflow there
+        geometric = r / (1 - r) if r < 1 else math.inf  # r rounds to 1 as Re(s) -> 0
         for n in range(K):
             bracket = -math.expm1((n + x) * log_q) / (1 - q)
             term = (1 + q) * cmath.exp(s * (n * log_q - math.log(bracket)))
-            yield -term if n % 2 else term
-        if drop_tail:
-            return
+            yield (-term if n % 2 else term), abs(term) * geometric
         # Tail: the binomial continuation at x+K.
         coeff = complex(1)  # C(s+j-1, j)
         qxj = 1.0  # q**((x+K)*j)
         qsj = _rpow(q, s)  # q**(s+j)
+        same_phase = qsj.real >= 0  # then every |1 + q**(s+i)| >= 1
+        size = abs(s)
         j = 0
-        while True:
-            if coeff == 0:
-                return
+        while coeff:
             den = 1 + qsj
             if abs(den) < NEAR_SINGULAR_TOL:
                 raise NearSingularError(
@@ -381,13 +372,19 @@ def hurwitz_zeta_q(s, x, q, policy=None):
                     f"at term j={j} (s={s}, q={q})",
                     term_index=j,
                 )
-            yield prefactor * coeff * qxj / den
+            num = prefactor * coeff * qxj
+            # |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1): the moduli of
+            # the numerators fall at least by rho from term j on
+            rho = qx * max(1.0, (size + j) / (j + 1))
+            low = 1.0 if same_phase else 1 - q * abs(qsj)  # <= |1 + q**(s+i)|, i > j
+            tail = abs(num) * rho / ((1 - rho) * low) if rho < 1 and low > 0 else math.inf
+            yield num / den, tail
             coeff *= (s + j) / (j + 1)
             qxj *= qx
             qsj *= q
             j += 1
 
-    return _sum_series(terms(), qx, policy, "continuation")
+    return _sum_series(terms(), policy, "continuation")
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):

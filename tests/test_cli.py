@@ -175,6 +175,18 @@ class TestExitCodes:
                        env_extra={"QEULER_MAX_TERMS": "1"})
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "zeta", "--s", "2", "--q", "0.5"],
+        ["table", "zeta", "--s", "2", "--q-list", "1/2,0.9"],
+    ])
+    def test_removed_stopping_flag_is_a_usage_error(self, command, capsys):
+        # every series stops on its proven tail bound, so eps and
+        # max-terms are the only stopping options
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--consecutive-small", "3"])
+        assert exc.value.code == 2
+        assert "--consecutive-small" in capsys.readouterr().err
+
     def test_verify_all_passes(self):
         proc = run_cli("verify", "all", "--seed", "0")
         assert proc.returncode == 0, proc.stdout
@@ -223,13 +235,13 @@ class TestVerifyOutput:
          "valuations [1, 2, 3] (pinned [1, 2, 3]), reference -110/221 "
          "!= closed form -549/1547"),
         ("characters/orthogonality-exact", "first failure at d=3, chi=0, psi=1"),
-        ("characters/column-orthogonality", "first failure at d=3 n=0: residual = 1"),
+        ("characters/column-orthogonality", "first failure at d=3 n=0"),
         ("methods/zeta-direct-vs-continuation",
-         "first failure at s=1 q=0.3: |(-0.319526548425263-0j) - (-0.3195268679516682+0j)| "
-         "= 3.195264051680802e-07 > 1e-09"),
+         "first failure at s=1 q=0.3: |(-0.3195265484251628-0j) - (-0.3195268679516682+0j)| "
+         "= 3.1952650536570815e-07 > 1e-09"),
         ("methods/seeded-spot-check",
-         "first failure at s=2 q=14/23: |(-0.5268798247513898-0j) - (-0.5268803516312279+0j)| "
-         "= 5.268798380919648e-07 > 1e-09"),
+         "first failure at s=2 q=14/23: |(-0.526879824751337-0j) - (-0.5268803516312279+0j)| "
+         "= 5.268798909385808e-07 > 1e-09"),
     ]
 
     def test_failing_details_are_pinned(self, monkeypatch, capsys):
@@ -286,15 +298,15 @@ class TestNonFiniteAndHugeS:
         assert "argument --s" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["eval", "zeta", "--s", "2000", "--q", "0.5", "--method", "direct"],
-        ["eval", "lseries", "--s", "2000", "--char", "5:1", "--q", "0.5",
-         "--method", "direct"],
+        # true values about 1.2e315 and 3.1e340: the n = 0 term alone
+        # (1+q) [x]_q**(-s) is outside the double range
+        ["eval", "hurwitz", "--s", "1000", "--x", "0.4", "--q", "0.5"],
+        ["eval", "hurwitz", "--s", "800", "--x", "0.3", "--q", "0.5"],
     ])
     def test_overflow_is_reported_as_error(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("qeuler: error:")
-        assert f"eval {argv[1]}" in err and "direct" in err
+        assert err.startswith("qeuler: error: eval hurwitz (route continuation): ")
 
     def test_underflowing_direct_bracket_is_reported_as_overflow(self, capsys):
         # [0.1]_q**2000 underflows to 0 while the n = 0 term is about 1e1746

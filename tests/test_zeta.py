@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -505,12 +506,12 @@ class TestPrecisionPolicy:
             PrecisionPolicy(eps=0)
         with pytest.raises(DomainError):
             PrecisionPolicy(max_terms=0)
-        with pytest.raises(DomainError):
-            PrecisionPolicy(consecutive_small=0)
 
     def test_defaults(self):
+        # every series stops on its proven tail bound: no other knob
         p = PrecisionPolicy()
-        assert p.eps == 1e-12 and p.max_terms == 10_000 and p.consecutive_small == 3
+        assert [f.name for f in dataclasses.fields(p)] == ["eps", "max_terms"]
+        assert p.eps == 1e-12 and p.max_terms == 10_000
 
 
 class TestHurwitzContinuation:
@@ -578,11 +579,19 @@ class TestHurwitzContinuation:
         assert partial.terms_used == 5
         assert cmath.isfinite(partial.value)
 
-    def test_tail_below_the_smallest_double_ends_after_the_head(self):
-        # K = 51 head terms hold the value 1.99; the tail bound is e**-8437
+    def test_tail_below_the_smallest_double_ends_in_the_head(self):
+        # K = 51, but the second head term, 1.99 q**2000 [2]**-2000, is 0 in
+        # double, and so is the tail bound after it: the value 1.99 is the first term
         got = hurwitz_zeta_q(2000, 1, 0.99)
         assert got.value == pytest.approx(1.99, rel=1e-15)
-        assert got.terms_used == 51
+        assert got.terms_used == 2
+
+    def test_tiny_positive_real_part_runs_the_continuation(self):
+        # K = 15 since Re(s) > 0, but q**Re(s) rounds to 1: the head has no
+        # finite tail bound and the continuation at x + K decides the stop
+        got = hurwitz_zeta_q(1e-20, 1, 0.9)
+        assert got.value == pytest.approx(hurwitz_zeta_q(0, 1, 0.9).value, abs=1e-15)
+        assert got.abs_error_estimate < 1e-15
 
     def test_non_finite_term_stops_the_series(self):
         # (1-q)**s underflows to 0 while C(s+j-1, j) overflows: term 220 is NaN
@@ -700,6 +709,19 @@ class TestDirectSums:
         assert l_series_direct(2.5, chi, 0.3).terms_used < 48
         assert l_series_direct(2.5, chi, 0.999).terms_used <= 48 * 25
 
+    def test_large_s_ends_after_the_first_term(self):
+        # the tail bound after n = 1, |t_1| q**2000 / (1 - q**2000), is far
+        # below eps; the next term would form [2]**2000, which overflows
+        got = euler_zeta_q_direct(2000, 0.9)
+        assert got.terms_used == 1
+        # mpmath at 40 digits, the defining series at q = float(0.9)
+        assert abs(got.value - -5.8046024339374535e-92) <= got.abs_error_estimate
+
+    def test_large_s_underflowing_value_is_zero(self):
+        # the first term, 1.5 * 0.5**2000, underflows, and so does its tail
+        got = l_series_direct(2000, direct_character(5, 1), 0.5)
+        assert got.value == 0 and got.terms_used == 1
+
     @pytest.mark.parametrize("family,fn", [
         ("euler", euler_zeta_q_direct),
         ("hurwitz", hurwitz_zeta_q_direct),
@@ -716,6 +738,35 @@ class TestDirectSums:
             got = fn(*args)
             assert got.terms_used <= 200
             assert within_bound(got, cell)
+
+
+def continuation(cell):
+    """The continuation route of ``euler_zeta_q`` and its kin at one grid cell."""
+    family, s, q, extra = cell
+    if family == "euler":
+        return euler_zeta_q(s, q)
+    if family == "hurwitz":
+        return hurwitz_zeta_q(s, extra, q)
+    if family == "partial":
+        return partial_zeta(s, *extra, q)
+    return l_series(s, direct_character(*extra), q)
+
+
+class TestContinuationBound:
+    """The continuation stops on a proven tail bound, so it must hold that
+    bound at every cell of the direct-route grid; 8 u max(1, |ref|) is the
+    rounding of the terms and their sum, which the bound leaves out."""
+
+    U = 2.0**-53
+
+    @pytest.mark.parametrize("cell", DIRECT_CELLS, ids=[direct_id(c) for c in DIRECT_CELLS])
+    def test_continuation_holds_its_bound(self, cell):
+        got = continuation(cell)
+        assert got.method == "continuation"
+        ref = direct_ref(cell)
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpc(got.value) - ref)
+            assert err <= got.abs_error_estimate + 8 * self.U * max(1, abs(ref))
 
 
 class TestHurwitzExact:
