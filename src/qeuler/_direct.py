@@ -1,17 +1,18 @@
-"""Cost and error bounds of the defining series, and its CRVZ acceleration.
+"""Terms, cost and error bounds of the defining series, and its CRVZ acceleration.
 
 The ``*_direct`` routes of :mod:`qeuler.zeta` sum
 
     (1+q) sum_n chi(n) (-1)**n q**(s*n) [n+x]**(-s),   n = n0, n0+step, ...,
 
-for Re(s) >= 1, in one of two ways.
+for Re(s) >= 1, in one of two ways; ``moment`` forms every term of both, and
+of the continuation's head, in log space, never as a quotient of huge factors.
 
-* The plain stream: the terms one by one under the series driver.  Its
-  terms are at most T0 r**k with T0 = (1+q) q**(sigma n0) [n0+x]**(-sigma)
-  and r = q**(sigma step), sigma = Re(s), so it needs about
-  ln(T0 / ((1-r) eps)) / (sigma step |ln q|) terms (``plain_length``):
-  O(1 / (sigma (1-q))) as q -> 1.  ``plain_rounding`` bounds its
-  rounding error.
+* The plain stream ``plain_terms``: the terms one by one under the
+  series driver.  Its terms are at most T0 r**k with T0 = (1+q)
+  q**(sigma n0) [n0+x]**(-sigma) and r = q**(sigma step), sigma = Re(s),
+  so it needs about ln(T0 / ((1-r) eps)) / (sigma step |ln q|) terms
+  (``plain_length``): O(1 / (sigma (1-q))) as q -> 1.  ``plain_rounding``
+  bounds its rounding error.
 
 * The accelerated sum (Cohen, Rodriguez Villegas and Zagier,
   *Convergence acceleration of alternating series*, Experimental Math.
@@ -41,23 +42,48 @@ for Re(s) >= 1, in one of two ways.
   underflows.
 
 Both counts read only the inputs; the zeta module runs whichever is
-smaller.  u is the unit roundoff 2**-53 throughout.
+smaller.  Both rounding bounds rest on ``moment_rounding``; u = 2**-53.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 U = 2.0**-53
 BETA = 3 + math.sqrt(8)  # n CRVZ terms leave an error of about BETA**-n
 LOG_BETA = math.log(BETA)
 MAX_N = 390  # keeps T_n(3) below 1e298, so the CRVZ weights stay finite
+CHI_ROUNDING = 24  # chi(n): cos and sin (2u) of 2 pi k / order < 2 pi (19u), times a term (3u)
 
 
-def _log_bracket(y, log_q, log_1mq):
-    """ln [y]_q = ln(1 - q**y) - ln(1 - q), accurate as q -> 1."""
-    return math.log(-math.expm1(y * log_q)) - log_1mq
+def _log_bracket(y, log_q, em1):
+    """ln [y]_q as ln(expm1(y ln q) / em1), em1 = expm1(ln q): accurate as q -> 1, 0 at y = 1."""
+    return math.log(math.expm1(y * log_q) / em1)
+
+
+def moment(s, m, x, log_q, em1):
+    """q**(s m) [m+x]**(-s) as exp(s (m ln q - ln [m+x])); ``moment_rounding`` bounds its error."""
+    return cmath.exp(s * (m * log_q - _log_bracket(m + x, log_q, em1)))
+
+
+def moment_rounding(size, m, y0, log_q, log_1mq):
+    """Units of u in the relative error of ``moment`` at m, for m + x >= y0 and |s| = size.
+
+    To first order in u, with every operation and libm call within u:
+    m + x, ln q and their product give y ln q to 3u, which expm1 at
+    y ln q < 0 does not magnify (|z e**z / expm1(z)| <= 1), so the
+    quotient carries 4u + 2u + u and its log, lambda = ln [m+x], is within
+    7u + u |lambda|.  With the 2u of m ln q and the u of the difference
+    and of s times it, the exponent is within
+    u |s| (4 |m ln q| + 3 |lambda| + 7), and cmath.exp adds 3u.  Since
+    ln [y] = ln(1 - q**y) - ln(1 - q) is a difference of two nonpositive
+    logs, |lambda| <= max(-ln(1 - q**y0), -ln(1 - q)).  Each constant is
+    rounded up by one to absorb the second-order terms.
+    """
+    log_bracket = max(-math.log(-math.expm1(y0 * log_q)), -log_1mq)
+    return size * (4 * abs(m * log_q) + 3 * log_bracket + 8) + 4
 
 
 def log_binomial_bound(s, q, shift, x):
@@ -75,39 +101,58 @@ def log_binomial_bound(s, q, shift, x):
     return sum(parts) + 8 * U * (sum(abs(p) for p in parts) + abs(s) + 1)
 
 
+def plain_terms(s, q, chi, x, n0, step=1):
+    """(term, tail) for the terms (1+q) chi(n) (-1)**n q**(s*n) [n+x]**(-s), n = n0, n0+step, ...
+
+    ``chi`` maps n to chi(n); None weighs each term by 1.  [n+x] grows with
+    n, so the moduli without chi fall at least by r = q**(Re(s) step) per
+    step and the tail is the last such modulus times r / (1-r) (inf if r
+    rounds to 1); a term with chi(n) = 0 keeps the tail before it (inf at first).
+    """
+    log_q = math.log(q)
+    em1 = math.expm1(log_q)
+    r = q ** (s.real * step)
+    geometric = r / (1 - r) if r < 1 else math.inf
+    tail = math.inf
+    for n in itertools.count(n0, step):
+        v = 1 if chi is None else chi(n)
+        if v == 0:
+            yield complex(0), tail
+            continue
+        try:
+            term = (1 + q) * moment(s, n, x, log_q, em1)
+        except OverflowError:
+            raise OverflowError(
+                f"term n = {n} of the defining series exceeds the double range") from None
+        tail = abs(term) * geometric
+        if n % 2:
+            term = -term
+        yield (term if chi is None else term * v.to_complex()), tail
+
+
 def plain_length(s, q, eps, x, n0, step):
     """A-priori term count ln(T0 / ((1-r) eps)) / (sigma step |ln q|) of the plain stream."""
     log_q = math.log(q)
     rate = -s.real * step * log_q
-    log_t0 = math.log1p(q) + s.real * (n0 * log_q - _log_bracket(n0 + x, log_q, math.log1p(-q)))
+    log_t0 = math.log1p(q) + s.real * (n0 * log_q - _log_bracket(n0 + x, log_q, math.expm1(log_q)))
     return (log_t0 - math.log(-math.expm1(-rate) * eps)) / rate
 
 
 def plain_rounding(s, q, x, n0, step, terms):
     """Rounding bound of the plain stream after ``terms`` terms.
 
-    The stream carries q**(s*n) and q**(n+x) as running products, so term
-    k has a relative error of at most u (A + B k).  Each step multiplies
-    q**(s*n) by exp(s step ln q), which brings 2 |s step ln q| + 7 units
-    (B).  The first powers, exp(-s ln [n+x]) and the products bring the
-    rest (A); there 1 - q**(n+x) magnifies the error of the running
-    q**(n+x) by q**m / (1 - q**m), which sums to at most
-    Q (1 + |(n0+x) ln q|) + 2 / (step |ln q|) units with
-    Q = q**(n0+x) / (1 - q**(n0+x)).  With |term k| <= T0 r**k and 2 N u
-    for N complex additions, the error is at most
-    u T0 ((A + 2N) / (1-r) + B r / (1-r)**2).
+    Term k, n = n0 + step k, is (1+q) chi(n) times a ``moment``, so its
+    relative error is at most u (A + B k): A is ``moment_rounding`` at n0
+    plus 2 for 1+q and its product and ``CHI_ROUNDING`` for chi(n), and
+    B = 4 |s| step |ln q| is the growth of 4 |s| |n ln q| per step.  With
+    |term k| <= T0 r**k and 2 N u for N complex additions, the error is
+    at most u T0 ((A + 2N) / (1-r) + B r / (1-r)**2).
     """
     log_q = math.log(q)
-    log_1mq = math.log1p(-q)
-    size = abs(s)
-    y0 = n0 + x
-    big_q = q**y0 / -math.expm1(y0 * log_q)
-    log_b0 = _log_bracket(y0, log_q, log_1mq)
-    A = (24 + 2 * size * abs(n0 * log_q) + 2 * size * max(abs(log_b0), -log_1mq)
-         + size * (big_q * (1 + abs(y0 * log_q)) + 2 / (step * -log_q) + 3))
-    B = 2 * size * step * -log_q + 7
+    A = moment_rounding(abs(s), n0, n0 + x, log_q, math.log1p(-q)) + 2 + CHI_ROUNDING
+    B = 4 * abs(s) * step * -log_q
     r = q ** (s.real * step)
-    t0 = (1 + q) * math.exp(s.real * (n0 * log_q - log_b0))
+    t0 = (1 + q) * abs(moment(s, n0, x, log_q, math.expm1(log_q)))
     return U * t0 * ((A + 2 * terms) / (1 - r) + B * r / (1 - r) ** 2)
 
 
@@ -174,30 +219,29 @@ def crvz_length(s, q, eps, x, step, first, classes):
 def crvz_sum(s, q, x, step, classes, n):
     """(value, rounding bound) of n CRVZ terms per class.
 
-    a_k = exp(s (m ln q - ln [m+x])) is computed directly, to a relative
-    error of at most u (|s| (5 |m ln q| + 4 |ln(1 - q**(a+x))|
-    + 4 |ln(1-q)| + 4) + 4).  The weights add (6n + 2) u, the n-term sum
-    2n u, and the class weights and the sum over the classes
-    2 (classes + 7) u, all relative to sum_a |weight_a| sum_k w_k |a_k|.
+    Each a_k is a ``moment``, to a relative error of at most
+    ``moment_rounding`` at the class's last m and first m + x.  The
+    weights and their products add (6n + 3) u, the n-term sum 2n u, the
+    class weights (1+q) (-1)**a chi(a) (1 + CHI_ROUNDING) u, their
+    products 3u and the sum over the classes 2 classes u, all relative to
+    sum_a |weight_a| sum_k w_k |a_k|.
     """
     w = _weights(n)
     log_q = math.log(q)
     log_1mq = math.log1p(-q)
+    em1 = math.expm1(log_q)
     size = abs(s)
-    fixed = 8 * n + 2 * len(classes) + 20
+    fixed = 8 * n + 2 * len(classes) + 7 + CHI_ROUNDING
     total = complex(0)
     rounding = 0.0
     for a, weight in classes:
         acc = complex(0)
         mag = 0.0
         for k in range(n):
-            m = a + step * k
-            t = w[k] * cmath.exp(s * (m * log_q - _log_bracket(m + x, log_q, log_1mq)))
+            t = w[k] * moment(s, a + step * k, x, log_q, em1)
             acc = acc - t if k % 2 else acc + t
             mag += abs(t)
         total += weight * acc
-        m_top = a + step * (n - 1)
-        delta = size * (5 * abs(m_top * log_q) - 4 * math.log(-math.expm1((a + x) * log_q))
-                        - 4 * log_1mq + 4) + fixed
+        delta = moment_rounding(size, a + step * (n - 1), a + x, log_q, log_1mq) + fixed
         rounding += abs(weight) * mag * delta
     return total, U * rounding

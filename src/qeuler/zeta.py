@@ -48,10 +48,10 @@ Two evaluation routes are kept deliberately separate:
       zeta_H(s, x) = (1+q) sum_{n<K} (-1)**n q**(s*n) [n+x]**(-s)
                      + (-1)**K q**(s*K) zeta_H(s, x+K),
 
-  as one stream of K head terms followed by the scaled continuation
-  at x+K, whose ratio is q**(x+K).  Minimising K + ln(1/eps) /
-  ((x+K) |ln q|) gives x + K = sqrt(ln(1/eps) / |ln q|), about
-  O(1/sqrt(1-q)) terms in all.  K = 0 (the plain series) where
+  as one stream: the first K terms of the plain direct stream, then
+  the scaled continuation at x+K, whose ratio is q**(x+K).  Minimising
+  K + ln(1/eps) / ((x+K) |ln q|) gives x + K = sqrt(ln(1/eps) / |ln q|),
+  about O(1/sqrt(1-q)) terms in all.  K = 0 (the plain series) where
   Re(s) <= 0, since the head terms and q**(s*K) then grow with n and K
   and cancel, and where q**x <= 1/2, since the plain series is already
   short.  For K > 0 the head is a partial sum of the defining series,
@@ -63,10 +63,10 @@ Every term stream yields ``(term, tail)``, ``tail`` a proven bound on
 most eps * max(1, |partial|); that tail is the ``abs_error_estimate``.
 The bounds hold in exact arithmetic; rounding is not in them.
 
-* The defining series (the plain direct stream, and the head of a
-  shifted continuation): [n+x] grows with n, so the moduli without chi
+* The defining series, one stream whose first K terms are the head of
+  a shifted continuation: [n+x] grows with n, so the moduli without chi
   fall at least by r = q**(Re(s) step) per step, and the tail is the
-  last modulus times r / (1-r).
+  last modulus times r / (1-r).  Each term is formed in log space.
 * The continuation: |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1), so
   after term j the numerators fall at least by rho_j = q**(x+K)
   max(1, (|s|+j) / (j+1)), and every later |1 + q**(s+i)| is at least 1
@@ -83,6 +83,7 @@ its truncation bound under eps / 2.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,45 +198,6 @@ def _rpow(base, s):
     return base**s
 
 
-def _direct_terms(s, q, chi=None, x=0, n0=1, step=1):
-    """Terms (1+q) chi(n) (-1)**n q**(s*n) / [n+x]**s for n = n0, n0+step, ...,
-    each as ``(term, tail)``.
-
-    ``chi=None`` weighs every term by 1.  [n+x] grows with n, so the moduli
-    without chi fall at least by r = q**(Re(s) step) per step and the tail
-    is the last such modulus times r / (1-r); a term with chi(n) = 0
-    keeps the tail before it (inf before the first term).
-    """
-    prefactor = 1 + q
-    qsn = _rpow(q, s * n0)  # q**(s*n)
-    qs_step = _rpow(q, s * step)
-    qnx = q ** (n0 + x)  # q**(n+x)
-    q_step = q**step
-    r = q ** (s.real * step)
-    geometric = r / (1 - r)
-    tail = math.inf
-    n = n0
-    while True:
-        v = 1 if chi is None else chi(n)
-        if v == 0:
-            yield complex(0), tail
-        else:
-            bracket_s = _rpow((1 - qnx) / (1 - q), s)
-            if bracket_s == 0:
-                raise OverflowError(
-                    f"direct term n = {n}: [n+x]_q**s underflows to 0, "
-                    "so the term cannot be represented in double precision"
-                )
-            term = prefactor * qsn / bracket_s
-            tail = abs(term) * geometric
-            if n % 2:
-                term = -term
-            yield (term if chi is None else term * v.to_complex()), tail
-        n += step
-        qsn *= qs_step
-        qnx *= q_step
-
-
 def _check_direct(s):
     if s.real < 1:
         raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
@@ -243,36 +205,34 @@ def _check_direct(s):
 
 def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The defining series term by term under the driver, plus its rounding bound."""
-    got = _sum_series(_direct_terms(s, q, chi, x, n0, step), policy, "direct")
+    got = _sum_series(_direct.plain_terms(s, q, chi, x, n0, step), policy, "direct")
     err = got.abs_error_estimate + _direct.plain_rounding(s, q, x, n0, step, got.terms_used)
     return SeriesValue(got.value, err, got.terms_used, "direct")
 
 
 def _crvz_plan(s, q, eps, x, n0, step, chi):
-    """(first index of each class, class step, n, truncation bound) of the
-    accelerated sum: one class unless chi is given, then one per a with
-    chi(a) != 0, that is gcd(a, d) = 1."""
-    starts = [n0]
+    """(classes, class step, n, truncation bound) of the accelerated sum; the classes
+    are (first index, chi of it) pairs: (n0, None), or ``_char_weights(chi)``."""
+    classes = [(n0, None)]
     if chi is not None:
         step = chi.modulus
-        starts = [a for a in range(1, step + 1) if math.gcd(a, step) == 1]
-    return (starts, step, *_direct.crvz_length(s, q, eps, x, step, starts[0], len(starts)))
+        classes = _char_weights(chi)
+    return (classes, step, *_direct.crvz_length(s, q, eps, x, step, classes[0][0], len(classes)))
 
 
-def _crvz(s, q, x, chi, starts, step, n, truncation):
+def _crvz(s, q, x, classes, step, n, truncation):
     """The accelerated sum of a ``_crvz_plan``; the class weights are (1+q) chi(a) (-1)**a."""
-    classes = [(a, (1 + q) * (-1) ** a * (1 if chi is None else chi(a).to_complex()))
-               for a in starts]
-    value, rounding = _direct.crvz_sum(s, q, x, step, classes, n)
-    return SeriesValue(value, truncation + rounding, len(classes) * n, "direct")
+    weights = [(a, (1 + q) * (-1) ** a * (1 if v is None else v.to_complex())) for a, v in classes]
+    value, rounding = _direct.crvz_sum(s, q, x, step, weights, n)
+    return SeriesValue(value, truncation + rounding, len(weights) * n, "direct")
 
 
 def _direct_accelerated(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The defining series by CRVZ acceleration, one residue class at a time."""
-    starts, step, n, truncation = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
+    classes, step, n, truncation = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
     if n is None:
         raise NonConvergenceError(f"no CRVZ length up to {_direct.MAX_N} meets eps={policy.eps}")
-    return _crvz(s, q, x, chi, starts, step, n, truncation)
+    return _crvz(s, q, x, classes, step, n, truncation)
 
 
 def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
@@ -283,10 +243,13 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     runs out.
     """
     plan = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
-    starts, _, n, _ = plan
-    cost = len(starts) * n if n is not None else math.inf
+    classes, _, n, _ = plan
+    cost = len(classes) * n if n is not None else math.inf
     if cost <= policy.max_terms and cost < _direct.plain_length(s, q, policy.eps, x, n0, step):
-        return _crvz(s, q, x, chi, *plan)
+        return _crvz(s, q, x, *plan)
+    if chi is not None:  # chi(n) read off the classes, keyed 1..d: chi once per residue
+        values, d = dict(classes), chi.modulus
+        chi = lambda n: values.get(n % d or d, 0)
     return _direct_plain(s, q, policy, x, n0, step, chi)
 
 
@@ -346,17 +309,9 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     qx = q ** (x + K)
 
     def terms():
-        # Head: (1+q) (-1)**n q**(s*n) [n+x]**(-s) for n < K, with
-        # 1 - q**(n+x) = -expm1((n+x) ln q) to keep [n+x] accurate as q -> 1.
-        # Head and scaled tail are the rest of the defining series (K > 0
-        # only where Re(s) > 0), whose moduli fall at least by q**Re(s).
-        log_q = math.log(q)
-        r = q**s.real if K else 0.0  # unused where K = 0, and it may overflow there
-        geometric = r / (1 - r) if r < 1 else math.inf  # r rounds to 1 as Re(s) -> 0
-        for n in range(K):
-            bracket = -math.expm1((n + x) * log_q) / (1 - q)
-            term = (1 + q) * cmath.exp(s * (n * log_q - math.log(bracket)))
-            yield (-term if n % 2 else term), abs(term) * geometric
+        # Head: the first K terms of the defining series, whose tail bounds
+        # hold for head plus scaled tail (K > 0 only where Re(s) > 0).
+        yield from itertools.islice(_direct.plain_terms(s, q, None, x, 0), K)
         # Tail: the binomial continuation at x+K.
         coeff = complex(1)  # C(s+j-1, j)
         qxj = 1.0  # q**((x+K)*j)

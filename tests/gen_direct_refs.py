@@ -1,10 +1,11 @@
 """Print the reference table ``DIRECT_REFS`` of ``test_zeta.py``.
 
-Each cell of ``DIRECT_CELLS`` (plus ``LARGE_IM_CELL``) is the defining
-series (1+q) sum_n c(n) (-1)**n q**(s n) [n+x]**(-s), summed term by
-term in mpmath at 40 digits, with the float arguments taken exactly and
-exact character values e**(2 pi i k / order), until a term falls below
-1e-36 (about 74,000 terms at q = 0.999, Re(s) = 1).
+Each cell of ``DIRECT_CELLS`` (plus ``LARGE_IM_CELL`` and
+``LARGE_S_CELLS``) is the defining series (1+q) sum_n c(n) (-1)**n
+q**(s n) [n+x]**(-s), summed term by term in mpmath at 40 digits, with
+the float arguments taken exactly and exact character values
+e**(2 pi i k / order), until a term falls below 1e-36 (about 74,000
+terms at q = 0.999, Re(s) = 1).
 The terms are at most T0 q**(Re(s) n), so the tail left is below
 1e-36 / (1 - q**Re(s)) < 1e-32.  Values are printed to 30 digits.
 
@@ -14,7 +15,7 @@ The terms are at most T0 q**(Re(s) n), so the tail left is below
 from __future__ import annotations
 
 import mpmath as mp
-from test_zeta import DIRECT_CELLS, LARGE_IM_CELL, direct_character
+from test_zeta import DIRECT_CELLS, LARGE_IM_CELL, LARGE_S_CELLS, direct_character
 
 
 def reference(family, s, q, extra):
@@ -47,7 +48,7 @@ def reference(family, s, q, extra):
 
 def main():
     print("DIRECT_REFS = {")
-    for cell in [*DIRECT_CELLS, LARGE_IM_CELL]:
+    for cell in [*DIRECT_CELLS, LARGE_IM_CELL, *LARGE_S_CELLS]:
         v = reference(*cell)
         print(f"    {cell!r}:\n        ({mp.nstr(v.real, 30)!r}, {mp.nstr(v.imag, 30)!r}),")
     print("}")

@@ -307,15 +307,24 @@ class TestNonFiniteAndHugeS:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("qeuler: error: eval hurwitz (route continuation): ")
+        # the n = 0 term is the first of the shifted continuation's head
+        assert "term n = 0 of the defining series" in err
 
-    def test_underflowing_direct_bracket_is_reported_as_overflow(self, capsys):
-        # [0.1]_q**2000 underflows to 0 while the n = 0 term is about 1e1746
+    def test_direct_term_beyond_double_range_is_reported_as_overflow(self, capsys):
+        # the n = 0 term, 1.5 [0.1]_q**-2000, is about 1e1746
         argv = ["eval", "hurwitz", "--s", "2000", "--x", "0.1", "--q", "0.5",
                 "--method", "direct"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("qeuler: error: eval hurwitz (route direct): ")
-        assert "direct term n = 0" in err
+        assert "term n = 0 of the defining series" in err
+
+    def test_large_s_near_one_direct_returns_a_value(self, capsys):
+        # [2]**2000 is about e**1385, but the value is -0.27
+        assert main(["eval", "zeta", "--s", "2000", "--q", "0.999", "--method", "direct"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # mpmath at 40 digits: -(1+q) q**2000 at q = 999/1000, the later terms below 1e-600
+        assert abs(out["value"]["re"] - -0.2702646508696019) <= out["err"]
 
     def test_non_finite_term_is_non_convergence(self, capsys):
         # the continuation stops at its first NaN term instead of summing 10,000

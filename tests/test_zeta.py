@@ -34,6 +34,7 @@ from qeuler import (
     qeuler_higher,
     qeuler_poly_exact,
 )
+from qeuler._direct import _log_bracket
 from qeuler.zeta import _direct_accelerated, _direct_plain
 
 F = Fraction
@@ -65,6 +66,10 @@ DIRECT_CELLS = [
     (family, s, q, extra) for q in DIRECT_QS for s in DIRECT_SS for family, extra in DIRECT_EXTRAS
 ]
 LARGE_IM_CELL = ("euler", complex(1, 200), 0.99, ())
+# [2]**2000 is about e**1385, but each term is tiny: q**(s n) [n]**(-s)
+# must be formed in one step
+LARGE_S_CELLS = [("euler", 2000, 0.999, ()), ("euler", complex(2000, 1), 0.999, ()),
+                 ("lseries", 2000, 0.999, (5, 1))]
 
 
 # The defining series at each cell, to 30 digits: made by
@@ -474,6 +479,12 @@ DIRECT_REFS = {
         ('-2.21229456444420491676857191505', '-0.0372855519109895564349690022026'),
     ('euler', (1+200j), 0.99, ()):
         ('1.35094624323674891697792028454', '1.90344644188488158058403221709'),
+    ('euler', 2000, 0.999, ()):
+        ('-0.270264650869601377933745029883', '0.0'),
+    ('euler', (2000+1j), 0.999, ()):
+        ('-0.270264515602030917267226158605', '0.000270399828239122341296494687402'),
+    ('lseries', 2000, 0.999, (5, 1)):
+        ('-0.270264650869601377933745029883', '8.65321434990004720774517147645e-604'),
 }
 
 
@@ -586,6 +597,15 @@ class TestHurwitzContinuation:
         assert got.value == pytest.approx(1.99, rel=1e-15)
         assert got.terms_used == 2
 
+    def test_unit_bracket_has_log_exactly_zero(self):
+        # ln [1] is expm1(ln q) / expm1(ln q), one number over itself; the
+        # difference ln(1 - q) - log1p(-q) of two roundings is not 0 in
+        # general, and 0.99**-2000 magnifies it in the second head term above
+        qs = [k / 1000 for k in range(1, 1000)] + [1 - 2.0**-k for k in range(10, 53, 3)]
+        for q in qs:
+            log_q = math.log(q)
+            assert _log_bracket(1, log_q, math.expm1(log_q)) == 0.0, q
+
     def test_tiny_positive_real_part_runs_the_continuation(self):
         # K = 15 since Re(s) > 0, but q**Re(s) rounds to 1: the head has no
         # finite tail bound and the continuation at x + K decides the stop
@@ -662,9 +682,9 @@ class TestHurwitzDirect:
 
     @pytest.mark.parametrize("s", [2000, complex(2000, 1)])
     def test_term_beyond_double_range_raises_overflow(self, s):
-        # [0.1]_q**2000 underflows to 0: the n = 0 term (about 1e1746) is a
-        # typed OverflowError naming its index, not a ZeroDivisionError
-        with pytest.raises(OverflowError, match="direct term n = 0"):
+        # the n = 0 term, 1.5 [0.1]_q**-2000, is about 1e1746: a typed
+        # OverflowError naming its index, not a bare "math range error"
+        with pytest.raises(OverflowError, match="term n = 0 of the defining series"):
             hurwitz_zeta_q_direct(s, 0.1, 0.5)
 
 
@@ -716,6 +736,20 @@ class TestDirectSums:
         assert got.terms_used == 1
         # mpmath at 40 digits, the defining series at q = float(0.9)
         assert abs(got.value - -5.8046024339374535e-92) <= got.abs_error_estimate
+
+    @pytest.mark.parametrize("cell", LARGE_S_CELLS, ids=[direct_id(c) for c in LARGE_S_CELLS])
+    def test_large_s_near_one_holds_its_bound(self, cell):
+        family, s, q, extra = cell
+        if family == "lseries":
+            got = l_series_direct(s, direct_character(*extra), q)
+        else:
+            got = euler_zeta_q_direct(s, q)
+        assert within_bound(got, cell)
+
+    @pytest.mark.parametrize("q", [0.3, 0.99])  # the plain stream, the accelerated sum
+    def test_modulus_one_character_is_the_zeta_series(self, q):
+        got = l_series_direct(2.5, characters_mod(1)[0], q)
+        assert got.value == pytest.approx(euler_zeta_q_direct(2.5, q).value, rel=1e-14)
 
     def test_large_s_underflowing_value_is_zero(self):
         # the first term, 1.5 * 0.5**2000, underflows, and so does its tail
