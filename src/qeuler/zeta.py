@@ -1,77 +1,85 @@
 """q-analogue Euler zeta functions, their Hurwitz forms, and L-series.
 
-Two evaluation routes are kept deliberately separate:
+Every function here is one alternating series over an arithmetic
+progression n = n0, n0+step, ...,
 
-* ``*_direct`` -- the defining alternating Dirichlet series, valid for
-  Re(s) >= 1 only (the domain is enforced, never silently widened).
-  These exist as oracles for the continuation route.  All four are one
-  series over an arithmetic progression n = n0, n0+step, ...,
+    (1+q) sum_n chi(n) (-1)**n q**(s*n) [n+x]**(-s),
 
-      (1+q) sum_n chi(n) (-1)**n q**(s*n) / [n+x]**s,
+with chi = 1 except for the L-series: zeta_E is (x, n0, step) = (0, 1, 1),
+zeta_H(s, x) is (x, 0, 1), the partial zeta H(s, a, F) is (0, a, F), and
+L(s, chi) is (0, 1, 1) weighted by chi mod d.  A character splits its
+progression into residue classes n = a + d k, one per chi(a) != 0
+(``_classes``); the moduli and F are odd, so every class alternates in k.
+Two evaluation routes take that one description and are kept
+deliberately separate:
 
-  with chi = 1 except for the L-series.  It is summed one of two ways,
-  whichever needs fewer terms by a count that reads only the inputs
-  (:mod:`qeuler._direct` has the derivations):
+* ``*_direct`` -- the defining series itself, valid for Re(s) >= 1 only
+  (the domain is enforced, never silently widened).  These exist as
+  oracles for the continuation route.  The series is summed one of two
+  ways, whichever needs fewer terms by a count that reads only the
+  inputs (:mod:`qeuler._direct` has the derivations):
 
   - the plain stream, term by term under the driver below, about
     ln(1/eps) / (Re(s) step |ln q|) terms: short for small q, but
     O(1/(Re(s) (1-q))) as q -> 1;
   - CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier, 2000), one
-    residue class a + step k at a time (one per chi(a) != 0 for the
-    L-series, step = the modulus).  Each class is an alternating
-    sequence of moments of points on the segment [0, q**(step s)], so n
-    terms leave a proven error of about (rho / 5.83)**n, rho the
-    Bernstein-ellipse parameter of 1 - 2 q**(step s) (1 for real s):
-    about 20 terms per class wherever |Im s| is moderate, at any q.
+    residue class at a time.  Each class is an alternating sequence of
+    moments of points on the segment [0, q**(step s)], so n terms leave
+    a proven error of about (rho / 5.83)**n, rho the Bernstein-ellipse
+    parameter of 1 - 2 q**(step s) (1 for real s): about 20 terms per
+    class wherever |Im s| is moderate, at any q.
 
   Both report truncation plus rounding in ``abs_error_estimate``.  The
   plain stream stays where its count is the smaller (small q, the many
   classes of a large modulus at moderate q, large |Im s|) or where the
   accelerated sum would pass ``max_terms``.
 
-* the binomial continuation -- for 0 < q < 1 and x > 0,
+* the binomial continuation -- for 0 < q < 1 and every complex s, one
+  class n = n0 + step k at a time.  Expanding
 
-      zeta_H(s, x) = (1+q) (1-q)**s sum_{j>=0} C(s+j-1, j) q**(x*j) / (1 + q**(s+j))
+      [n+x]**(-s) = (1-q)**s sum_{j>=0} C(s+j-1, j) q**((n+x) j)
 
-  converges for every complex s: expanding [x+n]**(-s) in powers of
-  q**(x+n) and resumming the geometric n-sum term by term turns the
-  series in n into a series in j whose terms decay like q**(x*j).  At a
-  negative integer s = -m the binomial coefficients vanish for j > m, so
-  the series terminates and reproduces the exact q-Euler polynomial
-  values (the ``*_neg_int_exact`` functions compute that truncation in
-  rational arithmetic).
+  and summing the geometric k-sum of each j turns the class into
 
-  Its term ratio tends to q**x, so it needs about ln(1/eps) / (x (1-q))
-  terms, which grows without bound as q -> 1 or x -> 0.  There the
-  continuation runs after a shift,
+      (1+q) (1-q)**s (-1)**n0 q**(s n0)
+          sum_{j>=0} C(s+j-1, j) q**((n0+x) j) / (1 + q**(step (s+j))),
 
-      zeta_H(s, x) = (1+q) sum_{n<K} (-1)**n q**(s*n) [n+x]**(-s)
-                     + (-1)**K q**(s*K) zeta_H(s, x+K),
+  a series in j whose terms decay like q**((n0+x) j), whatever s is.
+  There is no change of base and no class weight: chi(a) multiplies the
+  class's terms.  At a negative integer s = -m the binomial coefficients
+  vanish for j > m, so the series terminates and reproduces the exact
+  q-Euler values (the ``*_neg_int_exact`` functions compute that
+  truncation in rational arithmetic, ``_truncated``).
 
-  as one stream: the first K terms of the plain direct stream, then
-  the scaled continuation at x+K, whose ratio is q**(x+K).  Minimising
-  K + ln(1/eps) / ((x+K) |ln q|) gives x + K = sqrt(ln(1/eps) / |ln q|),
+  The ratio q**(n0+x) makes it slow as q -> 1 or n0 + x -> 0.  There the
+  class first sums its K leading terms, the first K terms of the plain
+  direct stream, and the continuation then runs at n0 + K step, with
+  ratio q**(n0+x+K step).  In the units Q = q**step and
+  x' = (n0+x)/step this is the Hurwitz case, and minimising
+  K + ln(1/eps) / ((x'+K) |ln Q|) gives x' + K = sqrt(ln(1/eps) / |ln Q|),
   about O(1/sqrt(1-q)) terms in all.  K = 0 (the plain series) where
-  Re(s) <= 0, since the head terms and q**(s*K) then grow with n and K
-  and cancel, and where q**x <= 1/2, since the plain series is already
-  short.  For K > 0 the head is a partial sum of the defining series,
-  so a comparison with the ``*_direct`` route checks the continuation
-  only through its shifted tail.
+  Re(s) <= 0, since the head terms and q**(s (n0+K step)) then grow with
+  K and cancel, and where q**(n0+x) <= 1/2, since the plain series is
+  already short.  For K > 0 the head is a partial sum of the defining
+  series, so a comparison with the ``*_direct`` route checks the
+  continuation only through its shifted tail.
 
 Every term stream yields ``(term, tail)``, ``tail`` a proven bound on
-|sum of all later terms|, and the driver stops at the first tail at
-most eps * max(1, |partial|); that tail is the ``abs_error_estimate``.
-The bounds hold in exact arithmetic; rounding is not in them.
+|sum of all later terms|, and ``_sum_series`` stops each class at the first
+tail at most eps * max(1, |partial|), on the scale of the value the class
+returns (its prefactor and chi(a) are in every term); the stopping tails
+add up to the ``abs_error_estimate``.  The bounds hold in exact
+arithmetic; rounding is not in them.
 
 * The defining series, one stream whose first K terms are the head of
   a shifted continuation: [n+x] grows with n, so the moduli without chi
   fall at least by r = q**(Re(s) step) per step, and the tail is the
   last modulus times r / (1-r).  Each term is formed in log space.
 * The continuation: |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1), so
-  after term j the numerators fall at least by rho_j = q**(x+K)
-  max(1, (|s|+j) / (j+1)), and every later |1 + q**(s+i)| is at least 1
-  where Re q**s >= 0 (the q**(s+i) share its phase), else
-  1 - q**(Re(s)+j+1).  The tail is infinite while rho_j >= 1.
+  after term j the numerators fall at least by rho_j = q**(n0+x)
+  max(1, (|s|+j) / (j+1)), and every later |1 + Q**(s+i)|, Q = q**step,
+  is at least 1 where Re Q**s >= 0 (the Q**(s+i) share its phase), else
+  1 - Q**(Re(s)+j+1).  The tail is infinite while rho_j >= 1.
 
 Exhausting ``max_terms`` raises :class:`~qeuler.errors.NonConvergenceError`
 carrying the partial value; a continuation denominator within 1e-12 of
@@ -91,7 +99,7 @@ from fractions import Fraction
 from . import _direct
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import DomainError, NearSingularError, NonConvergenceError
-from .numeric import _exact_sum, gen_binom, q_bracket
+from .numeric import _exact_sum, gen_binom
 
 __all__ = [
     "PrecisionPolicy",
@@ -132,8 +140,10 @@ class PrecisionPolicy:
 class SeriesValue:
     """A series evaluation: value, error bound, cost, and which route ran.
 
-    ``abs_error_estimate`` is a proven bound on the truncation error of a
-    continuation; the rounding of the terms and their sum is not in it.
+    For a continuation, ``abs_error_estimate`` is the sum over the
+    residue classes of a proven bound on each class's truncation error,
+    each at most eps * max(1, |class value|) on the scale of the value
+    returned; the rounding of the terms and their sum is not in it.
     The direct routes add a rounding bound to their truncation bound.
     """
 
@@ -193,14 +203,26 @@ def _check_exact_base(r):
 
 def _rpow(base, s):
     """base**s for positive real base and complex s, via the real log."""
-    if isinstance(s, complex):
-        return cmath.exp(s * math.log(base))
-    return base**s
+    return cmath.exp(s * math.log(base))
 
 
-def _check_direct(s):
-    if s.real < 1:
-        raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
+def _check_shift(x):
+    x = float(x)
+    if not x > 0:
+        raise DomainError(f"x must be positive, got {x}")
+    return x
+
+
+def _classes(n0, step, chi):
+    """(classes, step) of the progression n = n0 + step k weighted by chi.
+
+    The classes are (first index, chi of it) pairs: (n0, None) alone
+    without chi, else one per 1 <= a <= d with chi(a) != 0 at step
+    d = chi.modulus.
+    """
+    if chi is None:
+        return [(n0, None)], step
+    return [(a, v) for a in range(1, chi.modulus + 1) if (v := chi(a)) != 0], chi.modulus
 
 
 def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
@@ -211,12 +233,8 @@ def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
 
 
 def _crvz_plan(s, q, eps, x, n0, step, chi):
-    """(classes, class step, n, truncation bound) of the accelerated sum; the classes
-    are (first index, chi of it) pairs: (n0, None), or ``_char_weights(chi)``."""
-    classes = [(n0, None)]
-    if chi is not None:
-        step = chi.modulus
-        classes = _char_weights(chi)
+    """(classes, class step, n, truncation bound) of the accelerated sum."""
+    classes, step = _classes(n0, step, chi)
     return (classes, step, *_direct.crvz_length(s, q, eps, x, step, classes[0][0], len(classes)))
 
 
@@ -238,10 +256,15 @@ def _direct_accelerated(s, q, policy, x=0.0, n0=1, step=1, chi=None):
 def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The defining series by whichever sum needs fewer terms (see ``_direct``).
 
-    The accelerated sum must also fit in max_terms; otherwise the plain
-    stream runs, and raises NonConvergenceError with its partial when it
-    runs out.
+    Checks q and Re(s) >= 1.  The accelerated sum must also fit in
+    max_terms; otherwise the plain stream runs, and raises
+    NonConvergenceError with its partial when it runs out.
     """
+    policy = policy or PrecisionPolicy()
+    s = complex(s)
+    q = _check_base(q)
+    if s.real < 1:
+        raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
     plan = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
     classes, _, n, _ = plan
     cost = len(classes) * n if n is not None else math.inf
@@ -253,36 +276,105 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     return _direct_plain(s, q, policy, x, n0, step, chi)
 
 
-def _class_weight(q, d, s):
-    """The weight of the class n = a (mod d) as a function of a (and chi(a)):
-
-        weight(a, v) = (1+q)/(1+q**d) [d]_q**(-s) v (-1)**a q**(s*a),
-
-    the factor of zeta_H(s, a/d at base q**d) in the class decomposition.
-    Works over floats (complex s) and over Fractions (integer s); the
-    a-independent factor is computed once, and ``v=None`` means weight 1.
-    """
-    pref = (1 + q) / (1 + q**d) * _rpow(q_bracket(d, q), -s)
-
-    def weight(a, v=None):
-        w = pref if v is None else pref * v.to_complex()
-        return w * (-1) ** a * _rpow(q, s * a)
-
-    return weight
-
-
 def _shift_length(s, x, q, eps):
-    """Head length K of the shifted continuation; 0 keeps the plain series.
+    """Head length K of a shifted continuation; 0 keeps the plain series.
 
-    The tail at x+K needs about ln(1/eps) / ((x+K) |ln q|) terms, so
-    K + that count is least at x + K = sqrt(ln(1/eps) / |ln q|).  The
-    shift only pays where the plain term ratio q**x is near 1, and it
+    For the class n = n0 + step k pass x = (n0+x)/step and Q = q**step
+    as ``x`` and ``q``: the continuation at n0 + K step has ratio
+    q**(n0+x+K step) = Q**(x+K), so the class costs what zeta_H(s, x) at
+    base Q does.  Its tail then needs about ln(1/eps) / ((x+K) |ln q|)
+    terms, so K + that count is least at x + K = sqrt(ln(1/eps) / |ln q|).
+    The shift only pays where the plain ratio q**x is near 1, and it
     makes Re(s) <= 0 worse, so those regions keep K = 0.
     """
     if s.real <= 0 or q**x <= 0.5:
         return 0
     target = math.sqrt(max(0.0, -math.log(eps)) / -math.log(q))
     return max(0, round(target - x))
+
+
+def _continuation_terms(s, q, x, n0, step, eps):
+    """(term, tail) of the class n = n0 + step k: its first K terms, then the
+    binomial continuation at n0 + K step (see the module docstring)."""
+    Q = q**step
+    K = _shift_length(s, (n0 + x) / step, Q, eps)
+    # Head: the first K terms of the defining series, whose tail bounds
+    # hold for head plus continuation (K > 0 only where Re(s) > 0).
+    yield from itertools.islice(_direct.plain_terms(s, q, None, x, n0, step), K)
+    n0 += K * step
+    prefactor = (1 + q) * _rpow(1 - q, s)
+    if n0:
+        prefactor *= (-1) ** n0 * _rpow(q, s * n0)
+    qx = q ** (n0 + x)
+    coeff = complex(1)  # C(s+j-1, j)
+    qxj = 1.0  # q**((n0+x)*j)
+    qsj = _rpow(Q, s)  # Q**(s+j)
+    same_phase = qsj.real >= 0  # then every |1 + Q**(s+i)| >= 1
+    size = abs(s)
+    j = 0
+    while coeff:
+        den = 1 + qsj
+        if abs(den) < NEAR_SINGULAR_TOL:
+            raise NearSingularError(
+                f"denominator 1 + q**(step*(s+j)) within {NEAR_SINGULAR_TOL} of zero "
+                f"at term j={j} (s={s}, q={q}, step={step})",
+                term_index=j,
+            )
+        num = prefactor * coeff * qxj
+        # |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1): the moduli of
+        # the numerators fall at least by rho from term j on
+        rho = qx * max(1.0, (size + j) / (j + 1))
+        low = 1.0 if same_phase else 1 - Q * abs(qsj)  # <= |1 + Q**(s+i)|, i > j
+        tail = abs(num) * rho / ((1 - rho) * low) if rho < 1 and low > 0 else math.inf
+        yield num / den, tail
+        coeff *= (s + j) / (j + 1)
+        qxj *= qx
+        qsj *= Q
+        j += 1
+
+
+def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
+    """The progression's series by its shifted binomial continuation, one
+    residue class at a time; each class stops on its own proven tail."""
+    policy = policy or PrecisionPolicy()
+    s = complex(s)
+    q = _check_base(q)
+    classes, step = _classes(n0, step, chi)
+    parts = []
+    for a, v in classes:
+        terms = _continuation_terms(s, q, x, a, step, policy.eps)
+        if v is not None:
+            w = v.to_complex()
+            terms = ((w * t, tail) for t, tail in terms)
+        parts.append(_sum_series(terms, policy, "continuation"))
+    return SeriesValue(sum(p.value for p in parts), sum(p.abs_error_estimate for p in parts),
+                       sum(p.terms_used for p in parts), "continuation")
+
+
+def _truncated(m, q, n0, step, chi, qx=1):
+    """The continuation of the progression at s = -m, m >= 0, exactly.
+
+    It terminates after m+1 terms, so the class a of ``_classes`` is
+
+        (1+q) (1-q)**(-m) (-1)**a sum_{j<=m} C(j-m-1, j) qx**j y**(-e) / (1 + Q**(-e)),
+
+    with e = m - j, y = q**a and Q = q**step.  ``q`` is rational, and so
+    must ``qx`` = q**x be (x = a/d at base q = r**d gives r**a).  Each
+    term is one integer fraction; the coefficients serve every class.
+    """
+    classes, step = _classes(n0, step, chi)
+    Qa, Qb = (q**step).numerator, (q**step).denominator
+    coeffs = [gen_binom(-m, j) for j in range(m + 1)]
+    prefactor = (1 + q) / (1 - q) ** m
+    parts = []
+    for a, v in classes:
+        ya, yb = (q**a).numerator, (q**a).denominator
+        value = prefactor * _exact_sum(
+            Fraction(c.numerator * qx.numerator**j * yb**e * Qa**e,
+                     c.denominator * qx.denominator**j * ya**e * (Qa**e + Qb**e))
+            for j, c, e in zip(itertools.count(), coeffs, range(m, -1, -1)))
+        parts.append((v, -value if a % 2 else value))
+    return parts[0][1] if chi is None else _chi_combination(chi, parts)
 
 
 def hurwitz_zeta_q(s, x, q, policy=None):
@@ -295,51 +387,7 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     continuation runs at x+K (see the module docstring); ``terms_used``
     counts both parts.
     """
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    x = float(x)
-    q = _check_base(q)
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    K = _shift_length(s, x, q, policy.eps)
-    prefactor = (1 + q) * _rpow(1 - q, s)
-    if K:
-        # (-1)**K q**(s*K) scales the continuation at x+K
-        prefactor *= (-1) ** K * _rpow(q, s * K)
-    qx = q ** (x + K)
-
-    def terms():
-        # Head: the first K terms of the defining series, whose tail bounds
-        # hold for head plus scaled tail (K > 0 only where Re(s) > 0).
-        yield from itertools.islice(_direct.plain_terms(s, q, None, x, 0), K)
-        # Tail: the binomial continuation at x+K.
-        coeff = complex(1)  # C(s+j-1, j)
-        qxj = 1.0  # q**((x+K)*j)
-        qsj = _rpow(q, s)  # q**(s+j)
-        same_phase = qsj.real >= 0  # then every |1 + q**(s+i)| >= 1
-        size = abs(s)
-        j = 0
-        while coeff:
-            den = 1 + qsj
-            if abs(den) < NEAR_SINGULAR_TOL:
-                raise NearSingularError(
-                    f"denominator 1 + q**(s+j) within {NEAR_SINGULAR_TOL} of zero "
-                    f"at term j={j} (s={s}, q={q})",
-                    term_index=j,
-                )
-            num = prefactor * coeff * qxj
-            # |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1): the moduli of
-            # the numerators fall at least by rho from term j on
-            rho = qx * max(1.0, (size + j) / (j + 1))
-            low = 1.0 if same_phase else 1 - q * abs(qsj)  # <= |1 + q**(s+i)|, i > j
-            tail = abs(num) * rho / ((1 - rho) * low) if rho < 1 and low > 0 else math.inf
-            yield num / den, tail
-            coeff *= (s + j) / (j + 1)
-            qxj *= qx
-            qsj *= q
-            j += 1
-
-    return _sum_series(terms(), policy, "continuation")
+    return _continuation(s, q, policy, x=_check_shift(x), n0=0)
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):
@@ -351,29 +399,7 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     needs fewer terms by an a-priori count (see the module docstring);
     ``abs_error_estimate`` is truncation plus rounding.
     """
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    x = float(x)
-    q = _check_base(q)
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    _check_direct(s)
-    return _direct_series(s, q, policy, x=x, n0=0)
-
-
-def _hurwitz_trunc_exact(m, r, d, a):
-    """Exact truncation of the continuation at s = -m (m >= 0) and x = a/d,
-    evaluated at base q = r**d so q**x = r**a is rational."""
-    q = r**d
-    # With q = qa/qb, r**a = s/t and e = m - j, the j-th term
-    # c (s/t)**j / (1 + q**-e) is the integer fraction c qa**e s**j / ((qa**e + qb**e) t**j).
-    qa, qb = q.numerator, q.denominator
-    s, t = r.numerator**a, r.denominator**a
-    terms = []
-    for j in range(m + 1):
-        c, e = gen_binom(-m, j), m - j
-        terms.append(Fraction(c.numerator * qa**e * s**j, c.denominator * (qa**e + qb**e) * t**j))
-    return (1 + q) * _exact_sum(terms) / (1 - q) ** m
+    return _direct_series(s, q, policy, x=_check_shift(x), n0=0)
 
 
 def hurwitz_neg_int_exact(m, r, d, a):
@@ -387,14 +413,12 @@ def hurwitz_neg_int_exact(m, r, d, a):
     if not isinstance(a, int) or not isinstance(d, int) or d < 1 or a < 0:
         raise DomainError(f"need integers a >= 0 and d >= 1, got a={a!r}, d={d!r}")
     r = _check_exact_base(r)
-    return _hurwitz_trunc_exact(m, r, d, a)
+    return _truncated(m, r**d, 0, 1, None, qx=r**a)
 
 
 def euler_zeta_q(s, q, policy=None):
-    """q-Euler zeta zeta_E(s) = -q**s * zeta_H(s, 1), by continuation."""
-    h = hurwitz_zeta_q(s, 1, q, policy)
-    qs = _rpow(float(q), complex(s))
-    return SeriesValue(-qs * h.value, abs(qs) * h.abs_error_estimate, h.terms_used, h.method)
+    """q-Euler zeta zeta_E(s) = (1+q) sum_{n>=1} (-1)**n q**(s*n) / [n]**s, by continuation."""
+    return _continuation(s, q, policy)
 
 
 def euler_zeta_q_direct(s, q, policy=None):
@@ -403,15 +427,11 @@ def euler_zeta_q_direct(s, q, policy=None):
     Summed like :func:`hurwitz_zeta_q_direct` (plain stream or one
     accelerated class); the bound is truncation plus rounding.
     """
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    q = _check_base(q)
-    _check_direct(s)
     return _direct_series(s, q, policy)
 
 
 def euler_zeta_neg_int_exact(m, r):
-    """Exact rational zeta_E(-m) = -r**(-m) * zeta_H(-m, 1) for m >= 0.
+    """Exact rational zeta_E(-m) for m >= 0.
 
     For m >= 1 this equals the m-th q-Euler number (``qeuler_higher(m, 1, r)``);
     at m = 0 the continuation gives -(1+r)/2, the negative of the 0-th
@@ -420,43 +440,15 @@ def euler_zeta_neg_int_exact(m, r):
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
     r = _check_exact_base(r)
-    return -(r**-m) * _hurwitz_trunc_exact(m, r, 1, 1)
-
-
-def _char_weights(chi):
-    """(a, chi(a)) pairs over 1 <= a <= d with chi(a) != 0."""
-    out = []
-    for a in range(1, chi.modulus + 1):
-        v = chi(a)
-        if v != 0:
-            out.append((a, v))
-    return out
+    return _truncated(m, r, 1, 1, None)
 
 
 def l_series(s, chi, q, policy=None):
-    """L(s, chi) for all complex s, via the continuation decomposition
-
-    L(s, chi) = ((1+q)/(1+q**d)) [d]_q**(-s)
-                sum_{a=1}^{d} chi(a) (-1)**a q**(s*a) zeta_H(s, a/d at base q**d).
-    """
+    """L(s, chi) = (1+q) sum_{n>=1} chi(n) (-1)**n q**(s*n) / [n]**s for all
+    complex s, by the continuation of each class n = a (mod d), chi(a) != 0."""
     if not isinstance(chi, DirichletCharacter):
         raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    q = _check_base(q)
-    d = chi.modulus
-    qd = q**d
-    weight = _class_weight(q, d, s)
-    total = complex(0)
-    err = 0.0
-    terms_used = 0
-    for a, v in _char_weights(chi):
-        h = hurwitz_zeta_q(s, a / d, qd, policy)
-        w = weight(a, v)
-        total += w * h.value
-        err += abs(w) * h.abs_error_estimate
-        terms_used += h.terms_used
-    return SeriesValue(total, err, terms_used, "continuation")
+    return _continuation(s, q, policy, chi=chi)
 
 
 def l_series_direct(s, chi, q, policy=None):
@@ -468,10 +460,6 @@ def l_series_direct(s, chi, q, policy=None):
     """
     if not isinstance(chi, DirichletCharacter):
         raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    q = _check_base(q)
-    _check_direct(s)
     return _direct_series(s, q, policy, chi=chi)
 
 
@@ -485,7 +473,7 @@ def l_neg_int_exact(k, chi, r):
 def l_neg_int_decomposition(k, chi, r):
     """L(-k, chi) through the decomposition route, exactly.
 
-    Evaluates the a-sum of :func:`l_series` at s = -k with the rational
+    Sums the classes of :func:`l_series` at s = -k with the rational
     truncation in place of the continuation; agrees with
     :func:`l_neg_int_exact` (exact Fraction for real chi, complex with
     exact rational prestages otherwise).
@@ -495,11 +483,7 @@ def l_neg_int_decomposition(k, chi, r):
     if not isinstance(chi, DirichletCharacter):
         raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
     r = _check_exact_base(r)
-    d = chi.modulus
-    weight = _class_weight(r, d, -k)
-    return _chi_combination(chi, [
-        (v, weight(a) * _hurwitz_trunc_exact(k, r, d, a)) for a, v in _char_weights(chi)
-    ])
+    return _truncated(k, r, 1, 1, chi)
 
 
 def _check_partial_args(a, F):
@@ -512,20 +496,12 @@ def _check_partial_args(a, F):
 def partial_zeta(s, a, F, q, policy=None):
     """Partial zeta H(s, a, F): the zeta_E series restricted to n == a (mod F).
 
-    Computed for all complex s through the single-term decomposition
-
-      H(s, a, F) = ((1+q)/(1+q**F)) [F]_q**(-s) (-1)**a q**(s*a)
-                   zeta_H(s, a/F at base q**F),
-
-    for odd F >= 3 and 1 <= a <= F (a = F selects the multiples of F).
+    Computed for all complex s by the continuation of the one class
+    n = a + F k, for odd F >= 3 and 1 <= a <= F (a = F selects the
+    multiples of F).
     """
     _check_partial_args(a, F)
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    q = _check_base(q)
-    h = hurwitz_zeta_q(s, a / F, q**F, policy)
-    w = _class_weight(q, F, s)(a)
-    return SeriesValue(w * h.value, abs(w) * h.abs_error_estimate, h.terms_used, h.method)
+    return _continuation(s, q, policy, n0=a, step=F)
 
 
 def partial_zeta_direct(s, a, F, q, policy=None):
@@ -536,10 +512,6 @@ def partial_zeta_direct(s, a, F, q, policy=None):
     plus rounding.
     """
     _check_partial_args(a, F)
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    q = _check_base(q)
-    _check_direct(s)
     return _direct_series(s, q, policy, n0=a, step=F)
 
 
@@ -553,4 +525,4 @@ def partial_zeta_neg_int_exact(n, a, F, r):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     _check_partial_args(a, F)
     r = _check_exact_base(r)
-    return _class_weight(r, F, -n)(a) * _hurwitz_trunc_exact(n, r, F, a)
+    return _truncated(n, r, a, F, None)

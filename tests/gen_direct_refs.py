@@ -1,4 +1,4 @@
-"""Print the reference table ``DIRECT_REFS`` of ``test_zeta.py``.
+"""Print the reference tables ``DIRECT_REFS`` and ``CLASS_REFS`` of ``test_zeta.py``.
 
 Each cell of ``DIRECT_CELLS`` (plus ``LARGE_IM_CELL`` and
 ``LARGE_S_CELLS``) is the defining series (1+q) sum_n c(n) (-1)**n
@@ -9,13 +9,27 @@ terms at q = 0.999, Re(s) = 1).
 The terms are at most T0 q**(Re(s) n), so the tail left is below
 1e-36 / (1 - q**Re(s)) < 1e-32.  Values are printed to 30 digits.
 
+Each cell of ``CLASS_CELLS`` (Re(s) <= 0, where the defining series
+diverges) is the class decomposition of the series at 50 digits,
+
+    (1+q)/(1+q**d) [d]**(-s) sum_a chi(a) (-1)**a q**(s a) zeta_H(s, a/d; q**d),
+
+over the classes n = a (mod d) with chi(a) != 0 (d = 1 and a = 1 for
+zeta_E, d = F and the one a for the partial zeta), each zeta_H summed as
+its binomial continuation (1+Q) (1-Q)**s sum_j C(s+j-1, j) Q**(x j) /
+(1 + Q**(s+j)) at base Q = q**d.  The library sums the progression
+n = a + d k at base q instead, so the two share no code.  Against the
+same sum at 100 digits every cell agrees to 1e-41 relative or better
+(cancellation at Re(s) = -8 costs some digits); values are printed to
+40 digits.
+
     PYTHONPATH=src python3 tests/gen_direct_refs.py
 """
 
 from __future__ import annotations
 
 import mpmath as mp
-from test_zeta import DIRECT_CELLS, LARGE_IM_CELL, LARGE_S_CELLS, direct_character
+from test_zeta import CLASS_CELLS, DIRECT_CELLS, LARGE_IM_CELL, LARGE_S_CELLS, direct_character
 
 
 def reference(family, s, q, extra):
@@ -29,8 +43,7 @@ def reference(family, s, q, extra):
         n0, step = extra
     elif family == "lseries":
         chi = direct_character(*extra)
-        values = [chi(a) for a in range(chi.modulus)]
-        values = [0 if v == 0 else mp.expjpi(mp.mpf(2 * v.numerator) / v.order) for v in values]
+        values = [0 if v == 0 else root(v) for v in map(chi, range(chi.modulus))]
     lnq = mp.log(qm)
     total = mp.mpc(0)
     n = n0
@@ -46,12 +59,60 @@ def reference(family, s, q, extra):
         n += step
 
 
-def main():
-    print("DIRECT_REFS = {")
-    for cell in [*DIRECT_CELLS, LARGE_IM_CELL, *LARGE_S_CELLS]:
+def root(v):
+    """The exact value e**(2 pi i k / order) of a character value."""
+    return mp.expjpi(mp.mpf(2 * v.numerator) / v.order)
+
+
+def hurwitz_continuation(s, x, Q, weight):
+    """``weight`` times zeta_H(s, x; Q) by its binomial continuation, summed
+    until a weighted term falls below 1e-55 past j = |s| (the coefficients
+    then shrink and Q**(x j) decays geometrically)."""
+    weight *= (1 + Q) * (1 - Q) ** s
+    total, coeff, j = mp.mpc(0), mp.mpf(1), 0
+    Qx = Q**x
+    while True:
+        term = weight * coeff * Qx**j / (1 + Q ** (s + j))
+        total += term
+        if j > abs(s) and abs(term) < mp.mpf(10) ** -55:
+            return total
+        coeff *= (s + j) / (j + 1)
+        j += 1
+
+
+def class_reference(family, s, q, extra):
+    mp.mp.dps = 50
+    sm, qm = mp.mpc(s.real, s.imag), mp.mpf(q)
+    if family == "euler":
+        d, classes = 1, [(1, 1)]
+    elif family == "partial":
+        a, d = extra
+        classes = [(a, 1)]
+    else:
+        chi = direct_character(*extra)
+        d = chi.modulus
+        classes = [(a, root(v)) for a in range(1, d + 1) if (v := chi(a)) != 0]
+    Q = qm**d
+    weight = (1 + qm) / (1 + Q) * ((1 - Q) / (1 - qm)) ** -sm
+    total = mp.mpc(0)
+    for a, c in classes:
+        w = weight * c * (-1) ** a * qm ** (sm * a)
+        total += hurwitz_continuation(sm, mp.mpf(a) / d, Q, w)
+    return total
+
+
+def print_table(name, cells, reference, digits):
+    print(f"{name} = {{")
+    for cell in cells:
         v = reference(*cell)
-        print(f"    {cell!r}:\n        ({mp.nstr(v.real, 30)!r}, {mp.nstr(v.imag, 30)!r}),")
+        re, im = mp.nstr(v.real, digits), mp.nstr(v.imag, digits)
+        print(f"    {cell!r}:\n        ({re!r}, {im!r}),")
     print("}")
+
+
+def main():
+    print_table("DIRECT_REFS", [*DIRECT_CELLS, LARGE_IM_CELL, *LARGE_S_CELLS], reference, 30)
+    print_table("CLASS_REFS", CLASS_CELLS, class_reference, 40)
 
 
 if __name__ == "__main__":

@@ -226,7 +226,7 @@ class TestVerifyOutput:
          "first failure at m=2 k=1: |0.14285739285739285 - 0.0| = 0.14285739285739285 > 0.0001"),
         ("interpolation/zeta-neg-int", "first failure at m=2 q=1/2: residual = -1/7"),
         ("interpolation/continuation-terminates",
-         "first failure at m=2 q=1/2: |(0.20000000000000018-0j) - 0.34285714285714286| "
+         "first failure at m=2 q=1/2: |(0.20000000000000018+0j) - 0.34285714285714286| "
          "= 0.14285714285714268 > 1e-12"),
         ("padic/convergence-m2-k1",
          "valuations [1, 2, 3, 4, 5, 6] (pinned [1, 2, 3, 4, 5, 6]), reference -3/34 "
@@ -237,11 +237,11 @@ class TestVerifyOutput:
         ("characters/orthogonality-exact", "first failure at d=3, chi=0, psi=1"),
         ("characters/column-orthogonality", "first failure at d=3 n=0"),
         ("methods/zeta-direct-vs-continuation",
-         "first failure at s=1 q=0.3: |(-0.3195265484251628-0j) - (-0.3195268679516682+0j)| "
-         "= 3.1952650536570815e-07 > 1e-09"),
+         "first failure at s=1 q=0.3: |(-0.31952654842490574+0j) - (-0.3195268679516682+0j)| "
+         "= 3.195267624378495e-07 > 1e-09"),
         ("methods/seeded-spot-check",
-         "first failure at s=2 q=14/23: |(-0.526879824751337-0j) - (-0.5268803516312279+0j)| "
-         "= 5.268798909385808e-07 > 1e-09"),
+         "first failure at s=2 q=14/23: |(-0.5268798247513369+0j) - (-0.5268803516312279+0j)| "
+         "= 5.268798910496031e-07 > 1e-09"),
     ]
 
     def test_failing_details_are_pinned(self, monkeypatch, capsys):
