@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_instance, check_int, check_rational
 from .euler_numbers import _binomial_sum
 from .numeric import _exact_sum, q_bracket
 
@@ -58,10 +58,8 @@ class RootOfUnity:
     order: int
 
     def __post_init__(self):
-        if not isinstance(self.numerator, int) or not isinstance(self.order, int):
-            raise DomainError("RootOfUnity exponent must be a pair of integers")
-        if self.order < 1:
-            raise DomainError(f"order must be positive, got {self.order!r}")
+        check_instance(self.numerator, "numerator", int)
+        check_int(self.order, "order", 1)
         k = self.numerator % self.order
         g = math.gcd(k, self.order)
         object.__setattr__(self, "numerator", k // g)
@@ -70,7 +68,7 @@ class RootOfUnity:
     @classmethod
     def from_exponent(cls, e):
         """Root with exponent e (a Fraction, taken mod 1)."""
-        e = Fraction(e)
+        e = check_rational(e, "e")
         return cls(e.numerator, e.denominator)
 
     @property
@@ -150,14 +148,7 @@ def root_sum_is_zero(values):
     lcm of the orders, and reduced modulo the N-th cyclotomic polynomial;
     the sum vanishes iff the remainder is identically zero.
     """
-    roots = []
-    for v in values:
-        if isinstance(v, RootOfUnity):
-            roots.append(v)
-        elif v == 0:
-            continue
-        else:
-            raise DomainError(f"expected roots of unity or 0, got {v!r}")
+    roots = [check_instance(v, "each nonzero value", RootOfUnity) for v in values if v != 0]
     if not roots:
         return True
     N = 1
@@ -218,8 +209,7 @@ class _CyclicFactor:
 
 @lru_cache(maxsize=None)
 def _unit_group(d):
-    if not isinstance(d, int) or d < 1 or d % 2 == 0:
-        raise DomainError(f"modulus must be an odd positive integer, got {d!r}")
+    check_int(d, "modulus", 1, odd=True)
     factors = []
     for p, e in _factorize(d):
         pe = p**e
@@ -251,14 +241,12 @@ class DirichletCharacter:
         factors = _unit_group(modulus)
         if exponents is None:
             exponents = (0,) * len(factors)
-        exponents = tuple(int(t) for t in exponents)
-        if len(exponents) != len(factors):
-            raise DomainError(
-                f"modulus {modulus} has {len(factors)} cyclic factors, "
-                f"got {len(exponents)} exponents"
-            )
-        if any(not 0 <= t < f.order for t, f in zip(exponents, factors)):
-            raise DomainError(f"exponents out of range for modulus {modulus}")
+        exponents = tuple(int(check_finite(t, "exponent")) for t in exponents)
+        if len(exponents) != len(factors) or any(
+                not 0 <= t < f.order for t, f in zip(exponents, factors)):
+            raise DomainError(f"modulus {modulus} takes one exponent in [0, order) for each "
+                              f"of its cyclic factors {[f.order for f in factors]}, "
+                              f"got {exponents}")
         self.modulus = modulus
         self.exponents = exponents
         self._factors = factors
@@ -291,9 +279,7 @@ class DirichletCharacter:
         return i
 
     def __call__(self, n):
-        if not isinstance(n, int):
-            raise DomainError(f"character argument must be an integer, got {n!r}")
-        n %= self.modulus
+        n = check_instance(n, "n", int) % self.modulus
         if math.gcd(n, self.modulus) != 1:
             return 0
         e = 0
@@ -351,13 +337,9 @@ def generalized_qeuler(m, chi, r):
     exact Fraction; otherwise each rational prestage is computed exactly
     and only the final chi-weighted combination is floating complex.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if not isinstance(chi, DirichletCharacter):
-        raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
-    r = Fraction(r)
-    if not 0 < r < 1:
-        raise DomainError(f"r must be a rational in (0, 1), got {r}")
+    check_int(m, "m", 0)
+    check_instance(chi, "chi", DirichletCharacter)
+    r = check_rational(r, "r", unit=True)
     d = chi.modulus
     prefactor = (1 + r) / (1 + r**d) * Fraction(q_bracket(d, r)) ** m
     units = [(i, v) for i in range(d) if (v := chi(i)) != 0]

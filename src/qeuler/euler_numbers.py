@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, check_closed_form_base, check_finite, check_int, check_rational
 from .numeric import _exact_sum, binom, q_bracket
 
 __all__ = [
@@ -53,23 +53,6 @@ __all__ = [
     "multiplication_residual_x0",
     "classical_multiplication_residual",
 ]
-
-
-def _check_q(q):
-    """Validate the base of a closed-form evaluation as a Fraction, and say
-    whether the result is to be rounded to a float (for a float q)."""
-    if isinstance(q, float):
-        if not math.isfinite(q):
-            raise DomainError(f"q must be finite, got {q}")
-        rounded = True
-    elif isinstance(q, (int, Fraction)):
-        rounded = False
-    else:
-        raise DomainError(f"q must be a rational or a float, got {q!r}")
-    q = Fraction(q)
-    if q <= 0 or q == 1:
-        raise DomainError(f"q must be positive and != 1, got {q}")
-    return q, rounded
 
 
 def _powers(x, n):
@@ -117,17 +100,13 @@ def qeuler_higher(m, k, q):
 
     For k = 1 these are the ordinary q-Euler numbers: E_0 = (1+q)/2,
     E_1 = -1/2 for every q, E_2 = (1-q)/(2(1+q**2)).  The denominators
-    1 + q**(i-m-j) never vanish for positive q, but the guard is kept so
-    a future extension of the domain fails loudly rather than wrongly.
-    The cost follows the size of the exact value (see the module
-    docstring for float q), and a value beyond the double range raises
-    OverflowError when it is rounded.
+    1 + q**(i-m-j) are positive for positive q.  The cost follows the
+    size of the exact value (see the module docstring for float q), and a
+    value beyond the double range raises OverflowError when it is rounded.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    q, rounded = _check_q(q)
+    check_int(m, "m", 0)
+    check_int(k, "k", 1)
+    q, rounded = check_closed_form_base(q, "q")
     # 1/(1 + q**-e) = a**e/(a**e + b**e) for q = a/b and e = m + j - i >= 0
     apow, bpow = _powers(q.numerator, m + k - 1), _powers(q.denominator, m + k - 1)
     terms = []
@@ -135,11 +114,8 @@ def qeuler_higher(m, k, q):
         num = -math.comb(m, i) if i % 2 else math.comb(m, i)
         den = 1
         for e in range(m - i, m - i + k):
-            factor = apow[e] + bpow[e]
-            if factor == 0:
-                raise DomainError(f"vanishing denominator 1 + q**{-e}")
             num *= apow[e]
-            den *= factor
+            den *= apow[e] + bpow[e]
         terms.append(Fraction(num, den))
     value = (1 + q) ** k / (1 - q) ** m * _exact_sum(terms)
     return float(value) if rounded else value
@@ -156,11 +132,9 @@ def qeuler_mixed(kdeg, m, q):
     multiplication identity (see ``multiplication_residual_x0``).  Like
     ``qeuler_higher``, a float q gives the exact value rounded once.
     """
-    if not isinstance(kdeg, int) or kdeg < 0:
-        raise DomainError(f"kdeg must be a nonnegative integer, got {kdeg!r}")
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    q, rounded = _check_q(q)
+    check_int(kdeg, "kdeg", 0)
+    check_int(m, "m", 0)
+    q, rounded = check_closed_form_base(q, "q")
     value = _binomial_sum(kdeg, m, q, [1])[0]
     return float(value) if rounded else value
 
@@ -173,13 +147,10 @@ def qeuler_poly_exact(m, r, d, a):
     rational.  With a = 0 this reduces to ``qeuler_higher(m, 1, r**d)``,
     and with d = 1 it gives E_m(a) at base r itself.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if not isinstance(a, int) or not isinstance(d, int) or a < 0 or d < 1:
-        raise DomainError(f"need integers a >= 0 and d >= 1, got a={a!r}, d={d!r}")
-    r = Fraction(r)
-    if not 0 < r < 1:
-        raise DomainError(f"r must be a rational in (0, 1), got {r}")
+    check_int(m, "m", 0)
+    check_int(a, "a", 0)
+    check_int(d, "d", 1)
+    r = check_rational(r, "r", unit=True)
     return _binomial_sum(m, m, r**d, [r**a])[0]
 
 
@@ -191,14 +162,11 @@ def qeuler_poly_numeric(m, q, x):
     result's relative sensitivity to the rounding of y is about
     m*y/|1 - y|.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    q, _ = _check_q(q)
-    if not q < 1:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"x must be finite and nonnegative, got {x}")
+    check_int(m, "m", 0)
+    q, _ = check_closed_form_base(q, "q", unit=True)
+    x = check_finite(float(x), "x")
+    if x < 0:
+        raise DomainError(f"x must be nonnegative, got {x}")
     return float(_binomial_sum(m, m, q, [Fraction(float(q) ** x)])[0])
 
 
@@ -230,10 +198,8 @@ def euler_classical(n, k=1):
     E_0 = 1, E_1 = -1/2, E_2 = 0, E_3 = 1/4 for k = 1; order k is the
     k-fold binomial convolution of the order-1 sequence.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    check_int(n, "n", 0)
+    check_int(k, "k", 1)
     return _euler_order(n, k)
 
 
@@ -245,13 +211,10 @@ def distribution_residual(n, d, x, r):
     where the inner polynomial values live at base q**d.  Integer x >= 0
     keeps every term rational, so the return value is an exact Fraction.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(d, int) or d < 1 or d % 2 == 0:
-        raise DomainError(f"d must be an odd positive integer, got {d!r}")
-    if not isinstance(x, int) or x < 0:
-        raise DomainError(f"x must be a nonnegative integer, got {x!r}")
-    r = Fraction(r)
+    check_int(n, "n", 0)
+    check_int(d, "d", 1, odd=True)
+    check_int(x, "x", 0)
+    r = check_rational(r, "r", unit=True)
     lhs = qeuler_poly_exact(n, r, 1, x)
     inner = _binomial_sum(n, n, r**d, [r ** (x + i) for i in range(d)])
     rhs = Fraction(0)
@@ -272,11 +235,9 @@ def multiplication_residual_x0(m, n, r):
     with E_{k,m} the two-index numbers of ``qeuler_mixed``.  The left
     side minus the right side is returned as an exact Fraction.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
-        raise DomainError(f"n must be an odd positive integer, got {n!r}")
-    r = Fraction(r)
+    check_int(m, "m", 0)
+    check_int(n, "n", 1, odd=True)
+    r = check_rational(r, "r")  # text too, unlike the closed-form base
     if r <= 0 or r == 1:
         raise DomainError(f"r must be a positive rational != 1, got {r}")
     rn = r**n
@@ -302,10 +263,8 @@ def classical_multiplication_residual(m, n):
     (1 - n**m) E_m = sum_{k=0}^{m-1} C(m,k) n**k E_k sum_{j=1}^{n-1} (-1)**j j**(m-k)
     for odd n; returns LHS - RHS as a Fraction (zero when the identity holds).
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
-        raise DomainError(f"n must be an odd positive integer, got {n!r}")
+    check_int(m, "m", 1)
+    check_int(n, "n", 1, odd=True)
     lhs = (1 - Fraction(n) ** m) * euler_classical(m)
     rhs = Fraction(0)
     for k in range(m):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .errors import DomainError, ResourceLimitError
+from .errors import ResourceLimitError, check_instance, check_int, check_rational
 from .numeric import PAdicQParam, p_valuation, q_bracket_signed
 
 __all__ = [
@@ -55,11 +55,9 @@ class IntegrandTerm:
     exp_coeff: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if not isinstance(self.bracket_power, int) or self.bracket_power < 0:
-            raise DomainError(f"bracket_power must be >= 0, got {self.bracket_power!r}")
-        if not isinstance(self.exp_coeff, int):
-            raise DomainError(f"exp_coeff must be an integer, got {self.exp_coeff!r}")
+        object.__setattr__(self, "coeff", check_rational(self.coeff, "coeff"))
+        check_int(self.bracket_power, "bracket_power", 0)
+        check_instance(self.exp_coeff, "exp_coeff", int)
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class Integrand:
     @classmethod
     def term(cls, coeff, bracket_power=0, exp_coeff=0):
         """Single term coeff * [t]**bracket_power * q**(exp_coeff * t)."""
-        return cls((IntegrandTerm(Fraction(coeff), bracket_power, exp_coeff),))
+        return cls((IntegrandTerm(coeff, bracket_power, exp_coeff),))
 
     @classmethod
     def constant(cls, c=1):
@@ -82,9 +80,7 @@ class Integrand:
     def moment(cls, m):
         """The integrand [t]_q**m * q**(-(m+1) t) whose stage sums converge
         to the m-th q-Euler number E_m(q)."""
-        if not isinstance(m, int) or m < 0:
-            raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-        return cls.term(1, m, -(m + 1))
+        return cls.term(1, check_int(m, "m", 0), -(m + 1))
 
     def __add__(self, other):
         if not isinstance(other, Integrand):
@@ -92,7 +88,7 @@ class Integrand:
         return Integrand(self.terms + other.terms)
 
     def __rmul__(self, scalar):
-        c = Fraction(scalar)
+        c = check_rational(scalar, "scalar")
         return Integrand(
             tuple(
                 IntegrandTerm(c * t.coeff, t.bracket_power, t.exp_coeff)
@@ -129,8 +125,7 @@ def _stage_range(ctx, N, width, k=1):
     value has at most about 2*log2(H)*P*(width + k) bits, where width sums
     a + |c| + 1 over the factors.
     """
-    if not isinstance(N, int) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+    check_int(N, "N", 1)
     P = ctx.p**N
     bits = 2 * max(ctx.q.numerator, ctx.q.denominator).bit_length() * P * (width + k)
     if bits > MAX_RESULT_BITS:
@@ -170,8 +165,7 @@ def stage_sum(f, ctx, N):
 
     The constant integrand gives exactly 1 at every stage (p**N is odd).
     """
-    if not isinstance(f, Integrand):
-        raise DomainError(f"f must be an Integrand, got {f!r}")
+    check_instance(f, "f", Integrand)
     width = sum(t.bracket_power + abs(t.exp_coeff + 1) + 1 for t in f.terms)
     P = _stage_range(ctx, N, width)
     q = ctx.q
@@ -181,13 +175,12 @@ def stage_sum(f, ctx, N):
 
 def convergence_report(f, ctx, N_max, reference=None):
     """Stage values S_1..S_{N_max} and their p-adic distance to ``reference``."""
-    if not isinstance(N_max, int) or N_max < 1:
-        raise DomainError(f"N_max must be a positive integer, got {N_max!r}")
+    check_int(N_max, "N_max", 1)
     # Largest stage first: the size guard then raises before any arithmetic.
     stages = [(N, stage_sum(f, ctx, N)) for N in range(N_max, 0, -1)][::-1]
     valuations = None
     if reference is not None:
-        reference = Fraction(reference)
+        reference = check_rational(reference, "reference")
         valuations = [p_valuation(S - reference, ctx.p) for _, S in stages]
     return StageReport(ctx=ctx, stages=stages, reference=reference, valuations=valuations)
 
@@ -205,10 +198,8 @@ def higher_order_stage(m, k, ctx, N):
     Axis i (1-based) carries the weight (-q**(1-m-i))**x, so the numerator
     is (1-q)**(-m) sum_l C(m,l) (-1)**l prod_i g(q**(l+1-m-i)).
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    check_int(m, "m", 0)
+    check_int(k, "k", 1)
     shifts = tuple(1 - m - i for i in range(1, k + 1))
     P = _stage_range(ctx, N, sum(m + abs(c) + 1 for c in shifts), k)
     return _bracket_sum(m, shifts, ctx.q, P) / q_bracket_signed(P, ctx.q) ** k

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_int, check_rational
 
 __all__ = [
     "q_bracket",
@@ -32,8 +32,8 @@ def q_bracket(x, q):
     exponent ``x`` must be an integer: the bracket of x = a/d is exact at
     base q = r**d, as (1 - r**a) / (1 - r**d).
     """
-    if q <= 0:
-        raise DomainError(f"q must be positive, got {q!r}")
+    check_finite(x, "x")
+    check_finite(q, "q", positive=True)
     if q == 1:
         return x  # limit value: lim_{q->1} [x]_q = x
     if isinstance(x, float) or isinstance(q, float):
@@ -55,10 +55,8 @@ def q_bracket_signed(x, q):
     normalizing denominator of the alternating stage sums; for odd ``x``
     it equals (1 + q**x)/(1 + q).
     """
-    if not isinstance(x, int) or x < 0:
-        raise DomainError(f"x must be a nonnegative integer, got {x!r}")
-    if q <= 0:
-        raise DomainError(f"q must be positive, got {q!r}")
+    check_int(x, "x", 0)
+    check_finite(q, "q", positive=True)
     if isinstance(q, float):
         return (1.0 - (-q) ** x) / (1.0 + q)
     q = Fraction(q)
@@ -67,9 +65,9 @@ def q_bracket_signed(x, q):
 
 def binom(m, i):
     """Binomial coefficient C(m, i) for integer m >= 0; zero out of range."""
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
+    check_int(m, "m", 0)
     if not isinstance(i, int) or i < 0 or i > m:
+        check_finite(i, "i")
         return 0
     return math.comb(m, i)
 
@@ -82,8 +80,7 @@ def gen_binom(s, j):
     At s = -m with integer m >= 0 this equals (-1)**j * C(m, j), and in
     particular vanishes for all j > m.
     """
-    if not isinstance(j, int) or j < 0:
-        raise DomainError(f"j must be a nonnegative integer, got {j!r}")
+    check_int(j, "j", 0)
     if isinstance(s, int):
         if s > 0:
             return Fraction(math.comb(s + j - 1, j))
@@ -92,6 +89,7 @@ def gen_binom(s, j):
         # s = n/d: the product is prod_i (n + (i-1) d) / (d**j j!), reduced once.
         n, d = s.numerator, s.denominator
         return Fraction(math.prod(range(n, n + j * d, d)), d**j * math.factorial(j))
+    check_finite(s, "s")
     out = complex(1) if isinstance(s, complex) else 1.0
     for i in range(1, j + 1):
         out *= (s + i - 1) / i
@@ -146,7 +144,7 @@ def p_valuation(r, p):
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p!r}")
-    r = Fraction(r)
+    r = check_rational(r, "r")
     if r == 0:
         return math.inf
     return _int_valuation(abs(r.numerator), p) - _int_valuation(r.denominator, p)
@@ -165,14 +163,9 @@ class PAdicQParam:
     q: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 3 or not is_prime(self.p):
-            raise DomainError(f"p must be an odd prime >= 3, got {self.p!r}")
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q <= 0:
-            raise DomainError(f"q must be positive, got {self.q}")
-        if p_valuation(self.q, self.p) != 0:
-            raise DomainError(f"q must be a p-adic unit: v_{self.p}({self.q}) != 0")
-        if p_valuation(self.q - 1, self.p) < 1:
-            raise DomainError(
-                f"q must satisfy v_{self.p}(q - 1) >= 1, got q = {self.q}"
-            )
+        check_int(self.p, "p", 3, odd=True)  # and prime, which p_valuation checks
+        q = check_rational(self.q, "q")
+        object.__setattr__(self, "q", q)
+        # v_p(q - 1) >= 1 makes q = 1 (mod p) a p-adic unit
+        if p_valuation(q - 1, self.p) < 1 or q <= 0:
+            raise DomainError(f"q must be positive with v_{self.p}(q - 1) >= 1, got q = {q}")

@@ -57,7 +57,8 @@ deliberately separate:
   ratio q**(n0+x+K step).  In the units Q = q**step and
   x' = (n0+x)/step this is the Hurwitz case, and minimising
   K + ln(1/eps) / ((x'+K) |ln Q|) gives x' + K = sqrt(ln(1/eps) / |ln Q|),
-  about O(1/sqrt(1-q)) terms in all.  K = 0 (the plain series) where
+  about O(1/sqrt(1-q)) terms in all (fewer for |s| < 1, see
+  ``_shift_length``).  K = 0 (the plain series) where
   Re(s) <= 0, since the head terms and q**(s (n0+K step)) then grow with
   K and cancel, and where q**(n0+x) <= 1/2, since the plain series is
   already short.  For K > 0 the head is a partial sum of the defining
@@ -82,10 +83,12 @@ arithmetic; rounding is not in them.
   1 - Q**(Re(s)+j+1).  The tail is infinite while rho_j >= 1.
 
 Exhausting ``max_terms`` raises :class:`~qeuler.errors.NonConvergenceError`
-carrying the partial value; a continuation denominator within 1e-12 of
-zero raises :class:`~qeuler.errors.NearSingularError` naming the term
-index.  The accelerated direct sum fixes its length in advance, with
-its truncation bound under eps / 2.
+carrying the partial value (of the whole series: the continuation sums
+every class, each within ``max_terms``, before it raises); a
+continuation denominator within 1e-12 of zero raises
+:class:`~qeuler.errors.NearSingularError` naming the term index.  The
+accelerated direct sum fixes its length in advance, with its truncation
+bound under eps / 2.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ from fractions import Fraction
 
 from . import _direct
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
-from .errors import DomainError, NearSingularError, NonConvergenceError
+from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_finite,
+                     check_instance, check_int, check_rational)
 from .numeric import _exact_sum, gen_binom
 
 __all__ = [
@@ -130,10 +134,11 @@ class PrecisionPolicy:
     max_terms: int = 10_000
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise DomainError(f"eps must be positive, got {self.eps!r}")
-        if not isinstance(self.max_terms, int) or self.max_terms < 1:
-            raise DomainError(f"max_terms must be a positive integer, got {self.max_terms!r}")
+        check_finite(self.eps, "eps", positive=True)
+        check_int(self.max_terms, "max_terms", 1)
+
+
+_DEFAULT_POLICY = PrecisionPolicy()  # frozen, so one instance serves every call
 
 
 @dataclass(frozen=True)
@@ -187,30 +192,9 @@ def _sum_series(terms, policy, method):
     return SeriesValue(total, 0.0, n, method)
 
 
-def _check_base(q):
-    q = float(q)
-    if not 0 < q < 1:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    return q
-
-
-def _check_exact_base(r):
-    r = Fraction(r)
-    if not 0 < r < 1:
-        raise DomainError(f"r must be a rational in (0, 1), got {r}")
-    return r
-
-
 def _rpow(base, s):
     """base**s for positive real base and complex s, via the real log."""
     return cmath.exp(s * math.log(base))
-
-
-def _check_shift(x):
-    x = float(x)
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    return x
 
 
 def _classes(n0, step, chi):
@@ -245,14 +229,6 @@ def _crvz(s, q, x, classes, step, n, truncation):
     return SeriesValue(value, truncation + rounding, len(weights) * n, "direct")
 
 
-def _direct_accelerated(s, q, policy, x=0.0, n0=1, step=1, chi=None):
-    """The defining series by CRVZ acceleration, one residue class at a time."""
-    classes, step, n, truncation = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
-    if n is None:
-        raise NonConvergenceError(f"no CRVZ length up to {_direct.MAX_N} meets eps={policy.eps}")
-    return _crvz(s, q, x, classes, step, n, truncation)
-
-
 def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The defining series by whichever sum needs fewer terms (see ``_direct``).
 
@@ -260,9 +236,9 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     max_terms; otherwise the plain stream runs, and raises
     NonConvergenceError with its partial when it runs out.
     """
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    q = _check_base(q)
+    policy = policy or _DEFAULT_POLICY
+    s = check_finite(complex(s), "s")
+    q = check_base(q, "q")
     if s.real < 1:
         raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
     plan = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
@@ -282,14 +258,23 @@ def _shift_length(s, x, q, eps):
     For the class n = n0 + step k pass x = (n0+x)/step and Q = q**step
     as ``x`` and ``q``: the continuation at n0 + K step has ratio
     q**(n0+x+K step) = Q**(x+K), so the class costs what zeta_H(s, x) at
-    base Q does.  Its tail then needs about ln(1/eps) / ((x+K) |ln q|)
-    terms, so K + that count is least at x + K = sqrt(ln(1/eps) / |ln q|).
+    base Q does.  Its tail then needs about ln(c/eps) / ((x+K) |ln q|)
+    terms.  For |s| <= 1 every coefficient past the first,
+    |C(s+j-1, j)| = |s| prod_{0<i<j} |s+i| / (i+1), is at most |s|, and
+    the geometric tail of those terms multiplies them by at most
+    1 / (1 - q**x), since the ratio only falls as K grows; so
+    c = min(1, |s| / (1 - q**x)), with the cap 1 the constant of the
+    model for larger |s|.  K + that count is least at
+    x + K = sqrt(ln(c/eps) / |ln q|), and K = 0 where c <= eps: there
+    the first terms of the plain series already meet eps.
     The shift only pays where the plain ratio q**x is near 1, and it
     makes Re(s) <= 0 worse, so those regions keep K = 0.
     """
-    if s.real <= 0 or q**x <= 0.5:
+    qx = q**x
+    if s.real <= 0 or qx <= 0.5:
         return 0
-    target = math.sqrt(max(0.0, -math.log(eps)) / -math.log(q))
+    c = min(1.0, abs(s) / (1 - qx))
+    target = math.sqrt(max(0.0, math.log(c / eps)) / -math.log(q))
     return max(0, round(target - x))
 
 
@@ -335,20 +320,38 @@ def _continuation_terms(s, q, x, n0, step, eps):
 
 def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The progression's series by its shifted binomial continuation, one
-    residue class at a time; each class stops on its own proven tail."""
-    policy = policy or PrecisionPolicy()
-    s = complex(s)
-    q = _check_base(q)
+    residue class at a time; each class stops on its own proven tail.
+
+    Every class is summed, each within max_terms.  A single class raises
+    its own NonConvergenceError.  Of several, if any fails, one
+    NonConvergenceError names the first failure and carries the partial
+    of the whole series: the value, bound and terms_used of every class,
+    the failed ones at their partials, added up.
+    """
+    policy = policy or _DEFAULT_POLICY
+    s = check_finite(complex(s), "s")
+    q = check_base(q, "q")
     classes, step = _classes(n0, step, chi)
-    parts = []
+    parts, failures = [], []
     for a, v in classes:
         terms = _continuation_terms(s, q, x, a, step, policy.eps)
         if v is not None:
             w = v.to_complex()
             terms = ((w * t, tail) for t, tail in terms)
-        parts.append(_sum_series(terms, policy, "continuation"))
-    return SeriesValue(sum(p.value for p in parts), sum(p.abs_error_estimate for p in parts),
-                       sum(p.terms_used for p in parts), "continuation")
+        try:
+            parts.append(_sum_series(terms, policy, "continuation"))
+        except NonConvergenceError as exc:
+            if len(classes) == 1:
+                raise
+            parts.append(exc.partial)
+            failures.append(f"class n = {a} (mod {step}): {exc}")
+    total = SeriesValue(sum(p.value for p in parts), sum(p.abs_error_estimate for p in parts),
+                        sum(p.terms_used for p in parts), "continuation")
+    if failures:
+        raise NonConvergenceError(
+            f"{len(failures)} of {len(classes)} classes did not converge, the first "
+            f"{failures[0]}; partial value of the series {total.value}", partial=total)
+    return total
 
 
 def _truncated(m, q, n0, step, chi, qx=1):
@@ -387,7 +390,7 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     continuation runs at x+K (see the module docstring); ``terms_used``
     counts both parts.
     """
-    return _continuation(s, q, policy, x=_check_shift(x), n0=0)
+    return _continuation(s, q, policy, x=check_finite(float(x), "x", positive=True), n0=0)
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):
@@ -399,7 +402,7 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     needs fewer terms by an a-priori count (see the module docstring);
     ``abs_error_estimate`` is truncation plus rounding.
     """
-    return _direct_series(s, q, policy, x=_check_shift(x), n0=0)
+    return _direct_series(s, q, policy, x=check_finite(float(x), "x", positive=True), n0=0)
 
 
 def hurwitz_neg_int_exact(m, r, d, a):
@@ -408,11 +411,10 @@ def hurwitz_neg_int_exact(m, r, d, a):
     Equals ``qeuler_poly_exact(m, r, d, a)``: the terminating
     continuation reproduces the q-Euler polynomial values.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(a, int) or not isinstance(d, int) or d < 1 or a < 0:
-        raise DomainError(f"need integers a >= 0 and d >= 1, got a={a!r}, d={d!r}")
-    r = _check_exact_base(r)
+    check_int(m, "m", 1)
+    check_int(a, "a", 0)
+    check_int(d, "d", 1)
+    r = check_rational(r, "r", unit=True)
     return _truncated(m, r**d, 0, 1, None, qx=r**a)
 
 
@@ -437,18 +439,14 @@ def euler_zeta_neg_int_exact(m, r):
     at m = 0 the continuation gives -(1+r)/2, the negative of the 0-th
     q-Euler number -- the sign boundary of the interpolation.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    r = _check_exact_base(r)
-    return _truncated(m, r, 1, 1, None)
+    check_int(m, "m", 0)
+    return _truncated(m, check_rational(r, "r", unit=True), 1, 1, None)
 
 
 def l_series(s, chi, q, policy=None):
     """L(s, chi) = (1+q) sum_{n>=1} chi(n) (-1)**n q**(s*n) / [n]**s for all
     complex s, by the continuation of each class n = a (mod d), chi(a) != 0."""
-    if not isinstance(chi, DirichletCharacter):
-        raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
-    return _continuation(s, q, policy, chi=chi)
+    return _continuation(s, q, policy, chi=check_instance(chi, "chi", DirichletCharacter))
 
 
 def l_series_direct(s, chi, q, policy=None):
@@ -458,16 +456,12 @@ def l_series_direct(s, chi, q, policy=None):
     so it costs (classes) x n terms against the plain stream's count over
     every n; the cheaper one runs.  The bound is truncation plus rounding.
     """
-    if not isinstance(chi, DirichletCharacter):
-        raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
-    return _direct_series(s, q, policy, chi=chi)
+    return _direct_series(s, q, policy, chi=check_instance(chi, "chi", DirichletCharacter))
 
 
 def l_neg_int_exact(k, chi, r):
     """L(-k, chi) exactly: the k-th chi-twisted q-Euler number, k >= 1."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    return generalized_qeuler(k, chi, r)
+    return generalized_qeuler(check_int(k, "k", 1), chi, r)
 
 
 def l_neg_int_decomposition(k, chi, r):
@@ -478,19 +472,9 @@ def l_neg_int_decomposition(k, chi, r):
     :func:`l_neg_int_exact` (exact Fraction for real chi, complex with
     exact rational prestages otherwise).
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(chi, DirichletCharacter):
-        raise DomainError(f"chi must be a DirichletCharacter, got {chi!r}")
-    r = _check_exact_base(r)
-    return _truncated(k, r, 1, 1, chi)
-
-
-def _check_partial_args(a, F):
-    if not isinstance(F, int) or F < 3 or F % 2 == 0:
-        raise DomainError(f"F must be an odd integer >= 3, got {F!r}")
-    if not isinstance(a, int) or not 1 <= a <= F:
-        raise DomainError(f"a must satisfy 1 <= a <= F, got a={a!r}, F={F!r}")
+    check_int(k, "k", 1)
+    check_instance(chi, "chi", DirichletCharacter)
+    return _truncated(k, check_rational(r, "r", unit=True), 1, 1, chi)
 
 
 def partial_zeta(s, a, F, q, policy=None):
@@ -500,8 +484,8 @@ def partial_zeta(s, a, F, q, policy=None):
     n = a + F k, for odd F >= 3 and 1 <= a <= F (a = F selects the
     multiples of F).
     """
-    _check_partial_args(a, F)
-    return _continuation(s, q, policy, n0=a, step=F)
+    check_int(F, "F", 3, odd=True)
+    return _continuation(s, q, policy, n0=check_int(a, "a", 1, F), step=F)
 
 
 def partial_zeta_direct(s, a, F, q, policy=None):
@@ -511,8 +495,8 @@ def partial_zeta_direct(s, a, F, q, policy=None):
     :func:`hurwitz_zeta_q_direct` with step F; the bound is truncation
     plus rounding.
     """
-    _check_partial_args(a, F)
-    return _direct_series(s, q, policy, n0=a, step=F)
+    check_int(F, "F", 3, odd=True)
+    return _direct_series(s, q, policy, n0=check_int(a, "a", 1, F), step=F)
 
 
 def partial_zeta_neg_int_exact(n, a, F, r):
@@ -521,8 +505,7 @@ def partial_zeta_neg_int_exact(n, a, F, r):
     Summing over a = 1..F partitions the full series, so these values
     add up to ``euler_zeta_neg_int_exact(n, r)`` exactly.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    _check_partial_args(a, F)
-    r = _check_exact_base(r)
-    return _truncated(n, r, a, F, None)
+    check_int(n, "n", 1)
+    check_int(F, "F", 3, odd=True)
+    check_int(a, "a", 1, F)
+    return _truncated(n, check_rational(r, "r", unit=True), a, F, None)

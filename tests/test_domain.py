@@ -1,0 +1,124 @@
+"""The non-finite rule: a NaN or an infinity in any float or complex
+argument of a public function raises DomainError.
+
+DomainError subclasses ValueError, so a bare ValueError (from math.ceil
+or Fraction) fails these tests, as does a NonConvergenceError or a
+returned NaN.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from qeuler import (
+    DirichletCharacter,
+    DomainError,
+    Integrand,
+    IntegrandTerm,
+    PAdicQParam,
+    PrecisionPolicy,
+    RootOfUnity,
+    binom,
+    characters_mod,
+    convergence_report,
+    distribution_residual,
+    euler_zeta_neg_int_exact,
+    euler_zeta_q,
+    euler_zeta_q_direct,
+    gen_binom,
+    generalized_qeuler,
+    hurwitz_neg_int_exact,
+    hurwitz_zeta_q,
+    hurwitz_zeta_q_direct,
+    l_neg_int_decomposition,
+    l_neg_int_exact,
+    l_series,
+    l_series_direct,
+    multiplication_residual_x0,
+    p_valuation,
+    partial_zeta,
+    partial_zeta_direct,
+    partial_zeta_neg_int_exact,
+    q_bracket,
+    q_bracket_signed,
+    qeuler_higher,
+    qeuler_mixed,
+    qeuler_poly_exact,
+    qeuler_poly_numeric,
+)
+
+CHI = characters_mod(5)[1]
+CTX = PAdicQParam(3, 4)
+
+REAL = (math.nan, math.inf, -math.inf)
+COMPLEX = REAL + (complex(1, math.nan), complex(2, math.inf), complex(math.nan, 1),
+                  complex(-math.inf, 0))
+
+# (function and argument, the call with that argument replaced, a finite value
+# in the domain, the non-finite values to feed)
+ENTRY_POINTS = [
+    ("q_bracket x", lambda v: q_bracket(v, 0.5), 1 + 1j, COMPLEX),
+    ("q_bracket q", lambda v: q_bracket(3, v), 0.5, REAL),
+    ("q_bracket_signed q", lambda v: q_bracket_signed(3, v), 0.5, REAL),
+    ("binom i", lambda v: binom(4, v), 2, REAL),
+    ("gen_binom s", lambda v: gen_binom(v, 2), 1 + 1j, COMPLEX),
+    ("p_valuation r", lambda v: p_valuation(v, 3), 0.75, REAL),
+    ("PAdicQParam q", lambda v: PAdicQParam(3, v), 4.0, REAL),
+    ("qeuler_higher q", lambda v: qeuler_higher(3, 1, v), 0.5, REAL),
+    ("qeuler_mixed q", lambda v: qeuler_mixed(2, 3, v), 0.5, REAL),
+    ("qeuler_poly_exact r", lambda v: qeuler_poly_exact(3, v, 2, 1), 0.5, REAL),
+    ("qeuler_poly_numeric q", lambda v: qeuler_poly_numeric(3, v, 0.5), 0.5, REAL),
+    ("qeuler_poly_numeric x", lambda v: qeuler_poly_numeric(3, 0.5, v), 0.5, REAL),
+    ("distribution_residual r", lambda v: distribution_residual(2, 3, 0, v), 0.5, REAL),
+    ("multiplication_residual_x0 r", lambda v: multiplication_residual_x0(2, 3, v), 0.5, REAL),
+    ("IntegrandTerm coeff", lambda v: IntegrandTerm(v, 1, 0), 0.5, REAL),
+    ("Integrand.term coeff", lambda v: Integrand.term(v), 0.5, REAL),
+    ("Integrand scalar", lambda v: v * Integrand.moment(1), 0.5, REAL),
+    ("convergence_report reference",
+     lambda v: convergence_report(Integrand.moment(1), CTX, 2, reference=v), 0.5, REAL),
+    ("DirichletCharacter exponents", lambda v: DirichletCharacter(5, (v,)), 1, REAL),
+    ("RootOfUnity.from_exponent e", lambda v: RootOfUnity.from_exponent(v), 0.5, REAL),
+    ("generalized_qeuler r", lambda v: generalized_qeuler(2, CHI, v), 0.5, REAL),
+    ("PrecisionPolicy eps", lambda v: PrecisionPolicy(eps=v), 1e-12, REAL),
+    ("euler_zeta_q s", lambda v: euler_zeta_q(v, 0.5), 2, COMPLEX),
+    ("euler_zeta_q q", lambda v: euler_zeta_q(2, v), 0.5, REAL),
+    ("euler_zeta_q_direct s", lambda v: euler_zeta_q_direct(v, 0.5), 2, COMPLEX),
+    ("euler_zeta_q_direct q", lambda v: euler_zeta_q_direct(2, v), 0.5, REAL),
+    ("hurwitz_zeta_q s", lambda v: hurwitz_zeta_q(v, 0.5, 0.5), 2, COMPLEX),
+    ("hurwitz_zeta_q x", lambda v: hurwitz_zeta_q(2, v, 0.5), 0.5, REAL),
+    ("hurwitz_zeta_q q", lambda v: hurwitz_zeta_q(2, 0.5, v), 0.5, REAL),
+    ("hurwitz_zeta_q_direct s", lambda v: hurwitz_zeta_q_direct(v, 0.5, 0.5), 2, COMPLEX),
+    ("hurwitz_zeta_q_direct x", lambda v: hurwitz_zeta_q_direct(2, v, 0.5), 0.5, REAL),
+    ("hurwitz_zeta_q_direct q", lambda v: hurwitz_zeta_q_direct(2, 0.5, v), 0.5, REAL),
+    ("l_series s", lambda v: l_series(v, CHI, 0.5), 2, COMPLEX),
+    ("l_series q", lambda v: l_series(2, CHI, v), 0.5, REAL),
+    ("l_series_direct s", lambda v: l_series_direct(v, CHI, 0.5), 2, COMPLEX),
+    ("l_series_direct q", lambda v: l_series_direct(2, CHI, v), 0.5, REAL),
+    ("partial_zeta s", lambda v: partial_zeta(v, 2, 5, 0.5), 2, COMPLEX),
+    ("partial_zeta q", lambda v: partial_zeta(2, 2, 5, v), 0.5, REAL),
+    ("partial_zeta_direct s", lambda v: partial_zeta_direct(v, 2, 5, 0.5), 2, COMPLEX),
+    ("partial_zeta_direct q", lambda v: partial_zeta_direct(2, 2, 5, v), 0.5, REAL),
+    ("hurwitz_neg_int_exact r", lambda v: hurwitz_neg_int_exact(2, v, 3, 1), 0.5, REAL),
+    ("euler_zeta_neg_int_exact r", lambda v: euler_zeta_neg_int_exact(2, v), 0.5, REAL),
+    ("l_neg_int_exact r", lambda v: l_neg_int_exact(2, CHI, v), 0.5, REAL),
+    ("l_neg_int_decomposition r", lambda v: l_neg_int_decomposition(2, CHI, v), 0.5, REAL),
+    ("partial_zeta_neg_int_exact r", lambda v: partial_zeta_neg_int_exact(2, 2, 5, v), 0.5, REAL),
+]
+
+CASES = [(name, call, bad) for name, call, _, values in ENTRY_POINTS for bad in values]
+
+
+@pytest.mark.parametrize("name,call,bad", CASES, ids=[f"{n}={b}" for n, _, b in CASES])
+def test_non_finite_argument_raises_domain_error(name, call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
+
+
+@pytest.mark.parametrize("name,call,good", [e[:3] for e in ENTRY_POINTS],
+                         ids=[e[0] for e in ENTRY_POINTS])
+def test_the_same_call_runs_at_a_finite_value(name, call, good):
+    # each call above reaches the argument it names: with a finite value
+    # in the domain there, it returns
+    call(good)
