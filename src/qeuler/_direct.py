@@ -104,10 +104,11 @@ def log_binomial_bound(s, q, shift, x):
 def plain_terms(s, q, chi, x, n0, step=1):
     """(term, tail) for the terms (1+q) chi(n) (-1)**n q**(s*n) [n+x]**(-s), n = n0, n0+step, ...
 
-    ``chi`` maps n to chi(n); None weighs each term by 1.  [n+x] grows with
-    n, so the moduli without chi fall at least by r = q**(Re(s) step) per
-    step and the tail is the last such modulus times r / (1-r) (inf if r
-    rounds to 1); a term with chi(n) = 0 keeps the tail before it (inf at first).
+    ``chi`` maps n to chi(n) as a complex number, 0 off the units; None
+    weighs each term by 1.  [n+x] grows with n, so the moduli without chi
+    fall at least by r = q**(Re(s) step) per step and the tail is the
+    last such modulus times r / (1-r) (inf if r rounds to 1); a term with
+    chi(n) = 0 keeps the tail before it (inf at first).
     """
     log_q = math.log(q)
     em1 = math.expm1(log_q)
@@ -127,7 +128,7 @@ def plain_terms(s, q, chi, x, n0, step=1):
         tail = abs(term) * geometric
         if n % 2:
             term = -term
-        yield (term if chi is None else term * v.to_complex()), tail
+        yield (term if chi is None else term * v), tail
 
 
 def plain_length(s, q, eps, x, n0, step):

@@ -7,12 +7,17 @@ writing n = g_i**a_i locally, chi(n) = prod_i zeta_{phi_i}**(t_i * a_i).
 Discrete-log tables are built once per modulus and shared by all of its
 characters.
 
-Character values are :class:`RootOfUnity` instances -- exact exponents
-k/n of e**(2*pi*i*k/n) -- or the integer 0 on non-units.  Sums of such
-values can be tested for exact vanishing with :func:`root_sum_is_zero`,
-which reduces the sum as an integer polynomial in zeta_N modulo the
-N-th cyclotomic polynomial; the orthogonality relations hold exactly,
-not just to floating tolerance.
+A character evaluates to an integer exponent k over L, the lcm of the
+factor orders: chi(n) = e**(2*pi*i*k/L), or no exponent off the units.
+L depends on the modulus alone, so the per-modulus tables also hold the
+L complex roots, each equal to RootOfUnity(k, L).to_complex(); the
+float series routes read chi(n) from them and build no RootOfUnity.
+Calling a character wraps k in a :class:`RootOfUnity` -- the exact
+exponent k/n of e**(2*pi*i*k/n), kept reduced -- or gives the integer
+0 on non-units.  Sums of such values can be tested for exact vanishing
+with :func:`root_sum_is_zero`, which reduces the sum as an integer
+polynomial in zeta_N modulo the N-th cyclotomic polynomial; the
+orthogonality relations hold exactly, not just to floating tolerance.
 
 ``generalized_qeuler`` builds the chi-twisted q-Euler numbers out of the
 exact polynomial values of :mod:`qeuler.euler_numbers`, all residue
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, check_finite, check_instance, check_int, check_rational
+from .errors import DomainError, check_instance, check_int, check_rational
 from .euler_numbers import _binomial_sum
 from .numeric import _exact_sum, q_bracket
 
@@ -209,6 +214,9 @@ class _CyclicFactor:
 
 @lru_cache(maxsize=None)
 def _unit_group(d):
+    """(cyclic factors, roots) of (Z/dZ)*: the factors with their discrete-log
+    tables, and the L complex roots RootOfUnity(k, L).to_complex(), k < L,
+    with L the lcm of the factor orders."""
     check_int(d, "modulus", 1, odd=True)
     factors = []
     for p, e in _factorize(d):
@@ -221,7 +229,9 @@ def _unit_group(d):
             dlog[x] = a
             x = x * g % pe
         factors.append(_CyclicFactor(p, e, pe, g, phi, dlog))
-    return tuple(factors)
+    L = math.lcm(*(f.order for f in factors))
+    # reducing k/L first is what makes the roots +-1 and +-i exact
+    return tuple(factors), tuple(RootOfUnity(k, L).to_complex() for k in range(L))
 
 
 class DirichletCharacter:
@@ -232,25 +242,25 @@ class DirichletCharacter:
     is the principal character.  Calling the character returns a
     :class:`RootOfUnity`, or the integer 0 on arguments sharing a factor
     with d.  With L the lcm of the factor orders, chi(n) has the integer
-    exponent sum_i t_i * dlog_i(n) * (L / phi_i) over L.
+    exponent sum_i t_i * dlog_i(n) * (L / phi_i) over L (``_exponent``),
+    and ``_roots[k]`` is its complex value.
     """
 
-    __slots__ = ("modulus", "exponents", "_factors", "_lcm", "_terms")
+    __slots__ = ("modulus", "exponents", "_factors", "_lcm", "_roots", "_terms")
 
     def __init__(self, modulus, exponents=None):
-        factors = _unit_group(modulus)
-        if exponents is None:
-            exponents = (0,) * len(factors)
-        exponents = tuple(int(check_finite(t, "exponent")) for t in exponents)
-        if len(exponents) != len(factors) or any(
-                not 0 <= t < f.order for t, f in zip(exponents, factors)):
-            raise DomainError(f"modulus {modulus} takes one exponent in [0, order) for each "
-                              f"of its cyclic factors {[f.order for f in factors]}, "
-                              f"got {exponents}")
+        factors, roots = _unit_group(modulus)
+        exponents = (0,) * len(factors) if exponents is None else tuple(exponents)
+        if len(exponents) != len(factors):
+            raise DomainError(f"modulus {modulus} takes one exponent for each of its cyclic "
+                              f"factors {[f.order for f in factors]}, got {exponents}")
+        for t, f in zip(exponents, factors):
+            check_int(t, "exponent", 0, f.order - 1)
         self.modulus = modulus
         self.exponents = exponents
         self._factors = factors
-        self._lcm = math.lcm(*(f.order for f in factors))
+        self._lcm = len(roots)
+        self._roots = roots
         # (prime power, dlog table, t * L / phi) for the factors with t != 0
         self._terms = tuple(
             (f.modulus, f.dlog, t * (self._lcm // f.order))
@@ -278,14 +288,19 @@ class DirichletCharacter:
             i = i * f.order + t
         return i
 
-    def __call__(self, n):
-        n = check_instance(n, "n", int) % self.modulus
+    def _exponent(self, n):
+        """k in [0, L) with chi(n) = e**(2*pi*i*k/L) for an int n; None off the units."""
+        n %= self.modulus
         if math.gcd(n, self.modulus) != 1:
-            return 0
+            return None
         e = 0
         for pe, dlog, w in self._terms:
             e += w * dlog[n % pe]
-        return RootOfUnity(e, self._lcm)
+        return e % self._lcm
+
+    def __call__(self, n):
+        k = self._exponent(check_instance(n, "n", int))
+        return 0 if k is None else RootOfUnity(k, self._lcm)
 
     def __eq__(self, other):
         return (
@@ -304,7 +319,7 @@ class DirichletCharacter:
 def characters_mod(d):
     """All phi(d) characters mod odd d, ordered lexicographically by
     exponent tuple (the principal character comes first)."""
-    factors = _unit_group(d)
+    factors, _ = _unit_group(d)
     return [
         DirichletCharacter(d, exps)
         for exps in itertools.product(*(range(f.order) for f in factors))
@@ -313,6 +328,7 @@ def characters_mod(d):
 
 def conductor(chi):
     """Smallest modulus chi factors through (product of local conductors)."""
+    check_instance(chi, "chi", DirichletCharacter)
     f = 1
     for fac, t in zip(chi._factors, chi.exponents):
         if t == 0:

@@ -125,6 +125,7 @@ def _stage_range(ctx, N, width, k=1):
     value has at most about 2*log2(H)*P*(width + k) bits, where width sums
     a + |c| + 1 over the factors.
     """
+    check_instance(ctx, "ctx", PAdicQParam)
     check_int(N, "N", 1)
     P = ctx.p**N
     bits = 2 * max(ctx.q.numerator, ctx.q.denominator).bit_length() * P * (width + k)
@@ -176,11 +177,12 @@ def stage_sum(f, ctx, N):
 def convergence_report(f, ctx, N_max, reference=None):
     """Stage values S_1..S_{N_max} and their p-adic distance to ``reference``."""
     check_int(N_max, "N_max", 1)
+    if reference is not None:
+        reference = check_rational(reference, "reference")
     # Largest stage first: the size guard then raises before any arithmetic.
     stages = [(N, stage_sum(f, ctx, N)) for N in range(N_max, 0, -1)][::-1]
     valuations = None
     if reference is not None:
-        reference = check_rational(reference, "reference")
         valuations = [p_valuation(S - reference, ctx.p) for _, S in stages]
     return StageReport(ctx=ctx, stages=stages, reference=reference, valuations=valuations)
 

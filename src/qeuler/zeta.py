@@ -10,6 +10,11 @@ zeta_H(s, x) is (x, 0, 1), the partial zeta H(s, a, F) is (0, a, F), and
 L(s, chi) is (0, 1, 1) weighted by chi mod d.  A character splits its
 progression into residue classes n = a + d k, one per chi(a) != 0
 (``_classes``); the moduli and F are odd, so every class alternates in k.
+``_classes`` gives chi(a) as its integer exponent k over L (see
+:mod:`qeuler.characters`): the exact truncation wraps k in a
+RootOfUnity, and the float routes read the complex chi(a) off the
+modulus's table of L roots, so they build no RootOfUnity and call no
+exp for chi.
 Two evaluation routes take that one description and are kept
 deliberately separate:
 
@@ -46,10 +51,12 @@ deliberately separate:
 
   a series in j whose terms decay like q**((n0+x) j), whatever s is.
   There is no change of base and no class weight: chi(a) multiplies the
-  class's terms.  At a negative integer s = -m the binomial coefficients
-  vanish for j > m, so the series terminates and reproduces the exact
-  q-Euler values (the ``*_neg_int_exact`` functions compute that
-  truncation in rational arithmetic, ``_truncated``).
+  class's terms.  Q = q**step, (1+q) (1-q)**s and Q**s are the same for
+  every class, so each call computes them once.  At a negative integer
+  s = -m the binomial coefficients vanish for j > m, so the series
+  terminates and reproduces the exact q-Euler values (the
+  ``*_neg_int_exact`` functions compute that truncation in rational
+  arithmetic, ``_truncated``).
 
   The ratio q**(n0+x) makes it slow as q -> 1 or n0 + x -> 0.  There the
   class first sums its K leading terms, the first K terms of the plain
@@ -100,7 +107,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _direct
-from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
+from .characters import DirichletCharacter, RootOfUnity, _chi_combination, generalized_qeuler
 from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_finite,
                      check_instance, check_int, check_rational)
 from .numeric import _exact_sum, gen_binom
@@ -200,31 +207,44 @@ def _rpow(base, s):
 def _classes(n0, step, chi):
     """(classes, step) of the progression n = n0 + step k weighted by chi.
 
-    The classes are (first index, chi of it) pairs: (n0, None) alone
+    The classes are (first index, exponent) pairs: (n0, None) alone
     without chi, else one per 1 <= a <= d with chi(a) != 0 at step
-    d = chi.modulus.
+    d = chi.modulus, with chi(a) = e**(2 pi i k / L) for the exponent k.
     """
     if chi is None:
         return [(n0, None)], step
-    return [(a, v) for a in range(1, chi.modulus + 1) if (v := chi(a)) != 0], chi.modulus
+    return ([(a, k) for a in range(1, chi.modulus + 1) if (k := chi._exponent(a)) is not None],
+            chi.modulus)
+
+
+def _float_classes(n0, step, chi):
+    """``_classes`` with each exponent read off the character's root table as
+    the complex chi(a) that the float routes weigh the class by."""
+    classes, step = _classes(n0, step, chi)
+    if chi is not None:
+        roots = chi._roots
+        classes = [(a, roots[k]) for a, k in classes]
+    return classes, step
 
 
 def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
-    """The defining series term by term under the driver, plus its rounding bound."""
+    """The defining series term by term under the driver, plus its rounding
+    bound; ``chi`` maps n to the complex chi(n), as in ``_direct.plain_terms``."""
     got = _sum_series(_direct.plain_terms(s, q, chi, x, n0, step), policy, "direct")
     err = got.abs_error_estimate + _direct.plain_rounding(s, q, x, n0, step, got.terms_used)
     return SeriesValue(got.value, err, got.terms_used, "direct")
 
 
 def _crvz_plan(s, q, eps, x, n0, step, chi):
-    """(classes, class step, n, truncation bound) of the accelerated sum."""
-    classes, step = _classes(n0, step, chi)
+    """(classes, class step, n, truncation bound) of the accelerated sum; the
+    classes are ``_float_classes``."""
+    classes, step = _float_classes(n0, step, chi)
     return (classes, step, *_direct.crvz_length(s, q, eps, x, step, classes[0][0], len(classes)))
 
 
 def _crvz(s, q, x, classes, step, n, truncation):
     """The accelerated sum of a ``_crvz_plan``; the class weights are (1+q) chi(a) (-1)**a."""
-    weights = [(a, (1 + q) * (-1) ** a * (1 if v is None else v.to_complex())) for a, v in classes]
+    weights = [(a, (1 + q) * (-1) ** a * (1 if v is None else v)) for a, v in classes]
     value, rounding = _direct.crvz_sum(s, q, x, step, weights, n)
     return SeriesValue(value, truncation + rounding, len(weights) * n, "direct")
 
@@ -246,7 +266,7 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     cost = len(classes) * n if n is not None else math.inf
     if cost <= policy.max_terms and cost < _direct.plain_length(s, q, policy.eps, x, n0, step):
         return _crvz(s, q, x, *plan)
-    if chi is not None:  # chi(n) read off the classes, keyed 1..d: chi once per residue
+    if chi is not None:  # complex chi(n) read off the classes, keyed 1..d
         values, d = dict(classes), chi.modulus
         chi = lambda n: values.get(n % d or d, 0)
     return _direct_plain(s, q, policy, x, n0, step, chi)
@@ -278,22 +298,28 @@ def _shift_length(s, x, q, eps):
     return max(0, round(target - x))
 
 
-def _continuation_terms(s, q, x, n0, step, eps):
-    """(term, tail) of the class n = n0 + step k: its first K terms, then the
-    binomial continuation at n0 + K step (see the module docstring)."""
-    Q = q**step
+def _continuation_terms(s, q, x, n0, step, eps, Q, base, Qs, w):
+    """(term, tail) of the class n = n0 + step k times w = chi(n0) (None
+    without chi): its first K terms, then the binomial continuation at
+    n0 + K step (see the module docstring).
+
+    Q = q**step, base = (1+q) (1-q)**s and Qs = Q**s are the same for
+    every class of a progression, so ``_continuation`` computes them once.
+    """
     K = _shift_length(s, (n0 + x) / step, Q, eps)
-    # Head: the first K terms of the defining series, whose tail bounds
-    # hold for head plus continuation (K > 0 only where Re(s) > 0).
-    yield from itertools.islice(_direct.plain_terms(s, q, None, x, n0, step), K)
-    n0 += K * step
-    prefactor = (1 + q) * _rpow(1 - q, s)
+    if K:
+        # Head: the first K terms of the defining series, whose tail bounds
+        # hold for head plus continuation (K > 0 only where Re(s) > 0).
+        head = itertools.islice(_direct.plain_terms(s, q, None, x, n0, step), K)
+        yield from head if w is None else ((w * t, tail) for t, tail in head)
+        n0 += K * step
+    prefactor = base
     if n0:
         prefactor *= (-1) ** n0 * _rpow(q, s * n0)
     qx = q ** (n0 + x)
     coeff = complex(1)  # C(s+j-1, j)
     qxj = 1.0  # q**((n0+x)*j)
-    qsj = _rpow(Q, s)  # Q**(s+j)
+    qsj = Qs  # Q**(s+j)
     same_phase = qsj.real >= 0  # then every |1 + Q**(s+i)| >= 1
     size = abs(s)
     j = 0
@@ -311,7 +337,8 @@ def _continuation_terms(s, q, x, n0, step, eps):
         rho = qx * max(1.0, (size + j) / (j + 1))
         low = 1.0 if same_phase else 1 - Q * abs(qsj)  # <= |1 + Q**(s+i)|, i > j
         tail = abs(num) * rho / ((1 - rho) * low) if rho < 1 and low > 0 else math.inf
-        yield num / den, tail
+        term = num / den
+        yield (term if w is None else w * term), tail
         coeff *= (s + j) / (j + 1)
         qxj *= qx
         qsj *= Q
@@ -331,13 +358,13 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     policy = policy or _DEFAULT_POLICY
     s = check_finite(complex(s), "s")
     q = check_base(q, "q")
-    classes, step = _classes(n0, step, chi)
+    classes, step = _float_classes(n0, step, chi)
+    Q = q**step
+    base = (1 + q) * _rpow(1 - q, s)
+    Qs = _rpow(Q, s)
     parts, failures = [], []
-    for a, v in classes:
-        terms = _continuation_terms(s, q, x, a, step, policy.eps)
-        if v is not None:
-            w = v.to_complex()
-            terms = ((w * t, tail) for t, tail in terms)
+    for a, w in classes:
+        terms = _continuation_terms(s, q, x, a, step, policy.eps, Q, base, Qs, w)
         try:
             parts.append(_sum_series(terms, policy, "continuation"))
         except NonConvergenceError as exc:
@@ -370,12 +397,13 @@ def _truncated(m, q, n0, step, chi, qx=1):
     coeffs = [gen_binom(-m, j) for j in range(m + 1)]
     prefactor = (1 + q) / (1 - q) ** m
     parts = []
-    for a, v in classes:
+    for a, k in classes:
         ya, yb = (q**a).numerator, (q**a).denominator
         value = prefactor * _exact_sum(
             Fraction(c.numerator * qx.numerator**j * yb**e * Qa**e,
                      c.denominator * qx.denominator**j * ya**e * (Qa**e + Qb**e))
             for j, c, e in zip(itertools.count(), coeffs, range(m, -1, -1)))
+        v = None if k is None else RootOfUnity(k, chi._lcm)
         parts.append((v, -value if a % 2 else value))
     return parts[0][1] if chi is None else _chi_combination(chi, parts)
 

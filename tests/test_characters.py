@@ -133,6 +133,9 @@ class TestEnumeration:
             DirichletCharacter(15, (0,))  # two factors, one exponent
         with pytest.raises(DomainError):
             DirichletCharacter(3, (2,))  # exponent out of range
+        for exponents in [(1.5,), (1.0,)]:  # an exponent is an int, never truncated
+            with pytest.raises(DomainError, match="exponent"):
+                DirichletCharacter(5, exponents)
 
 
 class TestValues:
@@ -185,10 +188,23 @@ class TestValues:
                 assert vab == va * vb
 
     @pytest.mark.parametrize("d", [3, 5, 9, 15, 45, 105])
+    def test_root_table_holds_the_exact_values(self, d):
+        # the float series routes read chi(n) as _roots[_exponent(n)]; it
+        # must be the RootOfUnity's own to_complex(), so +-1 and +-i stay exact
+        for chi in characters_mod(d):
+            for n in range(2 * d + 1):
+                k, v = chi._exponent(n), chi(n)
+                if v == 0:
+                    assert k is None
+                else:
+                    assert 0 <= k < len(chi._roots)
+                    assert chi._roots[k] == v.to_complex()
+
+    @pytest.mark.parametrize("d", [3, 5, 9, 15, 45, 105])
     def test_values_match_fraction_definition(self, d):
         # chi(n) = exp(2 pi i sum_i t_i a_i / phi_i) with n = g_i**a_i mod p_i**e_i,
         # the discrete logs found by brute force and the exponent kept a Fraction
-        factors = _unit_group(d)
+        factors, _ = _unit_group(d)
         logs = [
             {pow(f.generator, a, f.modulus): a for a in range(f.order)} for f in factors
         ]

@@ -1,5 +1,6 @@
 """The non-finite rule: a NaN or an infinity in any float or complex
-argument of a public function raises DomainError.
+argument of a public function raises DomainError; so does an argument of
+the wrong type where a character or a p-adic context is expected.
 
 DomainError subclasses ValueError, so a bare ValueError (from math.ceil
 or Fraction) fails these tests, as does a NonConvergenceError or a
@@ -22,6 +23,7 @@ from qeuler import (
     RootOfUnity,
     binom,
     characters_mod,
+    conductor,
     convergence_report,
     distribution_residual,
     euler_zeta_neg_int_exact,
@@ -29,9 +31,11 @@ from qeuler import (
     euler_zeta_q_direct,
     gen_binom,
     generalized_qeuler,
+    higher_order_stage,
     hurwitz_neg_int_exact,
     hurwitz_zeta_q,
     hurwitz_zeta_q_direct,
+    is_primitive,
     l_neg_int_decomposition,
     l_neg_int_exact,
     l_series,
@@ -47,6 +51,7 @@ from qeuler import (
     qeuler_mixed,
     qeuler_poly_exact,
     qeuler_poly_numeric,
+    stage_sum,
 )
 
 CHI = characters_mod(5)[1]
@@ -121,4 +126,23 @@ def test_non_finite_argument_raises_domain_error(name, call, bad):
 def test_the_same_call_runs_at_a_finite_value(name, call, good):
     # each call above reaches the argument it names: with a finite value
     # in the domain there, it returns
+    call(good)
+
+
+# (function and argument, the call with a wrong type there, the same call
+# with a value of the right type)
+WRONG_TYPES = [
+    ("conductor chi", conductor, "chi", CHI),
+    ("is_primitive chi", is_primitive, 5, CHI),
+    ("stage_sum ctx", lambda v: stage_sum(Integrand.constant(), v, 1), "ctx", CTX),
+    ("convergence_report ctx", lambda v: convergence_report(Integrand.moment(1), v, 2), (3, 4),
+     CTX),
+    ("higher_order_stage ctx", lambda v: higher_order_stage(2, 1, v, 1), None, CTX),
+]
+
+
+@pytest.mark.parametrize("name,call,bad,good", WRONG_TYPES, ids=[w[0] for w in WRONG_TYPES])
+def test_wrong_type_raises_domain_error(name, call, bad, good):
+    with pytest.raises(DomainError, match=name.split()[1]):
+        call(bad)
     call(good)

@@ -118,6 +118,17 @@ class TestStageSum:
         with pytest.raises(DomainError):
             stage_sum(Integrand.constant(), CTX34, 0)
 
+    def test_convergence_report_checks_reference_before_any_stage(self, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a stage was computed before the reference was checked")
+
+        # the oversized stage N = 10 would raise ResourceLimitError if it came first
+        with pytest.raises(DomainError, match="reference"):
+            convergence_report(Integrand.moment(3), CTX34, 10, reference="x")
+        monkeypatch.setattr(fermionic, "stage_sum", no_stage)
+        with pytest.raises(DomainError, match="reference"):
+            convergence_report(Integrand.moment(2), CTX34, 7, reference="x")
+
     @pytest.mark.parametrize("N_max", [0, -1, "3", 2.0])
     def test_convergence_report_rejects_bad_n_max(self, N_max):
         with pytest.raises(DomainError):
