@@ -43,6 +43,8 @@ of the continuation's head, in log space, never as a quotient of huge factors.
 
 Both counts read only the inputs; the zeta module runs whichever is
 smaller.  Both rounding bounds rest on ``moment_rounding``; u = 2**-53.
+``log_tail_bound`` bounds the moduli of the terms from n on, which lets
+the L-series continuation skip the residue classes past n at Re(s) > 0.
 """
 
 from __future__ import annotations
@@ -99,6 +101,27 @@ def log_binomial_bound(s, q, shift, x):
     parts = (math.log1p(q), s.real * math.log1p(-q), s.real * shift * log_q,
              -abs(s) * math.log(-math.expm1((shift + x) * log_q)))
     return sum(parts) + 8 * U * (sum(abs(p) for p in parts) + abs(s) + 1)
+
+
+def log_tail_bound(sigma, q, x):
+    """The map n -> ln of (1+q) q**(sigma n) [n+x]**(-sigma) / (1 - q**sigma), rounded up.
+
+    For sigma > 0 that bounds the sum of the moduli
+    (1+q) q**(sigma n') [n'+x]**(-sigma) over n' = n, n+1, ...: [n'+x]
+    grows with n', so they fall at least by q**sigma per step.  The parts
+    that do not depend on n are computed once.  As in
+    ``log_binomial_bound``, the rounding of the four logs and their sum,
+    at most 8u (sum of their sizes + sigma + 1), is added.
+    """
+    log_q = math.log(q)
+    em1 = math.expm1(log_q)
+    ends = (math.log1p(q), -math.log(-math.expm1(sigma * log_q)))
+    fixed, size = sum(ends), sum(abs(p) for p in ends) + sigma + 1
+
+    def bound(n):
+        power, bracket = sigma * n * log_q, sigma * _log_bracket(n + x, log_q, em1)
+        return fixed + power - bracket + 8 * U * (size + abs(power) + abs(bracket))
+    return bound
 
 
 def plain_terms(s, q, chi, x, n0, step=1):

@@ -234,6 +234,17 @@ def _unit_group(d):
     return tuple(factors), tuple(RootOfUnity(k, L).to_complex() for k in range(L))
 
 
+@lru_cache(maxsize=None)
+def _unit_logs(d):
+    """The units 1 <= a <= d of Z/dZ in order, each as (a, its discrete log
+    in every cyclic factor of ``_unit_group(d)``); built on first use, not
+    with the characters."""
+    factors, _ = _unit_group(d)
+    # a is a unit iff every factor's table holds a mod p**e
+    units = ((a, tuple(f.dlog.get(a % f.modulus) for f in factors)) for a in range(1, d + 1))
+    return tuple((a, logs) for a, logs in units if None not in logs)
+
+
 class DirichletCharacter:
     """A Dirichlet character mod odd d, given by one exponent per factor.
 
@@ -243,10 +254,12 @@ class DirichletCharacter:
     :class:`RootOfUnity`, or the integer 0 on arguments sharing a factor
     with d.  With L the lcm of the factor orders, chi(n) has the integer
     exponent sum_i t_i * dlog_i(n) * (L / phi_i) over L (``_exponent``),
-    and ``_roots[k]`` is its complex value.
+    and ``_roots[k]`` is its complex value.  ``_unit_exponents`` lists
+    (a, k) for the units 1 <= a <= d, built from the modulus's ``_unit_logs``
+    on first use.
     """
 
-    __slots__ = ("modulus", "exponents", "_factors", "_lcm", "_roots", "_terms")
+    __slots__ = ("modulus", "exponents", "_factors", "_lcm", "_roots", "_terms", "_units")
 
     def __init__(self, modulus, exponents=None):
         factors, roots = _unit_group(modulus)
@@ -267,6 +280,7 @@ class DirichletCharacter:
             for f, t in zip(factors, exponents)
             if t
         )
+        self._units = None  # the (a, k) table, built by _unit_exponents
 
     @property
     def order(self):
@@ -297,6 +311,15 @@ class DirichletCharacter:
         for pe, dlog, w in self._terms:
             e += w * dlog[n % pe]
         return e % self._lcm
+
+    def _unit_exponents(self):
+        """((a, k), ...) for the units 1 <= a <= d in order, k = ``_exponent(a)``."""
+        if self._units is None:
+            L = self._lcm
+            weights = [t * (L // f.order) for f, t in zip(self._factors, self.exponents)]
+            self._units = tuple((a, sum(w * e for w, e in zip(weights, logs)) % L)
+                                for a, logs in _unit_logs(self.modulus))
+        return self._units
 
     def __call__(self, n):
         k = self._exponent(check_instance(n, "n", int))

@@ -11,10 +11,10 @@ L(s, chi) is (0, 1, 1) weighted by chi mod d.  A character splits its
 progression into residue classes n = a + d k, one per chi(a) != 0
 (``_classes``); the moduli and F are odd, so every class alternates in k.
 ``_classes`` gives chi(a) as its integer exponent k over L (see
-:mod:`qeuler.characters`): the exact truncation wraps k in a
-RootOfUnity, and the float routes read the complex chi(a) off the
-modulus's table of L roots, so they build no RootOfUnity and call no
-exp for chi.
+:mod:`qeuler.characters`), from the character's table of units, built
+once per character: the exact truncation wraps k in a RootOfUnity, and
+the float routes read the complex chi(a) off the modulus's table of L
+roots, so they build no RootOfUnity and call no exp for chi.
 Two evaluation routes take that one description and are kept
 deliberately separate:
 
@@ -52,7 +52,9 @@ deliberately separate:
   a series in j whose terms decay like q**((n0+x) j), whatever s is.
   There is no change of base and no class weight: chi(a) multiplies the
   class's terms.  Q = q**step, (1+q) (1-q)**s and Q**s are the same for
-  every class, so each call computes them once.  At a negative integer
+  every class, and so are C(s+j-1, j), 1 + Q**(s+j) and the factors of
+  the tail bound of each j (``_binomial_factors``), so each call
+  computes them once and every class reads them.  At a negative integer
   s = -m the binomial coefficients vanish for j > m, so the series
   terminates and reproduces the exact q-Euler values (the
   ``*_neg_int_exact`` functions compute that truncation in rational
@@ -76,7 +78,13 @@ Every term stream yields ``(term, tail)``, ``tail`` a proven bound on
 |sum of all later terms|, and ``_sum_series`` stops each class at the first
 tail at most eps * max(1, |partial|), on the scale of the value the class
 returns (its prefactor and chi(a) are in every term); the stopping tails
-add up to the ``abs_error_estimate``.  The bounds hold in exact
+add up to the ``abs_error_estimate``.  At Re(s) = sigma > 0 the classes
+of a character are summed in the order of a, and before each class a
+after the first, the classes left, all in the defining series over
+n >= a, are bounded as a whole by (1+q) q**(sigma a) [a]**(-sigma) /
+(1 - q**sigma).  Once that bound is at most eps/2 * max(1, |partial|)
+they are skipped and it joins the ``abs_error_estimate``.  At
+Re(s) <= 0 every class is summed.  The bounds hold in exact
 arithmetic; rounding is not in them.
 
 * The defining series, one stream whose first K terms are the head of
@@ -91,8 +99,8 @@ arithmetic; rounding is not in them.
 
 Exhausting ``max_terms`` raises :class:`~qeuler.errors.NonConvergenceError`
 carrying the partial value (of the whole series: the continuation sums
-every class, each within ``max_terms``, before it raises); a
-continuation denominator within 1e-12 of zero raises
+every class it does not skip, each within ``max_terms``, before it
+raises); a continuation denominator within 1e-12 of zero raises
 :class:`~qeuler.errors.NearSingularError` naming the term index.  The
 accelerated direct sum fixes its length in advance, with its truncation
 bound under eps / 2.
@@ -153,9 +161,11 @@ class SeriesValue:
     """A series evaluation: value, error bound, cost, and which route ran.
 
     For a continuation, ``abs_error_estimate`` is the sum over the
-    residue classes of a proven bound on each class's truncation error,
-    each at most eps * max(1, |class value|) on the scale of the value
-    returned; the rounding of the terms and their sum is not in it.
+    residue classes summed of a proven bound on each class's truncation
+    error, each at most eps * max(1, |class value|) on the scale of the
+    value returned, plus, where classes were skipped at Re(s) > 0, a
+    proven bound on their sum, at most eps/2 * max(1, |value|); the
+    rounding of the terms and their sum is not in it.
     The direct routes add a rounding bound to their truncation bound.
     """
 
@@ -166,21 +176,22 @@ class SeriesValue:
 
 
 def _sum_series(terms, policy, method):
-    """Sum ``terms``, which yields ``(term, tail)`` with ``tail`` a proven
-    bound on |sum of all later terms|, until tail <= eps * max(1, |partial|).
+    """(value, tail, terms used) of ``terms``, which yields ``(term, tail)``
+    with ``tail`` a proven bound on |sum of all later terms|, summed until
+    tail <= eps * max(1, |partial|).
 
-    The stopping tail is the returned ``abs_error_estimate`` (truncation
-    only).  ``terms`` is exhausted only when every remaining term is
-    exactly zero; the partial sum is then the exact series value.  A
+    The stopping tail is the truncation bound (rounding is not in it).
+    ``terms`` is exhausted only when every remaining term is exactly zero;
+    the partial sum is then the exact series value, with tail 0.  A
     non-finite term stops the sum at once with
     :class:`NonConvergenceError`; its partial holds the finite terms before it.
     """
+    eps, max_terms, isfinite = policy.eps, policy.max_terms, cmath.isfinite
     total = complex(0)
     tail = math.inf
     n = 0
-    for term, bound in terms:
-        n += 1
-        if not cmath.isfinite(term):
+    for n, (term, bound) in enumerate(terms, 1):
+        if not isfinite(term):
             raise NonConvergenceError(
                 f"term {n} is non-finite: {term} (method {method}); "
                 f"partial value {total} from the {n - 1} terms before it",
@@ -188,15 +199,16 @@ def _sum_series(terms, policy, method):
             )
         total += term
         tail = bound
-        if tail <= policy.eps * max(1.0, abs(total)):
-            return SeriesValue(total, tail, n, method)
-        if n >= policy.max_terms:
+        # tail <= eps * max(1, |total|), without the call to max
+        if tail <= eps or tail <= eps * abs(total):
+            return total, tail, n
+        if n >= max_terms:
             raise NonConvergenceError(
                 f"no convergence in {n} terms (method {method}); "
                 f"partial value {total}",
                 partial=SeriesValue(total, tail, n, method),
             )
-    return SeriesValue(total, 0.0, n, method)
+    return total, 0.0, n
 
 
 def _rpow(base, s):
@@ -209,12 +221,12 @@ def _classes(n0, step, chi):
 
     The classes are (first index, exponent) pairs: (n0, None) alone
     without chi, else one per 1 <= a <= d with chi(a) != 0 at step
-    d = chi.modulus, with chi(a) = e**(2 pi i k / L) for the exponent k.
+    d = chi.modulus, with chi(a) = e**(2 pi i k / L) for the exponent k,
+    in the order of a: the character's unit table.
     """
     if chi is None:
-        return [(n0, None)], step
-    return ([(a, k) for a in range(1, chi.modulus + 1) if (k := chi._exponent(a)) is not None],
-            chi.modulus)
+        return ((n0, None),), step
+    return chi._unit_exponents(), chi.modulus
 
 
 def _float_classes(n0, step, chi):
@@ -230,9 +242,8 @@ def _float_classes(n0, step, chi):
 def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The defining series term by term under the driver, plus its rounding
     bound; ``chi`` maps n to the complex chi(n), as in ``_direct.plain_terms``."""
-    got = _sum_series(_direct.plain_terms(s, q, chi, x, n0, step), policy, "direct")
-    err = got.abs_error_estimate + _direct.plain_rounding(s, q, x, n0, step, got.terms_used)
-    return SeriesValue(got.value, err, got.terms_used, "direct")
+    value, tail, n = _sum_series(_direct.plain_terms(s, q, chi, x, n0, step), policy, "direct")
+    return SeriesValue(value, tail + _direct.plain_rounding(s, q, x, n0, step, n), n, "direct")
 
 
 def _crvz_plan(s, q, eps, x, n0, step, chi):
@@ -298,27 +309,17 @@ def _shift_length(s, x, q, eps):
     return max(0, round(target - x))
 
 
-def _continuation_terms(s, q, x, n0, step, eps, Q, base, Qs, w):
-    """(term, tail) of the class n = n0 + step k times w = chi(n0) (None
-    without chi): its first K terms, then the binomial continuation at
-    n0 + K step (see the module docstring).
+def _binomial_factors(s, q, step, Q, Qs):
+    """The factors of the continuation's term j that no class changes,
+    (C(s+j-1, j), 1 + Q**(s+j), growth, low), for j = 0, 1, ... while
+    C(s+j-1, j) != 0, with Q = q**step and Qs = Q**s.
 
-    Q = q**step, base = (1+q) (1-q)**s and Qs = Q**s are the same for
-    every class of a progression, so ``_continuation`` computes them once.
+    growth = max(1, (|s|+j) / (j+1)) bounds |C(s+j, j+1)| / |C(s+j-1, j)|,
+    and low <= |1 + Q**(s+i)| for every i > j.  A denominator within
+    ``NEAR_SINGULAR_TOL`` of zero raises NearSingularError when the
+    first class reaches its term.
     """
-    K = _shift_length(s, (n0 + x) / step, Q, eps)
-    if K:
-        # Head: the first K terms of the defining series, whose tail bounds
-        # hold for head plus continuation (K > 0 only where Re(s) > 0).
-        head = itertools.islice(_direct.plain_terms(s, q, None, x, n0, step), K)
-        yield from head if w is None else ((w * t, tail) for t, tail in head)
-        n0 += K * step
-    prefactor = base
-    if n0:
-        prefactor *= (-1) ** n0 * _rpow(q, s * n0)
-    qx = q ** (n0 + x)
     coeff = complex(1)  # C(s+j-1, j)
-    qxj = 1.0  # q**((n0+x)*j)
     qsj = Qs  # Q**(s+j)
     same_phase = qsj.real >= 0  # then every |1 + Q**(s+i)| >= 1
     size = abs(s)
@@ -331,29 +332,60 @@ def _continuation_terms(s, q, x, n0, step, eps, Q, base, Qs, w):
                 f"at term j={j} (s={s}, q={q}, step={step})",
                 term_index=j,
             )
-        num = prefactor * coeff * qxj
-        # |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1): the moduli of
-        # the numerators fall at least by rho from term j on
-        rho = qx * max(1.0, (size + j) / (j + 1))
-        low = 1.0 if same_phase else 1 - Q * abs(qsj)  # <= |1 + Q**(s+i)|, i > j
-        tail = abs(num) * rho / ((1 - rho) * low) if rho < 1 and low > 0 else math.inf
-        term = num / den
-        yield (term if w is None else w * term), tail
+        yield (coeff, den, max(1.0, (size + j) / (j + 1)),
+               1.0 if same_phase else 1 - Q * abs(qsj))
         coeff *= (s + j) / (j + 1)
-        qxj *= qx
         qsj *= Q
         j += 1
 
 
+def _continuation_terms(s, q, x, n0, step, eps, Q, base, w, factors):
+    """(term, tail) of the class n = n0 + step k times w = chi(n0) (None
+    without chi): its first K terms, then the binomial continuation at
+    n0 + K step (see the module docstring).
+
+    Q = q**step, base = (1+q) (1-q)**s and the ``_binomial_factors``
+    stream ``factors`` are the same for every class of a progression, so
+    ``_continuation`` computes them once.
+    """
+    K = _shift_length(s, (n0 + x) / step, Q, eps)
+    if K:
+        # Head: the first K terms of the defining series, whose tail bounds
+        # hold for head plus continuation (K > 0 only where Re(s) > 0).
+        head = itertools.islice(_direct.plain_terms(s, q, None, x, n0, step), K)
+        yield from head if w is None else ((w * t, tail) for t, tail in head)
+        n0 += K * step
+    prefactor = base
+    if n0:
+        prefactor *= (-1) ** n0 * _rpow(q, s * n0)
+    qx = q ** (n0 + x)
+    qxj = 1.0  # q**((n0+x)*j)
+    for coeff, den, growth, low in factors:
+        num = prefactor * coeff * qxj
+        # |C(s+i, i+1)| <= |C(s+i-1, i)| (|s|+i) / (i+1): the moduli of
+        # the numerators fall at least by rho from term j on
+        rho = qx * growth
+        tail = abs(num) * rho / ((1 - rho) * low) if rho < 1 and low > 0 else math.inf
+        term = num / den
+        yield (term if w is None else w * term), tail
+        qxj *= qx
+
+
 def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     """The progression's series by its shifted binomial continuation, one
-    residue class at a time; each class stops on its own proven tail.
+    residue class at a time, in the order of a; each class stops on its
+    own proven tail.
 
-    Every class is summed, each within max_terms.  A single class raises
-    its own NonConvergenceError.  Of several, if any fails, one
-    NonConvergenceError names the first failure and carries the partial
-    of the whole series: the value, bound and terms_used of every class,
-    the failed ones at their partials, added up.
+    At Re(s) > 0, before every class after the first, the classes left
+    are bounded as a whole by ``_direct.log_tail_bound`` at their first
+    index: they lie in the defining series over n >= a.  Once that bound
+    is at most eps/2 * max(1, |partial|), they are skipped and the bound
+    joins the error.  Every other class is summed, each within max_terms.
+    A single class raises its own NonConvergenceError.  Of several, if
+    any fails, one NonConvergenceError names the first failure and
+    carries the partial of the whole series: the value, bound and
+    terms_used of every class summed, the failed ones at their partials,
+    added up.  A q**(step s) beyond the double range raises OverflowError.
     """
     policy = policy or _DEFAULT_POLICY
     s = check_finite(complex(s), "s")
@@ -361,19 +393,33 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     classes, step = _float_classes(n0, step, chi)
     Q = q**step
     base = (1 + q) * _rpow(1 - q, s)
-    Qs = _rpow(Q, s)
-    parts, failures = [], []
-    for a, w in classes:
-        terms = _continuation_terms(s, q, x, a, step, policy.eps, Q, base, Qs, w)
+    try:
+        Qs = _rpow(Q, s)
+    except OverflowError:
+        raise OverflowError(f"q**(step*s) exceeds the double range at q = {q}, "
+                            f"step = {step}, s = {s}") from None
+    shared = itertools.tee(_binomial_factors(s, q, step, Q, Qs), len(classes))
+    cut = _direct.log_tail_bound(s.real, q, x) if s.real > 0 and len(classes) > 1 else None
+    value, err, used, failures = complex(0), 0.0, 0, []
+    for i, ((a, w), factors) in enumerate(zip(classes, shared)):
+        if i and cut:
+            log_rest = cut(a)
+            if log_rest <= math.log(0.5 * policy.eps * max(1.0, abs(value))):
+                err += math.exp(log_rest)
+                break
+        terms = _continuation_terms(s, q, x, a, step, policy.eps, Q, base, w, factors)
         try:
-            parts.append(_sum_series(terms, policy, "continuation"))
+            part, tail, n = _sum_series(terms, policy, "continuation")
         except NonConvergenceError as exc:
             if len(classes) == 1:
                 raise
-            parts.append(exc.partial)
+            p = exc.partial
+            part, tail, n = p.value, p.abs_error_estimate, p.terms_used
             failures.append(f"class n = {a} (mod {step}): {exc}")
-    total = SeriesValue(sum(p.value for p in parts), sum(p.abs_error_estimate for p in parts),
-                        sum(p.terms_used for p in parts), "continuation")
+        value += part
+        err += tail
+        used += n
+    total = SeriesValue(value, err, used, "continuation")
     if failures:
         raise NonConvergenceError(
             f"{len(failures)} of {len(classes)} classes did not converge, the first "

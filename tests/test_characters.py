@@ -201,6 +201,15 @@ class TestValues:
                     assert chi._roots[k] == v.to_complex()
 
     @pytest.mark.parametrize("d", [3, 5, 9, 15, 45, 105])
+    def test_unit_table_lists_the_exponents_in_order(self, d):
+        # the series routes split a progression into classes by this table
+        for chi in characters_mod(d):
+            assert chi._units is None  # built on first use, not by the constructor
+            want = [(a, k) for a in range(1, d + 1) if (k := chi._exponent(a)) is not None]
+            assert list(chi._unit_exponents()) == want
+            assert chi._unit_exponents() is chi._units
+
+    @pytest.mark.parametrize("d", [3, 5, 9, 15, 45, 105])
     def test_values_match_fraction_definition(self, d):
         # chi(n) = exp(2 pi i sum_i t_i a_i / phi_i) with n = g_i**a_i mod p_i**e_i,
         # the discrete logs found by brute force and the exponent kept a Fraction

@@ -169,6 +169,13 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert b"non-convergence" in proc.stderr
 
+    def test_overflow_is_two_and_named(self, capsys):
+        # q**(step s) = 0.3**(-3000) is beyond the double range
+        assert main(["eval", "partial", "--s", "-200", "--a", "15", "--F", "15",
+                     "--q", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert "eval partial (route continuation): q**(step*s) exceeds the double range" in err
+
     def test_explicit_flag_beats_environment(self):
         proc = run_cli("eval", "zeta", "--s", "2", "--q", "0.5",
                        "--max-terms", "10000",
