@@ -11,7 +11,8 @@ A character evaluates to an integer exponent k over L, the lcm of the
 factor orders: chi(n) = e**(2*pi*i*k/L), or no exponent off the units.
 L depends on the modulus alone, so the per-modulus tables also hold the
 L complex roots, each equal to RootOfUnity(k, L).to_complex(); the
-float series routes read chi(n) from them and build no RootOfUnity.
+library's sums take chi(n) by exponent, as a root off that table or a
+sign, and build no RootOfUnity.
 Calling a character wraps k in a :class:`RootOfUnity` -- the exact
 exponent k/n of e**(2*pi*i*k/n), kept reduced -- or gives the integer
 0 on non-units.  Sums of such values can be tested for exact vanishing
@@ -19,11 +20,11 @@ with :func:`root_sum_is_zero`, which reduces the sum as an integer
 polynomial in zeta_N modulo the N-th cyclotomic polynomial; the
 orthogonality relations hold exactly, not just to floating tolerance.
 
-``generalized_qeuler`` builds the chi-twisted q-Euler numbers out of the
-exact polynomial values of :mod:`qeuler.euler_numbers`, all residue
-classes from one shared coefficient vector; the result is a
-Fraction whenever chi is real-valued and a complex number (assembled
-from exact rational prestages) otherwise.
+``generalized_qeuler`` builds the chi-twisted q-Euler numbers from the
+distribution sum of :mod:`qeuler.euler_numbers`, all residue classes
+from one shared coefficient vector; the result is a Fraction whenever
+chi is real-valued and a complex number (assembled from exact rational
+prestages) otherwise.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, check_instance, check_int, check_rational
-from .euler_numbers import _binomial_sum
-from .numeric import _exact_sum, q_bracket
+from .euler_numbers import _distribution_parts
+from .numeric import _exact_sum
 
 __all__ = [
     "RootOfUnity",
@@ -205,11 +206,9 @@ def _primitive_root(p, e):
 @dataclass(frozen=True, eq=False)
 class _CyclicFactor:
     prime: int
-    exp: int
-    modulus: int  # prime**exp
-    generator: int
-    order: int  # phi(prime**exp)
-    dlog: dict  # residue -> discrete log base generator
+    modulus: int  # a power of prime
+    order: int  # phi(modulus)
+    dlog: dict  # residue -> discrete log base a primitive root
 
 
 @lru_cache(maxsize=None)
@@ -228,21 +227,10 @@ def _unit_group(d):
         for a in range(phi):
             dlog[x] = a
             x = x * g % pe
-        factors.append(_CyclicFactor(p, e, pe, g, phi, dlog))
+        factors.append(_CyclicFactor(p, pe, phi, dlog))
     L = math.lcm(*(f.order for f in factors))
     # reducing k/L first is what makes the roots +-1 and +-i exact
     return tuple(factors), tuple(RootOfUnity(k, L).to_complex() for k in range(L))
-
-
-@lru_cache(maxsize=None)
-def _unit_logs(d):
-    """The units 1 <= a <= d of Z/dZ in order, each as (a, its discrete log
-    in every cyclic factor of ``_unit_group(d)``); built on first use, not
-    with the characters."""
-    factors, _ = _unit_group(d)
-    # a is a unit iff every factor's table holds a mod p**e
-    units = ((a, tuple(f.dlog.get(a % f.modulus) for f in factors)) for a in range(1, d + 1))
-    return tuple((a, logs) for a, logs in units if None not in logs)
 
 
 class DirichletCharacter:
@@ -255,8 +243,8 @@ class DirichletCharacter:
     with d.  With L the lcm of the factor orders, chi(n) has the integer
     exponent sum_i t_i * dlog_i(n) * (L / phi_i) over L (``_exponent``),
     and ``_roots[k]`` is its complex value.  ``_unit_exponents`` lists
-    (a, k) for the units 1 <= a <= d, built from the modulus's ``_unit_logs``
-    on first use.
+    (a, k) for the units 1 <= a <= d, built on first use; the library's
+    sums read chi through these exponents.
     """
 
     __slots__ = ("modulus", "exponents", "_factors", "_lcm", "_roots", "_terms", "_units")
@@ -315,10 +303,8 @@ class DirichletCharacter:
     def _unit_exponents(self):
         """((a, k), ...) for the units 1 <= a <= d in order, k = ``_exponent(a)``."""
         if self._units is None:
-            L = self._lcm
-            weights = [t * (L // f.order) for f, t in zip(self._factors, self.exponents)]
-            self._units = tuple((a, sum(w * e for w, e in zip(weights, logs)) % L)
-                                for a, logs in _unit_logs(self.modulus))
+            self._units = tuple((a, k) for a in range(1, self.modulus + 1)
+                                if (k := self._exponent(a)) is not None)
         return self._units
 
     def __call__(self, n):
@@ -380,24 +366,20 @@ def generalized_qeuler(m, chi, r):
     check_instance(chi, "chi", DirichletCharacter)
     r = check_rational(r, "r", unit=True)
     d = chi.modulus
-    prefactor = (1 + r) / (1 + r**d) * Fraction(q_bracket(d, r)) ** m
-    units = [(i, v) for i in range(d) if (v := chi(i)) != 0]
-    # E_m(i/d) at base r**d for every unit i, from one coefficient vector
-    values = _binomial_sum(m, m, r**d, [r**i for i, _ in units])
-    weights = []  # (chi(i), exact rational cofactor) for units i
-    for (i, v), value in zip(units, values):
-        c = prefactor * r ** (-m * i) * value
-        weights.append((v, -c if i % 2 else c))
-    return _chi_combination(chi, weights)
+    # i = a mod d: the one unit a = 1 of d = 1 is the residue 0
+    units = [(a % d, k) for a, k in chi._unit_exponents()]
+    prefactor, parts = _distribution_parts(m, r, d, 0, [i for i, _ in units])
+    return _chi_combination(chi, [(k, prefactor * part) for (_, k), part in zip(units, parts)])
 
 
-def _chi_combination(chi, weights):
-    """sum v * c over (v, c) pairs of chi values and exact rational cofactors.
+def _chi_combination(chi, parts):
+    """sum chi(a) * c over (k, c) pairs, chi(a) = e**(2 pi i k / L) and c an
+    exact rational cofactor.
 
-    Exact (a Fraction) when chi is real-valued (order <= 2); otherwise the
-    rational cofactors are rounded once and combined in complex floating
-    point.
+    Exact (a Fraction) when chi is real-valued (order <= 2: chi(a) is -1
+    where k != 0); otherwise each c is rounded once, multiplied by the
+    root ``chi._roots[k]`` and added in order in complex floating point.
     """
     if chi.order <= 2:
-        return _exact_sum(v.as_rational() * c for v, c in weights)
-    return sum((v.to_complex() * float(c) for v, c in weights), complex(0))
+        return _exact_sum(-c if k else c for k, c in parts)
+    return sum((chi._roots[k] * float(c) for k, c in parts), complex(0))

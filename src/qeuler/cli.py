@@ -195,7 +195,7 @@ def _policy_from_args(args):
             except ValueError:
                 raise DomainError(f"QEULER_MAX_TERMS must be an integer, got {env!r}") from None
     if max_terms is None:
-        max_terms = 10_000
+        max_terms = PrecisionPolicy.max_terms
     return PrecisionPolicy(eps=args.eps, max_terms=max_terms)
 
 
@@ -412,7 +412,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_policy(p):
-        p.add_argument("--eps", type=float, default=1e-12, help="stopping threshold")
+        p.add_argument("--eps", type=float, default=PrecisionPolicy.eps,
+                       help="stopping threshold")
         p.add_argument("--max-terms", type=int, default=None,
                        help="series term cap (default 10000; env QEULER_MAX_TERMS)")
 

@@ -15,15 +15,15 @@ so it gets the same exact evaluation and the result is rounded once with
 ``float()``: the correctly rounded value of the formula at that double,
 with no cancellation however close q is to 1.
 
-Each term is built from integers as one reduced Fraction: with q = a/b,
-1/(1 + q**-k) is a**k/(a**k + b**k), so a term is an integer numerator
-over an integer denominator and costs one gcd, not a chain of Fraction
-operations.  The polynomial sum forms its coefficient vector once per
-call and evaluates it at every y the call asks for, so the d residue
-classes of the distribution and twisted sums share it.  The terms are
-added by the balanced ``_exact_sum``, so the cost follows the size of
-the value, and ``Fraction(0.99)`` has a denominator of 2**52.  On a
-2-core Xeon (Python 3.11), (m, k, q) = (8, 1, 0.99) takes about 0.1 ms,
+Every closed form is one sum, ``_binomial_sum``, whose terms are each
+one reduced Fraction of integers: with q = a/b, 1/(1 + q**-k) is
+a**k/(a**k + b**k), one gcd, not a chain of Fraction operations.  Its
+coefficient vector is formed once per call and serves every y the call
+asks for, so the d residue classes of the distribution sum
+(``_distribution_parts``, also the chi-twisted numbers) share it.  The
+terms are added by the balanced ``_exact_sum``, so the cost follows the
+size of the value, and ``Fraction(0.99)`` has a denominator of 2**52.
+On a 2-core Xeon (Python 3.11), (m, k, q) = (8, 1, 0.99) takes about 0.1 ms,
 (60, 2, 0.999) 35 ms, (150, 3, 0.99) 1.2 s and (300, 1, 0.3) 9 s;
 (150, 3) and (300, 1) at the rationals 99/100 and 3/10 take 24 and
 59 ms.
@@ -63,35 +63,55 @@ def _powers(x, n):
     return out
 
 
-def _binomial_sum(n, m, q, ys):
-    """(1+q)/(1-q)**n * sum_{j=0}^{n} C(n,j) (-1)**j y**j / (1 + q**(j-m)), exact,
-    one value for each y in ys.
+def _binomial_sum(n, m, q, ys, k=1):
+    """(1+q)**k/(1-q)**n * sum_{j=0}^{n} C(n,j) (-1)**j y**j prod_{l<k} 1/(1 + q**(j-m-l)),
+    exact, one value for each y in ys.
 
-    The one evaluation of the polynomial closed form: E_m(x) is n = m with
-    y = q**x, and the two-index number E_{n,m} is y = 1.  The n+1
-    coefficients are formed once per call, from integer powers of
-    q = a/b: 1/(1 + q**(j-m)) is b**k/(a**k + b**k) for j - m = k >= 0 and
-    a**k/(a**k + b**k) for j - m = -k, positive for the positive q that
-    every caller admits.  For y = s/t each term is then one
-    Fraction(c_num * s**j, c_den * t**j), reduced once, and the terms are
-    added by the balanced ``_exact_sum``.
+    E_m^(k) is n = m, y = 1; E_m(x) is n = m, k = 1, y = q**x; E_{n,m} is
+    k = 1, y = 1.  The n+1 coefficients are formed once per call from
+    integer powers of q = a/b: 1/(1 + q**e) is b**e/(a**e + b**e) for
+    e >= 0 and a**-e/(a**-e + b**-e) for e < 0, positive for positive q.
+    For y = s/t each term is one Fraction(c_num * s**j, c_den * t**j),
+    reduced once (y = 1 skips the powers), added by ``_exact_sum``.
     """
-    a, b = q.numerator, q.denominator
-    top = max(m, n - m)
-    apow, bpow = _powers(a, top), _powers(b, top)
+    top = max(m + k - 1, n - m)
+    apow, bpow = _powers(q.numerator, top), _powers(q.denominator, top)
+    # 1/(1 + q**e) = fnum[i]/fden[i] for e = i + 1 - m - k: term j takes i = j..j+k-1
+    es = range(1 - m - k, n - m + 1)
+    fnum = [bpow[e] if e >= 0 else apow[-e] for e in es]
+    fden = [apow[abs(e)] + bpow[abs(e)] for e in es]
     coeffs = []
     for j in range(n + 1):
-        k = abs(j - m)
-        c = -math.comb(n, j) if j % 2 else math.comb(n, j)
-        coeffs.append((c * (bpow[k] if j >= m else apow[k]), apow[k] + bpow[k]))
-    prefactor = (1 + q) / (1 - q) ** n
+        num = -math.comb(n, j) if j % 2 else math.comb(n, j)
+        den = 1
+        for i in range(j, j + k):
+            num *= fnum[i]
+            den *= fden[i]
+        coeffs.append((num, den))
+    prefactor = (1 + q) ** k / (1 - q) ** n
     values = []
     for y in ys:
-        y = Fraction(y)
-        spow, tpow = _powers(y.numerator, n), _powers(y.denominator, n)
-        terms = [Fraction(cn * sj, cd * tj) for (cn, cd), sj, tj in zip(coeffs, spow, tpow)]
+        if y == 1:
+            terms = [Fraction(cn, cd) for cn, cd in coeffs]
+        else:
+            y = Fraction(y)
+            spow, tpow = _powers(y.numerator, n), _powers(y.denominator, n)
+            terms = [Fraction(cn * sj, cd * tj) for (cn, cd), sj, tj in zip(coeffs, spow, tpow)]
         values.append(prefactor * _exact_sum(terms))
     return values
+
+
+def _distribution_parts(m, r, d, x, shifts):
+    """((1+q)/(1+q**d) [d]_q**m, [(-1)**i q**(-m*i) E_m((x+i)/d) for i in shifts])
+    at q = r, each E_m at base q**d from one coefficient vector: the
+    distribution sum, which each caller scales in its own order.
+    """
+    values = _binomial_sum(m, m, r**d, [r ** (x + i) for i in shifts])
+    parts = []
+    for i, value in zip(shifts, values):
+        part = r ** (-m * i) * value
+        parts.append(-part if i % 2 else part)
+    return (1 + r) / (1 + r**d) * q_bracket(d, r) ** m, parts
 
 
 def qeuler_higher(m, k, q):
@@ -107,17 +127,7 @@ def qeuler_higher(m, k, q):
     check_int(m, "m", 0)
     check_int(k, "k", 1)
     q, rounded = check_closed_form_base(q, "q")
-    # 1/(1 + q**-e) = a**e/(a**e + b**e) for q = a/b and e = m + j - i >= 0
-    apow, bpow = _powers(q.numerator, m + k - 1), _powers(q.denominator, m + k - 1)
-    terms = []
-    for i in range(m + 1):
-        num = -math.comb(m, i) if i % 2 else math.comb(m, i)
-        den = 1
-        for e in range(m - i, m - i + k):
-            num *= apow[e]
-            den *= apow[e] + bpow[e]
-        terms.append(Fraction(num, den))
-    value = (1 + q) ** k / (1 - q) ** m * _exact_sum(terms)
+    value = _binomial_sum(m, m, q, [1], k)[0]
     return float(value) if rounded else value
 
 
@@ -216,13 +226,8 @@ def distribution_residual(n, d, x, r):
     check_int(x, "x", 0)
     r = check_rational(r, "r", unit=True)
     lhs = qeuler_poly_exact(n, r, 1, x)
-    inner = _binomial_sum(n, n, r**d, [r ** (x + i) for i in range(d)])
-    rhs = Fraction(0)
-    for i, value in enumerate(inner):
-        term = r ** (-n * i) * value
-        rhs += -term if i % 2 else term
-    rhs *= (1 + r) / (1 + r**d) * q_bracket(d, r) ** n
-    return lhs - rhs
+    prefactor, parts = _distribution_parts(n, r, d, x, range(d))
+    return lhs - sum(parts, Fraction(0)) * prefactor
 
 
 def multiplication_residual_x0(m, n, r):

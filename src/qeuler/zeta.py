@@ -12,9 +12,9 @@ progression into residue classes n = a + d k, one per chi(a) != 0
 (``_classes``); the moduli and F are odd, so every class alternates in k.
 ``_classes`` gives chi(a) as its integer exponent k over L (see
 :mod:`qeuler.characters`), from the character's table of units, built
-once per character: the exact truncation wraps k in a RootOfUnity, and
-the float routes read the complex chi(a) off the modulus's table of L
-roots, so they build no RootOfUnity and call no exp for chi.
+once per character: the exact truncation passes k to ``_chi_combination``,
+and the float routes read the complex chi(a) off the modulus's table
+of L roots, so no route builds a RootOfUnity or calls exp for chi.
 Two evaluation routes take that one description and are kept
 deliberately separate:
 
@@ -115,7 +115,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _direct
-from .characters import DirichletCharacter, RootOfUnity, _chi_combination, generalized_qeuler
+from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_finite,
                      check_instance, check_int, check_rational)
 from .numeric import _exact_sum, gen_binom
@@ -392,7 +392,10 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     q = check_base(q, "q")
     classes, step = _float_classes(n0, step, chi)
     Q = q**step
-    base = (1 + q) * _rpow(1 - q, s)
+    try:
+        base = (1 + q) * _rpow(1 - q, s)
+    except OverflowError:
+        raise OverflowError(f"(1-q)**s exceeds the double range at q = {q}, s = {s}") from None
     try:
         Qs = _rpow(Q, s)
     except OverflowError:
@@ -449,8 +452,7 @@ def _truncated(m, q, n0, step, chi, qx=1):
             Fraction(c.numerator * qx.numerator**j * yb**e * Qa**e,
                      c.denominator * qx.denominator**j * ya**e * (Qa**e + Qb**e))
             for j, c, e in zip(itertools.count(), coeffs, range(m, -1, -1)))
-        v = None if k is None else RootOfUnity(k, chi._lcm)
-        parts.append((v, -value if a % 2 else value))
+        parts.append((k, -value if a % 2 else value))
     return parts[0][1] if chi is None else _chi_combination(chi, parts)
 
 

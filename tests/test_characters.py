@@ -18,11 +18,12 @@ from qeuler import (
     conductor,
     generalized_qeuler,
     is_primitive,
+    l_neg_int_decomposition,
     qeuler_higher,
     root_sum_is_zero,
 )
 
-from qeuler.characters import _unit_group
+from qeuler.characters import _factorize, _primitive_root, _unit_group
 
 import closed_form_oracle as oracle
 
@@ -215,7 +216,8 @@ class TestValues:
         # the discrete logs found by brute force and the exponent kept a Fraction
         factors, _ = _unit_group(d)
         logs = [
-            {pow(f.generator, a, f.modulus): a for a in range(f.order)} for f in factors
+            {pow(_primitive_root(p, e), a, f.modulus): a for a in range(f.order)}
+            for f, (p, e) in zip(factors, _factorize(d))
         ]
         for chi in characters_mod(d):
             for n in range(-d, 2 * d):
@@ -333,6 +335,40 @@ class TestGeneralizedQEuler:
             z3 = generalized_qeuler(m, chars[3], F(1, 2))
             assert isinstance(z1, complex)
             assert z3 == pytest.approx(z1.conjugate(), abs=1e-15)
+
+    def test_modulus_one_pinned(self):
+        # i = a mod d: the one unit a = 1 is the residue 0, so E_0 keeps its sign
+        one = characters_mod(1)[0]
+        got = [generalized_qeuler(m, one, F(1, 3)) for m in range(4)]
+        assert got == [F(2, 3), F(-1, 2), F(3, 10), F(-9, 140)]
+
+    # float.hex of the real and imaginary parts, which both routes give,
+    # for complex characters: (d, index, m, r, real, imag)
+    @pytest.mark.parametrize("d,index,m,r,real,imag", [
+        (5, 1, 1, F(1, 2), "0x1.5d1745d1745d1p+0", "-0x1.e8ba2e8ba2e8cp+0"),
+        (5, 1, 1, F(2, 3), "0x1.2e8ba2e8ba2e8p+0", "-0x1.ba2e8ba2e8ba3p+0"),
+        (5, 1, 2, F(1, 2), "-0x1.f3f75f3f75f3ep-1", "0x1.0d6560d6560d6p+1"),
+        (5, 1, 2, F(2, 3), "0x1.8fc042b88a3c8p-1", "-0x1.b7ca21bbad770p-2"),
+        (5, 1, 6, F(1, 2), "0x1.3da8519bf3966p+4", "-0x1.d649af0e43269p+4"),
+        (5, 1, 6, F(2, 3), "0x1.2235651b59ab4p+8", "-0x1.e5f5d9a15fb66p+8"),
+        (15, 5, 1, F(1, 2), "0x1.af90a0debe428p+0", "0x1.85ccf4661733ap-1"),
+        (15, 5, 1, F(2, 3), "0x1.0f20dc65d689cp+2", "0x1.24f90b46014d7p+1"),
+        (15, 5, 2, F(1, 2), "-0x1.4e10a6f844426p+2", "-0x1.55c3f526d757ep+1"),
+        (15, 5, 2, F(2, 3), "-0x1.22b26b58dddccp+4", "-0x1.57be7fb49311cp+3"),
+        (15, 5, 6, F(1, 2), "-0x1.f3fc4c8c0e901p+6", "-0x1.4418c4ee1e7adp+6"),
+        (15, 5, 6, F(2, 3), "-0x1.efcbd4b5e7c5dp+10", "-0x1.375fbd2a56125p+10"),
+        (105, 31, 1, F(1, 2), "0x1.67c2893336b47p+3", "-0x1.173d65579785bp+4"),
+        (105, 31, 1, F(2, 3), "0x1.30c9e043b4563p+4", "-0x1.be7f2495c1a87p+4"),
+        (105, 31, 2, F(1, 2), "-0x1.6222dc1b20e1fp+4", "0x1.10248bb5739d1p+5"),
+        (105, 31, 2, F(2, 3), "-0x1.d0d69492ec0a7p+5", "0x1.3dc804a6d37d9p+6"),
+        (105, 31, 6, F(1, 2), "-0x1.751acd28f1bc1p+8", "0x1.fbed2b4c9bdfap+8"),
+        (105, 31, 6, F(2, 3), "-0x1.3c665e9f9c4f2p+12", "0x1.68709aaf26569p+12"),
+    ])
+    def test_complex_values_pinned(self, d, index, m, r, real, imag):
+        chi = characters_mod(d)[index]
+        assert chi.order > 2
+        for v in (generalized_qeuler(m, chi, r), l_neg_int_decomposition(m, chi, r)):
+            assert (v.real.hex(), v.imag.hex()) == (real, imag)
 
     def test_rejects_bad_arguments(self):
         chi = characters_mod(3)[1]

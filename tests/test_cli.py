@@ -176,6 +176,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "eval partial (route continuation): q**(step*s) exceeds the double range" in err
 
+    def test_one_minus_q_overflow_is_two_and_named(self, capsys):
+        # (1-q)**s = 0.1**(-3000) is beyond the double range
+        assert main(["eval", "zeta", "--s", "-3000", "--q", "0.9"]) == 2
+        err = capsys.readouterr().err
+        assert "eval zeta (route continuation): (1-q)**s exceeds the double range" in err
+
     def test_explicit_flag_beats_environment(self):
         proc = run_cli("eval", "zeta", "--s", "2", "--q", "0.5",
                        "--max-terms", "10000",

@@ -300,7 +300,7 @@ class TestSharedCoefficientSum:
         q = 1 / r if inverse else r
         assert qeuler_mixed(kdeg, m, q) == oracle.qeuler_mixed(kdeg, m, q)
 
-    @given(m=st.integers(0, 20), k=st.integers(1, 3), r=RATIONALS, inverse=st.booleans())
+    @given(m=st.integers(0, 20), k=st.integers(1, 5), r=RATIONALS, inverse=st.booleans())
     @settings(deadline=None)
     def test_higher_order_equals_per_term_oracle(self, m, k, r, inverse):
         q = 1 / r if inverse else r
