@@ -125,7 +125,9 @@ def suite_identities(rng):
         ),
         (
             "identities/mixed-diagonal",
-            ((f"m={m}", qeuler_mixed(m, m, half), qeuler_higher(m, 1, half)) for m in range(16)),
+            # E_{m,m} = E_m against the terminating continuation, a separate route
+            ((f"m={m}", qeuler_mixed(m, m, half),
+              hurwitz_neg_int_exact(m, half, 1, 0) if m else (1 + half) / 2) for m in range(16)),
         ),
         (
             "identities/distribution",

@@ -369,17 +369,20 @@ def generalized_qeuler(m, chi, r):
     # i = a mod d: the one unit a = 1 of d = 1 is the residue 0
     units = [(a % d, k) for a, k in chi._unit_exponents()]
     prefactor, parts = _distribution_parts(m, r, d, 0, [i for i, _ in units])
-    return _chi_combination(chi, [(k, prefactor * part) for (_, k), part in zip(units, parts)])
+    return _chi_combination(chi, prefactor, [(k, part) for (_, k), part in zip(units, parts)])
 
 
-def _chi_combination(chi, parts):
-    """sum chi(a) * c over (k, c) pairs, chi(a) = e**(2 pi i k / L) and c an
-    exact rational cofactor.
+def _chi_combination(chi, prefactor, parts):
+    """prefactor * sum chi(a) * num/den over (k, (num, den)) pairs, with
+    chi(a) = e**(2 pi i k / L), a Fraction prefactor and integer pairs.
 
     Exact (a Fraction) when chi is real-valued (order <= 2: chi(a) is -1
-    where k != 0); otherwise each c is rounded once, multiplied by the
-    root ``chi._roots[k]`` and added in order in complex floating point.
+    where k != 0); otherwise each cofactor prefactor * num/den is rounded
+    once (an integer true division, as ``float`` of the reduced Fraction
+    is), multiplied by the root ``chi._roots[k]`` and added in order in
+    complex floating point.
     """
     if chi.order <= 2:
-        return _exact_sum(-c if k else c for k, c in parts)
-    return sum((chi._roots[k] * float(c) for k, c in parts), complex(0))
+        return prefactor * _exact_sum((-num if k else num, den) for k, (num, den) in parts)
+    pn, pd = prefactor.numerator, prefactor.denominator
+    return sum((chi._roots[k] * (pn * num / (pd * den)) for k, (num, den) in parts), complex(0))

@@ -9,24 +9,25 @@ their two-index companions (degree and twist split), and exact values of
 the q-Euler polynomial E_m(x) at rational x = a/d, obtained by working at
 base q = r**d so that q**x = r**a stays rational.
 
-Every closed form has one arithmetic path, over Fraction.  A rational
-base gives the exact Fraction.  A float base is exact as a Fraction too,
-so it gets the same exact evaluation and the result is rounded once with
-``float()``: the correctly rounded value of the formula at that double,
-with no cancellation however close q is to 1.
+Every closed form has one arithmetic path, exact over the rationals.  A
+rational base gives the exact Fraction.  A float base is exact as a
+Fraction too, so it gets the same exact evaluation and the result is
+rounded once with ``float()``: the correctly rounded value of the
+formula at that double, with no cancellation however close q is to 1.
 
-Every closed form is one sum, ``_binomial_sum``, whose terms are each
-one reduced Fraction of integers: with q = a/b, 1/(1 + q**-k) is
-a**k/(a**k + b**k), one gcd, not a chain of Fraction operations.  Its
-coefficient vector is formed once per call and serves every y the call
-asks for, so the d residue classes of the distribution sum
-(``_distribution_parts``, also the chi-twisted numbers) share it.  The
-terms are added by the balanced ``_exact_sum``, so the cost follows the
-size of the value, and ``Fraction(0.99)`` has a denominator of 2**52.
-On a 2-core Xeon (Python 3.11), (m, k, q) = (8, 1, 0.99) takes about 0.1 ms,
-(60, 2, 0.999) 35 ms, (150, 3, 0.99) 1.2 s and (300, 1, 0.3) 9 s;
-(150, 3) and (300, 1) at the rationals 99/100 and 3/10 take 24 and
-59 ms.
+Every closed form is one sum, ``_binomial_sum``, over integers: q = a/b
+and every y come as integer pairs, 1/(1 + q**-k) is a**k/(a**k + b**k),
+and each term is a pair (num, den) with no gcd.  Its coefficient vector
+is formed once per call and serves every y the call asks for, so the d
+residue classes of the distribution sum (``_distribution_parts``, also
+the chi-twisted numbers) share it.  ``_exact_sum`` adds the pairs
+level by level and makes one Fraction per sum: small sums merge as
+integers and pay one gcd at the end, large ones add as Fractions, so
+the cost follows the size of the value, and ``Fraction(0.99)`` has a
+denominator of 2**52.  On a 2-core Xeon (Python 3.11), (m, k, q) =
+(12, 1, 1/2) takes about 0.025 ms, (8, 1, 0.99) 0.08 ms, (60, 2, 0.999)
+39 ms, (150, 3, 0.99) 1.1 s and (300, 1, 0.3) 9.6 s; (150, 3) and
+(300, 1) at the rationals 99/100 and 3/10 take 22 and 46 ms.
 
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, check_closed_form_base, check_finite, check_int, check_rational
-from .numeric import _exact_sum, binom, q_bracket
+from .numeric import _exact_sum, _powers, binom
 
 __all__ = [
     "qeuler_higher",
@@ -55,27 +56,25 @@ __all__ = [
 ]
 
 
-def _powers(x, n):
-    """[x**0, x**1, ..., x**n] for an integer x, by repeated multiplication."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
-
-
 def _binomial_sum(n, m, q, ys, k=1):
     """(1+q)**k/(1-q)**n * sum_{j=0}^{n} C(n,j) (-1)**j y**j prod_{l<k} 1/(1 + q**(j-m-l)),
-    exact, one value for each y in ys.
+    exact, one Fraction for each y in ys; q = a/b and each y = s/t are
+    integer pairs.
 
     E_m^(k) is n = m, y = 1; E_m(x) is n = m, k = 1, y = q**x; E_{n,m} is
     k = 1, y = 1.  The n+1 coefficients are formed once per call from
-    integer powers of q = a/b: 1/(1 + q**e) is b**e/(a**e + b**e) for
+    integer powers of a and b: 1/(1 + q**e) is b**e/(a**e + b**e) for
     e >= 0 and a**-e/(a**-e + b**-e) for e < 0, positive for positive q.
-    For y = s/t each term is one Fraction(c_num * s**j, c_den * t**j),
-    reduced once (y = 1 skips the powers), added by ``_exact_sum``.
+    Term j is the integer pair (c_num * s**j, c_den * t**j) (y = 1 takes
+    the coefficients as they are), and ``_exact_sum`` turns the terms
+    into one reduced Fraction.  The prefactor is a small Fraction,
+    (a+b)**k b**(n-k) / (b-a)**n, multiplied into that reduced sum, so
+    the product's gcds run against the small side; folded into the sum's
+    pair, it would cost one gcd at the full size of the value.
     """
+    a, b = q
     top = max(m + k - 1, n - m)
-    apow, bpow = _powers(q.numerator, top), _powers(q.denominator, top)
+    apow, bpow = _powers(a, top), _powers(b, top)
     # 1/(1 + q**e) = fnum[i]/fden[i] for e = i + 1 - m - k: term j takes i = j..j+k-1
     es = range(1 - m - k, n - m + 1)
     fnum = [bpow[e] if e >= 0 else apow[-e] for e in es]
@@ -88,30 +87,36 @@ def _binomial_sum(n, m, q, ys, k=1):
             num *= fnum[i]
             den *= fden[i]
         coeffs.append((num, den))
-    prefactor = (1 + q) ** k / (1 - q) ** n
+    prefactor = Fraction((a + b) ** k * b ** max(n - k, 0), (b - a) ** n * b ** max(k - n, 0))
     values = []
-    for y in ys:
-        if y == 1:
-            terms = [Fraction(cn, cd) for cn, cd in coeffs]
+    for s, t in ys:
+        if s == t:
+            terms = coeffs
         else:
-            y = Fraction(y)
-            spow, tpow = _powers(y.numerator, n), _powers(y.denominator, n)
-            terms = [Fraction(cn * sj, cd * tj) for (cn, cd), sj, tj in zip(coeffs, spow, tpow)]
+            spow, tpow = _powers(s, n), _powers(t, n)
+            terms = [(cn * sj, cd * tj) for (cn, cd), sj, tj in zip(coeffs, spow, tpow)]
         values.append(prefactor * _exact_sum(terms))
     return values
 
 
 def _distribution_parts(m, r, d, x, shifts):
     """((1+q)/(1+q**d) [d]_q**m, [(-1)**i q**(-m*i) E_m((x+i)/d) for i in shifts])
-    at q = r, each E_m at base q**d from one coefficient vector: the
-    distribution sum, which each caller scales in its own order.
+    at q = r = a/b, each E_m at base q**d from one coefficient vector: the
+    distribution sum, which each caller scales in its own order.  Each
+    part is an integer pair; the prefactor is a Fraction.
     """
-    values = _binomial_sum(m, m, r**d, [r ** (x + i) for i in shifts])
+    a, b = r.numerator, r.denominator
+    top = max(d, x + max(shifts), m * max(shifts))
+    apow, bpow = _powers(a, top), _powers(b, top)
+    values = _binomial_sum(m, m, (apow[d], bpow[d]), [(apow[x + i], bpow[x + i]) for i in shifts])
     parts = []
     for i, value in zip(shifts, values):
-        part = r ** (-m * i) * value
-        parts.append(-part if i % 2 else part)
-    return (1 + r) / (1 + r**d) * q_bracket(d, r) ** m, parts
+        num = value.numerator * bpow[m * i]  # q**(-m*i) = b**(m*i) / a**(m*i)
+        parts.append((-num if i % 2 else num, value.denominator * apow[m * i]))
+    # [d]_q = sum_{i<d} a**i b**(d-1-i) / b**(d-1), (1+q)/(1+q**d) = (a+b) b**(d-1) / (a**d+b**d)
+    bracket = sum(apow[i] * bpow[d - 1 - i] for i in range(d))
+    prefactor = Fraction((a + b) * bpow[d - 1] * bracket**m, (apow[d] + bpow[d]) * bpow[d - 1] ** m)
+    return prefactor, parts
 
 
 def qeuler_higher(m, k, q):
@@ -127,7 +132,7 @@ def qeuler_higher(m, k, q):
     check_int(m, "m", 0)
     check_int(k, "k", 1)
     q, rounded = check_closed_form_base(q, "q")
-    value = _binomial_sum(m, m, q, [1], k)[0]
+    value = _binomial_sum(m, m, (q.numerator, q.denominator), [(1, 1)], k)[0]
     return float(value) if rounded else value
 
 
@@ -145,7 +150,7 @@ def qeuler_mixed(kdeg, m, q):
     check_int(kdeg, "kdeg", 0)
     check_int(m, "m", 0)
     q, rounded = check_closed_form_base(q, "q")
-    value = _binomial_sum(kdeg, m, q, [1])[0]
+    value = _binomial_sum(kdeg, m, (q.numerator, q.denominator), [(1, 1)])[0]
     return float(value) if rounded else value
 
 
@@ -161,7 +166,8 @@ def qeuler_poly_exact(m, r, d, a):
     check_int(a, "a", 0)
     check_int(d, "d", 1)
     r = check_rational(r, "r", unit=True)
-    return _binomial_sum(m, m, r**d, [r**a])[0]
+    rn, rd = r.numerator, r.denominator
+    return _binomial_sum(m, m, (rn**d, rd**d), [(rn**a, rd**a)])[0]
 
 
 def qeuler_poly_numeric(m, q, x):
@@ -177,7 +183,8 @@ def qeuler_poly_numeric(m, q, x):
     x = check_finite(float(x), "x")
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
-    return float(_binomial_sum(m, m, q, [Fraction(float(q) ** x)])[0])
+    y = (float(q) ** x).as_integer_ratio()
+    return float(_binomial_sum(m, m, (q.numerator, q.denominator), [y])[0])
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +234,7 @@ def distribution_residual(n, d, x, r):
     r = check_rational(r, "r", unit=True)
     lhs = qeuler_poly_exact(n, r, 1, x)
     prefactor, parts = _distribution_parts(n, r, d, x, range(d))
-    return lhs - sum(parts, Fraction(0)) * prefactor
+    return lhs - _exact_sum(parts) * prefactor
 
 
 def multiplication_residual_x0(m, n, r):
@@ -245,21 +252,24 @@ def multiplication_residual_x0(m, n, r):
     r = check_rational(r, "r")  # text too, unlike the closed-form base
     if r <= 0 or r == 1:
         raise DomainError(f"r must be a positive rational != 1, got {r}")
-    rn = r**n
-    ratio = (1 + r) / (1 + rn)
-    bracket_n = q_bracket(n, r)
-    # r**(-j) [j]_r for j = 1..n-1, the same for every k
-    scaled = [q_bracket(j, r) / r**j for j in range(1, n)]
-    lhs = qeuler_higher(m, 1, r) - ratio * bracket_n**m * qeuler_higher(m, 1, rn)
-    rhs = Fraction(0)
-    for k in range(m):
-        inner = Fraction(0)
-        for j, b in enumerate(scaled, 1):
-            term = b ** (m - k)
-            inner += -term if j % 2 else term
-        rhs += binom(m, k) * bracket_n**k * qeuler_mixed(k, m, rn) * inner
-    rhs *= ratio
-    return lhs - rhs
+    a, b = r.numerator, r.denominator
+    apow, bpow = _powers(a, n), _powers(b, n)
+    qn = (apow[n], bpow[n])  # the base r**n of the right side
+    ratio = Fraction((a + b) * bpow[n - 1], apow[n] + bpow[n])  # (1+r)/(1+r**n)
+    # [j]_r = g[j] / b**(j-1) and r**(-j) [j]_r = b g[j] / a**j, g[j] = sum_{i<j} a**i b**(j-1-i)
+    g = [sum(apow[i] * bpow[j - 1 - i] for i in range(j)) for j in range(n + 1)]
+    # Term k < m of the right side is C(m,k) [n]**k E_{k,m}(r**n) times the
+    # inner sum over j, put over its common denominator a**((n-1)(m-k)).  The
+    # left side's ratio [n]**m E_m(r**n) joins the sum as the term k = m
+    # (E_{m,m} = E_m), with inner sum 1.
+    terms = []
+    for k in range(m + 1):
+        e = m - k
+        inner = sum((-1) ** j * (b * g[j]) ** e * apow[n - 1 - j] ** e for j in range(1, n))
+        value = _binomial_sum(k, m, qn, [(1, 1)])[0]
+        terms.append((math.comb(m, k) * g[n] ** k * value.numerator * (inner if e else 1),
+                      bpow[n - 1] ** k * value.denominator * apow[n - 1] ** e))
+    return qeuler_higher(m, 1, r) - ratio * _exact_sum(terms)
 
 
 def classical_multiplication_residual(m, n):

@@ -96,22 +96,52 @@ def gen_binom(s, j):
     return out
 
 
-def _exact_sum(terms):
-    """Sum of ints and Fractions as a Fraction, by balanced pairwise addition.
+# The largest denominator, in bits, that a merge of two integer pairs may
+# build without a gcd; above it the operands become Fractions.
+_MERGE_BITS = 4096
 
-    Adding term by term normalises a running total whose denominator grows
-    to the lcm of all of them, one gcd of that size per term; pairing
-    neighbours level by level keeps the operands of each gcd about the
-    size of the terms they combine (binary splitting).  The value is the
-    same as ``sum(terms, Fraction(0))``.
+
+def _exact_sum(pairs):
+    """Sum of integer pairs (num, den), den > 0, as one reduced Fraction.
+
+    Neighbours merge level by level (binary splitting), so each operand
+    is about the size of the terms it combines.  Two pairs whose
+    denominators together stay within ``_MERGE_BITS`` merge as integers,
+    (n1*d2 + n2*d1, d1*d2), with no gcd; a small sum pays one gcd, when
+    its total becomes a Fraction.  Above the bound the unreduced
+    denominators would grow faster than a gcd costs, so the operands
+    become Fractions and add with Fraction's reduction by gcd(d1, d2).
+    A factor common to every term stays outside: multiplied into the
+    returned Fraction it costs gcds against its own small size only,
+    where folded into the pairs it would join the final gcd at full size.
     """
-    xs = list(terms)
+    xs = list(pairs)
     while len(xs) > 1:
-        pairs = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)]
+        merged = []
+        for i in range(1, len(xs), 2):
+            x, y = xs[i - 1], xs[i]
+            if (type(x) is tuple and type(y) is tuple
+                    and x[1].bit_length() + y[1].bit_length() <= _MERGE_BITS):
+                merged.append((x[0] * y[1] + y[0] * x[1], x[1] * y[1]))
+            else:
+                merged.append(_fraction(x) + _fraction(y))
         if len(xs) % 2:
-            pairs.append(xs[-1])
-        xs = pairs
-    return Fraction(xs[0]) if xs else Fraction(0)
+            merged.append(xs[-1])
+        xs = merged
+    return _fraction(xs[0]) if xs else Fraction(0)
+
+
+def _fraction(x):
+    """A Fraction for a pair or a Fraction."""
+    return Fraction(*x) if type(x) is tuple else x
+
+
+def _powers(x, n):
+    """[x**0, x**1, ..., x**n] for an integer x, by repeated multiplication."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
 
 
 def is_prime(n):

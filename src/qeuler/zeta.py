@@ -118,7 +118,7 @@ from . import _direct
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_finite,
                      check_instance, check_int, check_rational)
-from .numeric import _exact_sum, gen_binom
+from .numeric import _exact_sum, _powers, gen_binom
 
 __all__ = [
     "PrecisionPolicy",
@@ -430,30 +430,42 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     return total
 
 
-def _truncated(m, q, n0, step, chi, qx=1):
+def _truncated(m, q, n0, step, chi, qx=(1, 1)):
     """The continuation of the progression at s = -m, m >= 0, exactly.
 
     It terminates after m+1 terms, so the class a of ``_classes`` is
 
         (1+q) (1-q)**(-m) (-1)**a sum_{j<=m} C(j-m-1, j) qx**j y**(-e) / (1 + Q**(-e)),
 
-    with e = m - j, y = q**a and Q = q**step.  ``q`` is rational, and so
-    must ``qx`` = q**x be (x = a/d at base q = r**d gives r**a).  Each
-    term is one integer fraction; the coefficients serve every class.
+    with e = m - j, y = q**a and Q = q**step.  ``q`` = qa/qb is an integer
+    pair, and so must ``qx`` = q**x be (x = a/d at base q = r**d gives
+    r**a).  Every power is one of qa or qb, each term is an integer
+    pair, and ``_exact_sum`` makes each class sum one Fraction; the
+    coefficients serve every class.  The prefactor, common to all
+    classes, is one small Fraction that multiplies the reduced sum.
     """
     classes, step = _classes(n0, step, chi)
-    Qa, Qb = (q**step).numerator, (q**step).denominator
-    coeffs = [gen_binom(-m, j) for j in range(m + 1)]
-    prefactor = (1 + q) / (1 - q) ** m
-    parts = []
+    qa, qb = q
+    top = m * max([step] + [a for a, _ in classes])
+    apow, bpow = _powers(qa, top), _powers(qb, top)
+    xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
+    # C(j-m-1, j) qx**j / (1 + Q**(-e)) = C qx**j Q**e / (Q**e + 1) for e = m - j
+    es = range(m, -1, -1)
+    coeffs = []
+    for j, e in enumerate(es):
+        c = gen_binom(-m, j)
+        Qa, Qb = apow[step * e], bpow[step * e]
+        coeffs.append((c.numerator * xpow[j] * Qa, c.denominator * xbpow[j] * (Qa + Qb)))
+    sums = []
     for a, k in classes:
-        ya, yb = (q**a).numerator, (q**a).denominator
-        value = prefactor * _exact_sum(
-            Fraction(c.numerator * qx.numerator**j * yb**e * Qa**e,
-                     c.denominator * qx.denominator**j * ya**e * (Qa**e + Qb**e))
-            for j, c, e in zip(itertools.count(), coeffs, range(m, -1, -1)))
-        parts.append((k, -value if a % 2 else value))
-    return parts[0][1] if chi is None else _chi_combination(chi, parts)
+        # y**(-e) = qb**(a e) / qa**(a e)
+        value = _exact_sum((cn * bpow[a * e], cd * apow[a * e]) for (cn, cd), e in zip(coeffs, es))
+        sums.append((k, -value if a % 2 else value))
+    # (1+q)/(1-q)**m = (qa+qb) qb**(m-1) / (qb-qa)**m
+    prefactor = Fraction((qa + qb) * qb ** max(m - 1, 0), (qb - qa) ** m * qb ** max(1 - m, 0))
+    if chi is None:
+        return prefactor * sums[0][1]
+    return _chi_combination(chi, prefactor, [(k, (v.numerator, v.denominator)) for k, v in sums])
 
 
 def hurwitz_zeta_q(s, x, q, policy=None):
@@ -491,7 +503,8 @@ def hurwitz_neg_int_exact(m, r, d, a):
     check_int(a, "a", 0)
     check_int(d, "d", 1)
     r = check_rational(r, "r", unit=True)
-    return _truncated(m, r**d, 0, 1, None, qx=r**a)
+    rn, rd = r.numerator, r.denominator
+    return _truncated(m, (rn**d, rd**d), 0, 1, None, qx=(rn**a, rd**a))
 
 
 def euler_zeta_q(s, q, policy=None):
@@ -516,7 +529,8 @@ def euler_zeta_neg_int_exact(m, r):
     q-Euler number -- the sign boundary of the interpolation.
     """
     check_int(m, "m", 0)
-    return _truncated(m, check_rational(r, "r", unit=True), 1, 1, None)
+    r = check_rational(r, "r", unit=True)
+    return _truncated(m, (r.numerator, r.denominator), 1, 1, None)
 
 
 def l_series(s, chi, q, policy=None):
@@ -550,7 +564,8 @@ def l_neg_int_decomposition(k, chi, r):
     """
     check_int(k, "k", 1)
     check_instance(chi, "chi", DirichletCharacter)
-    return _truncated(k, check_rational(r, "r", unit=True), 1, 1, chi)
+    r = check_rational(r, "r", unit=True)
+    return _truncated(k, (r.numerator, r.denominator), 1, 1, chi)
 
 
 def partial_zeta(s, a, F, q, policy=None):
@@ -584,4 +599,5 @@ def partial_zeta_neg_int_exact(n, a, F, r):
     check_int(n, "n", 1)
     check_int(F, "F", 3, odd=True)
     check_int(a, "a", 1, F)
-    return _truncated(n, check_rational(r, "r", unit=True), a, F, None)
+    r = check_rational(r, "r", unit=True)
+    return _truncated(n, (r.numerator, r.denominator), a, F, None)

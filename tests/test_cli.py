@@ -234,7 +234,7 @@ class TestVerifyOutput:
     # below, so a failing run reports its first offending case as before
     INJECTED_FAILURES = [
         ("identities/E2-closed-form", "first failure at q=1/2: residual = 1/7"),
-        ("identities/mixed-diagonal", "first failure at m=2: residual = -1/7"),
+        ("identities/mixed-diagonal", "first failure at m=2: residual = 1/7"),
         ("identities/classical-limit",
          "first failure at m=2 k=1: |0.14285739285739285 - 0.0| = 0.14285739285739285 > 0.0001"),
         ("interpolation/zeta-neg-int", "first failure at m=2 q=1/2: residual = -1/7"),
@@ -258,20 +258,25 @@ class TestVerifyOutput:
     ]
 
     def test_failing_details_are_pinned(self, monkeypatch, capsys):
-        # E_2 off by 1/7, the direct zeta route off by one part in 10^6, and
-        # no cyclotomic sum vanishing
+        # E_2 and E_{2,2} off by 1/7, the direct zeta route off by one part
+        # in 10^6, and no cyclotomic sum vanishing
         from qeuler import _verify
 
-        higher, direct = _verify.qeuler_higher, _verify.euler_zeta_q_direct
+        higher, mixed = _verify.qeuler_higher, _verify.qeuler_mixed
+        direct = _verify.euler_zeta_q_direct
 
         def shifted_higher(m, k, q):
             return higher(m, k, q) + (F(1, 7) if m == 2 else 0)
+
+        def shifted_mixed(kdeg, m, q):
+            return mixed(kdeg, m, q) + (F(1, 7) if kdeg == m == 2 else 0)
 
         def scaled_direct(*args):
             result = direct(*args)
             return dataclasses.replace(result, value=result.value * (1 + 1e-6))
 
         monkeypatch.setattr(_verify, "qeuler_higher", shifted_higher)
+        monkeypatch.setattr(_verify, "qeuler_mixed", shifted_mixed)
         monkeypatch.setattr(_verify, "euler_zeta_q_direct", scaled_direct)
         monkeypatch.setattr(_verify, "root_sum_is_zero", lambda values: False)
         assert main(["verify", "all", "--format", "json"]) == 1

@@ -24,6 +24,7 @@ from qeuler import (
     qeuler_poly_numeric,
 )
 from qeuler.euler_numbers import _binomial_sum
+from qeuler.numeric import _MERGE_BITS
 
 import closed_form_oracle as oracle
 
@@ -317,12 +318,19 @@ class TestSharedCoefficientSum:
     @settings(deadline=None)
     def test_batched_call_equals_one_call_per_y(self, n, m, r, d):
         ys = [1, *(r**a for a in range(2 * d + 1)), F(r.denominator, r.numerator + r.denominator)]
-        batched = _binomial_sum(n, m, r**d, ys)
-        assert batched == [_binomial_sum(n, m, r**d, [y])[0] for y in ys]
-        assert batched == [oracle.binomial_sum(n, m, r**d, y) for y in ys]
+        q = r**d
+        pairs = [(y.numerator, y.denominator) for y in map(F, ys)]
+        batched = _binomial_sum(n, m, (q.numerator, q.denominator), pairs)
+        assert batched == [_binomial_sum(n, m, (q.numerator, q.denominator), [y])[0] for y in pairs]
+        assert batched == [oracle.binomial_sum(n, m, q, y) for y in ys]
+
+    def test_unreduced_pairs(self):
+        # the pairs need not be in lowest terms, and y = s/s is 1
+        assert (_binomial_sum(5, 5, (2, 4), [(3, 3), (6, 8)])
+                == _binomial_sum(5, 5, (1, 2), [(1, 1), (3, 4)]))
 
     def test_empty_batch(self):
-        assert _binomial_sum(4, 4, F(1, 2), []) == []
+        assert _binomial_sum(4, 4, (1, 2), []) == []
 
     def test_pinned_float_cells(self):
         # the exact value at the double 0.99, rounded once
@@ -330,3 +338,21 @@ class TestSharedCoefficientSum:
         assert qeuler_poly_numeric(16, 0.99, 0).hex() == "-0x1.048599616686cp+17"
         assert qeuler_poly_numeric(40, 0.99, 0.3).hex() == "-0x1.4e85ffb30ec63p+93"
         assert float(oracle.qeuler_mixed(16, 16, F(0.99))).hex() == "-0x1.048599616686cp+17"
+
+
+class TestLargeSizeCells:
+    """Cells past ``_MERGE_BITS``, where ``_exact_sum`` adds Fractions, and
+    bases q > 1, where (1 - q)**n is negative for odd n."""
+
+    @pytest.mark.parametrize("m, q", [(148, F(9999, 10000)), (60, F(10001, 10002)),
+                                      (150, F(1, 2))])
+    def test_closed_form_equals_continuation_and_oracle(self, m, q):
+        value = qeuler_higher(m, 1, q)
+        assert value == euler_zeta_neg_int_exact(m, q) == oracle.qeuler_higher(m, 1, q)
+        assert value.denominator.bit_length() > _MERGE_BITS
+
+    @pytest.mark.parametrize("q", [F(4), F(7, 4)])
+    def test_base_above_one_equals_oracle(self, q):
+        for m in range(41):
+            for k in (1, 2, 3):
+                assert qeuler_higher(m, k, q) == oracle.qeuler_higher(m, k, q), (m, k)

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
@@ -20,7 +20,7 @@ from qeuler import (
     q_bracket,
     q_bracket_signed,
 )
-from qeuler.numeric import _exact_sum
+from qeuler.numeric import _MERGE_BITS, _exact_sum
 
 F = Fraction
 
@@ -181,22 +181,36 @@ class TestGenBinom:
             gen_binom(2, F(1, 2))
 
 
+def _pairs_of(bits):
+    return st.tuples(st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits))
+
+
 class TestExactSum:
-    @given(st.lists(
-        st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**9)),
-        max_size=33,
-    ))
-    def test_equals_sequential_sum(self, xs):
-        got = _exact_sum(xs)
+    # denominators from 1 bit to about 2**6000, so that pairs merge as
+    # integers below _MERGE_BITS, as Fractions above it, and across it
+    @given(st.lists(st.integers(0, 6000).flatmap(_pairs_of), max_size=33))
+    @settings(deadline=None)
+    def test_equals_sum_of_fractions(self, pairs):
+        got = _exact_sum(pairs)
         assert isinstance(got, Fraction)
-        assert got == sum(xs, Fraction(0))
+        assert got == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
 
     def test_edges(self):
         assert _exact_sum([]) == 0 and isinstance(_exact_sum([]), Fraction)
-        assert _exact_sum([7]) == 7 and isinstance(_exact_sum([7]), Fraction)
-        assert _exact_sum(iter([F(1, 2), F(1, 3), 1])) == F(11, 6)
-        xs = [F((-1) ** n, n + 2) for n in range(7)]
-        assert _exact_sum(xs) == sum(xs, Fraction(0))
+        assert _exact_sum([(7, 1)]) == 7 and isinstance(_exact_sum([(7, 1)]), Fraction)
+        assert _exact_sum([(6, 4)]) == F(3, 2)  # an unreduced pair is reduced once
+        assert _exact_sum(iter([(1, 2), (1, 3), (1, 1)])) == F(11, 6)
+        assert _exact_sum([(0, 5), (-3, 6), (0, 1)]) == F(-1, 2)
+        pairs = [((-1) ** n, n + 2) for n in range(7)]
+        assert _exact_sum(pairs) == sum((F(n, d) for n, d in pairs), Fraction(0))
+
+    def test_both_sides_of_the_merge_bound(self):
+        big = 2**_MERGE_BITS + 1
+        # level 0 merges two small neighbours as integers and the big ones as Fractions
+        pairs = [(1, 3), (2, 5), (1, big), (-1, 3 * big), (5, 7), (-2, 5), (0, big * big)]
+        want = F(1, 3) + F(2, 3 * big) + F(5, 7)
+        got = _exact_sum(pairs)
+        assert got == want and got.denominator == want.denominator
 
 
 class TestPValuation:
