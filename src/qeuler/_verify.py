@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import (
     Integrand,
     PAdicQParam,
-    RootOfUnity,
     characters_mod,
     classical_multiplication_residual,
     conductor,
@@ -53,9 +52,9 @@ from . import (
     qeuler_higher,
     qeuler_mixed,
     qeuler_poly_exact,
-    root_sum_is_zero,
     stage_sum,
 )
+from .characters import _exponent_sum_is_zero
 
 __all__ = ["Check", "SUITES", "run_suites"]
 
@@ -264,32 +263,46 @@ def suite_padic(rng):
     ]
 
 
+# The character checks compare integer exponents: chi(n) = e**(2*pi*i*k/L)
+# with k = chi._exponent(n), None off the units, and L = chi._lcm.
+
+
+def _rows_orthogonal(chi, psi):
+    """sum over a of chi(a) conj(psi(a)) is phi(d) when chi == psi, else 0:
+    every exponent k_chi(a) - k_psi(a) (mod L) is 0, or their roots sum to 0."""
+    L = chi._lcm
+    ks = [(k1 - k2) % L for (_, k1), (_, k2) in zip(chi._unit_exponents(), psi._unit_exponents())]
+    return not any(ks) if chi == psi else _exponent_sum_is_zero(ks, L)
+
+
+def _column_orthogonal(chars, n):
+    """sum over the characters mod d of chi(n) is phi(d) when n == 1 (mod d), else 0."""
+    col = [c._exponent(n) for c in chars]
+    if n % chars[0].modulus == 1:
+        return all(k == 0 for k in col)
+    return _exponent_sum_is_zero(col, chars[0]._lcm)
+
+
+def _is_product(chi, a, b, c):
+    """chi(c) == chi(a) chi(b): k(c) = k(a) + k(b) (mod L), or c a non-unit
+    when a or b is."""
+    ka, kb, kc = chi._exponent(a), chi._exponent(b), chi._exponent(c)
+    return kc is None if ka is None or kb is None else kc == (ka + kb) % chi._lcm
+
+
 def _orthogonality_cases():
-    # sum over a of chi(a) conj(psi(a)): phi(d) when chi == psi, else 0
     for d in (3, 5, 9, 15):
         chars = characters_mod(d)
-        rows = [[c(a) for a in range(d)] for c in chars]
-        for c1, row1 in zip(chars, rows):
-            for c2, row2 in zip(chars, rows):
-                vals = [u * v.conjugate() if u != 0 and v != 0 else 0 for u, v in zip(row1, row2)]
-                if c1 == c2:
-                    good = all(v == 0 or v.is_one() for v in vals)
-                else:
-                    good = root_sum_is_zero(vals)
-                yield f"d={d}, chi={c1.index}, psi={c2.index}", good, True
+        for c1 in chars:
+            for c2 in chars:
+                yield f"d={d}, chi={c1.index}, psi={c2.index}", _rows_orthogonal(c1, c2), True
 
 
 def _column_cases():
-    # sum over chi mod d of chi(n): phi(d) when n == 1 (mod d), else 0
     for d in (3, 5, 9, 15):
         chars = characters_mod(d)
         for n in range(d):
-            col = [c(n) for c in chars]
-            if n % d == 1:
-                good = all(isinstance(v, RootOfUnity) and v.is_one() for v in col)
-            else:
-                good = root_sum_is_zero(col)
-            yield f"d={d} n={n}", good, True
+            yield f"d={d} n={n}", _column_orthogonal(chars, n), True
 
 
 def _multiplicative_cases(rng):
@@ -299,20 +312,18 @@ def _multiplicative_cases(rng):
         chi = rng.choice(chars[d])
         a = rng.randrange(2 * d)
         b = rng.randrange(2 * d)
-        va, vb, vab = chi(a), chi(b), chi(a * b)
-        good = vab == 0 if va == 0 or vb == 0 else vab == va * vb
-        yield f"d={d} chi={chi.index} a={a} b={b}", good, True
+        yield f"d={d} chi={chi.index} a={a} b={b}", _is_product(chi, a, b, a * b), True
 
 
 def _brute_force_conductor(chi):
-    # smallest divisor f of d with chi(n) = 1 whenever n == 1 (mod f) and
-    # gcd(n, d) = 1 (n % f == 1 % f: for f = 1 every n is congruent)
+    # smallest divisor f of d with chi(n) = 1 (exponent 0) on the units
+    # n == 1 (mod f) (n % f == 1 % f: for f = 1 every n is congruent)
     d = chi.modulus
+    units = chi._unit_exponents()
     return next(
         f
         for f in range(1, d + 1)
-        if d % f == 0
-        and all(chi(n).is_one() for n in range(1, d + 1) if n % f == 1 % f and chi(n) != 0)
+        if d % f == 0 and all(k == 0 for n, k in units if n % f == 1 % f)
     )
 
 

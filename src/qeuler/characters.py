@@ -15,10 +15,14 @@ library's sums take chi(n) by exponent, as a root off that table or a
 sign, and build no RootOfUnity.
 Calling a character wraps k in a :class:`RootOfUnity` -- the exact
 exponent k/n of e**(2*pi*i*k/n), kept reduced -- or gives the integer
-0 on non-units.  Sums of such values can be tested for exact vanishing
-with :func:`root_sum_is_zero`, which reduces the sum as an integer
-polynomial in zeta_N modulo the N-th cyclotomic polynomial; the
-orthogonality relations hold exactly, not just to floating tolerance.
+0 on non-units.  A sum of roots is tested for exact vanishing on its
+exponents: ``_exponent_sum_is_zero(ks, L)`` collects sum_k zeta_L**k as
+an integer polynomial and reduces it modulo the L-th cyclotomic
+polynomial, so the orthogonality relations hold exactly, not just to
+floating tolerance.  ``qeuler verify`` decides them on exponents alone
+(chi(ab) = chi(a) chi(b) is k(ab) = k(a) + k(b) mod L); the public
+:func:`root_sum_is_zero` is a wrapper that maps RootOfUnity values onto
+the same test.
 
 ``generalized_qeuler`` builds the chi-twisted q-Euler numbers from the
 distribution sum of :mod:`qeuler.euler_numbers`, all residue classes
@@ -109,13 +113,18 @@ class RootOfUnity:
         return None
 
     def to_complex(self):
-        if self.order == 1:
-            return complex(1)
-        if self.order == 2:
-            return complex(-1)
-        if self.order == 4:
-            return 1j if self.numerator == 1 else -1j
-        return cmath.exp(2j * cmath.pi * self.numerator / self.order)
+        return _root(self.numerator, self.order)
+
+
+def _root(k, n):
+    """e**(2*pi*i*k/n) for a reduced exponent 0 <= k < n: +-1 and +-i exactly."""
+    if n == 1:
+        return complex(1)
+    if n == 2:
+        return complex(-1)
+    if n == 4:
+        return 1j if k == 1 else -1j
+    return cmath.exp(2j * cmath.pi * k / n)
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +156,31 @@ def _polydivmod(num, den):
     return quot, num[:dd] if dd else []
 
 
+def _exponent_sum_is_zero(exponents, order):
+    """Exact test of sum_k e**(2*pi*i*k/order) == 0 over integer exponents k;
+    None marks a zero term (a character off the units).
+
+    The sum is collected as an integer polynomial in zeta_order and
+    reduced modulo the order-th cyclotomic polynomial; it vanishes iff
+    the remainder is identically zero.
+    """
+    coeffs = [0] * order
+    for k in exponents:
+        if k is not None:
+            coeffs[k % order] += 1
+    _, rem = _polydivmod(coeffs, _cyclotomic(order))
+    return not any(rem)
+
+
 def root_sum_is_zero(values):
     """Exact test of sum(values) == 0 for roots of unity (and literal zeros).
 
-    The values are collected as an integer polynomial in zeta_N, N the
-    lcm of the orders, and reduced modulo the N-th cyclotomic polynomial;
-    the sum vanishes iff the remainder is identically zero.
+    Each root is put over N, the lcm of the orders, and the exponents go
+    to ``_exponent_sum_is_zero``.
     """
     roots = [check_instance(v, "each nonzero value", RootOfUnity) for v in values if v != 0]
-    if not roots:
-        return True
-    N = 1
-    for r in roots:
-        N = math.lcm(N, r.order)
-    coeffs = [0] * N
-    for r in roots:
-        coeffs[r.numerator * (N // r.order) % N] += 1
-    if N == 1:
-        return coeffs[0] == 0
-    _, rem = _polydivmod(coeffs, list(_cyclotomic(N)))
-    return all(c == 0 for c in rem)
+    N = math.lcm(*(r.order for r in roots))
+    return _exponent_sum_is_zero([r.numerator * (N // r.order) for r in roots], N)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +244,11 @@ def _unit_group(d):
         factors.append(_CyclicFactor(p, pe, phi, dlog))
     L = math.lcm(*(f.order for f in factors))
     # reducing k/L first is what makes the roots +-1 and +-i exact
-    return tuple(factors), tuple(RootOfUnity(k, L).to_complex() for k in range(L))
+    roots = []
+    for k in range(L):
+        g = math.gcd(k, L)
+        roots.append(_root(k // g, L // g))
+    return tuple(factors), tuple(roots)
 
 
 class DirichletCharacter:

@@ -18,9 +18,10 @@ formula at that double, with no cancellation however close q is to 1.
 Every closed form is one sum, ``_binomial_sum``, over integers: q = a/b
 and every y come as integer pairs, 1/(1 + q**-k) is a**k/(a**k + b**k),
 and each term is a pair (num, den) with no gcd.  Its coefficient vector
-is formed once per call and serves every y the call asks for, so the d
-residue classes of the distribution sum (``_distribution_parts``, also
-the chi-twisted numbers) share it.  ``_exact_sum`` adds the pairs
+and its prefactor (1+q)**k/(1-q)**n are formed once per call and serve
+every y the call asks for, so the d residue classes of the distribution
+sum (``_distribution_parts``, also the chi-twisted numbers) share them
+and take the prefactor in once.  ``_exact_sum`` adds the pairs
 level by level and makes one Fraction per sum: small sums merge as
 integers and pay one gcd at the end, large ones add as Fractions, so
 the cost follows the size of the value, and ``Fraction(0.99)`` has a
@@ -32,7 +33,9 @@ denominator of 2**52.  On a 2-core Xeon (Python 3.11), (m, k, q) =
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
 distribution and multiplication identities as "should be exactly zero"
-quantities so tests and demos can assert them directly.
+quantities so tests and demos can assert them directly; each one is a
+single ``_exact_sum`` of its two sides, every term with its prefactor
+multiplied in as integers.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ __all__ = [
 
 
 def _binomial_sum(n, m, q, ys, k=1):
-    """(1+q)**k/(1-q)**n * sum_{j=0}^{n} C(n,j) (-1)**j y**j prod_{l<k} 1/(1 + q**(j-m-l)),
-    exact, one Fraction for each y in ys; q = a/b and each y = s/t are
-    integer pairs.
+    """(prefactor, sums): prefactor = (1+q)**k/(1-q)**n and one sum
+    sum_{j=0}^{n} C(n,j) (-1)**j y**j prod_{l<k} 1/(1 + q**(j-m-l)) for
+    each y in ys, exact; q = a/b and each y = s/t are integer pairs.  The
+    value for y is prefactor * sums[i].
 
     E_m^(k) is n = m, y = 1; E_m(x) is n = m, k = 1, y = q**x; E_{n,m} is
     k = 1, y = 1.  The n+1 coefficients are formed once per call from
@@ -68,9 +72,10 @@ def _binomial_sum(n, m, q, ys, k=1):
     Term j is the integer pair (c_num * s**j, c_den * t**j) (y = 1 takes
     the coefficients as they are), and ``_exact_sum`` turns the terms
     into one reduced Fraction.  The prefactor is a small Fraction,
-    (a+b)**k b**(n-k) / (b-a)**n, multiplied into that reduced sum, so
-    the product's gcds run against the small side; folded into the sum's
-    pair, it would cost one gcd at the full size of the value.
+    (a+b)**k b**(n-k) / (b-a)**n, handed back once for all the ys: each
+    caller multiplies it into its own result once, so the product's
+    gcds run against the small side; folded into the sum's pair, it
+    would cost one gcd at the full size of the value.
     """
     a, b = q
     top = max(m + k - 1, n - m)
@@ -88,35 +93,45 @@ def _binomial_sum(n, m, q, ys, k=1):
             den *= fden[i]
         coeffs.append((num, den))
     prefactor = Fraction((a + b) ** k * b ** max(n - k, 0), (b - a) ** n * b ** max(k - n, 0))
-    values = []
+    sums = []
     for s, t in ys:
         if s == t:
             terms = coeffs
         else:
             spow, tpow = _powers(s, n), _powers(t, n)
             terms = [(cn * sj, cd * tj) for (cn, cd), sj, tj in zip(coeffs, spow, tpow)]
-        values.append(prefactor * _exact_sum(terms))
-    return values
+        sums.append(_exact_sum(terms))
+    return prefactor, sums
+
+
+def _binomial_value(n, m, q, y, k=1):
+    """The one value prefactor * sum of ``_binomial_sum`` at a single y."""
+    prefactor, (value,) = _binomial_sum(n, m, q, [y], k)
+    return prefactor * value
 
 
 def _distribution_parts(m, r, d, x, shifts):
-    """((1+q)/(1+q**d) [d]_q**m, [(-1)**i q**(-m*i) E_m((x+i)/d) for i in shifts])
+    """(prefactor, parts) with prefactor * sum(parts) =
+    ((1+q)/(1+q**d)) [d]_q**m sum_{i in shifts} (-1)**i q**(-m*i) E_m((x+i)/d)
     at q = r = a/b, each E_m at base q**d from one coefficient vector: the
-    distribution sum, which each caller scales in its own order.  Each
-    part is an integer pair; the prefactor is a Fraction.
+    distribution sum.  Each part is an integer pair, the i-th term
+    without the factors common to all of them; those make up the one
+    Fraction prefactor, which each caller applies once in its own order.
     """
     a, b = r.numerator, r.denominator
     top = max(d, x + max(shifts), m * max(shifts))
     apow, bpow = _powers(a, top), _powers(b, top)
-    values = _binomial_sum(m, m, (apow[d], bpow[d]), [(apow[x + i], bpow[x + i]) for i in shifts])
+    # E_m at base q**d is inner * sum: inner = (1+q**d)/(1-q**d)**m is shared
+    inner, sums = _binomial_sum(m, m, (apow[d], bpow[d]),
+                                [(apow[x + i], bpow[x + i]) for i in shifts])
     parts = []
-    for i, value in zip(shifts, values):
+    for i, value in zip(shifts, sums):
         num = value.numerator * bpow[m * i]  # q**(-m*i) = b**(m*i) / a**(m*i)
         parts.append((-num if i % 2 else num, value.denominator * apow[m * i]))
     # [d]_q = sum_{i<d} a**i b**(d-1-i) / b**(d-1), (1+q)/(1+q**d) = (a+b) b**(d-1) / (a**d+b**d)
     bracket = sum(apow[i] * bpow[d - 1 - i] for i in range(d))
-    prefactor = Fraction((a + b) * bpow[d - 1] * bracket**m, (apow[d] + bpow[d]) * bpow[d - 1] ** m)
-    return prefactor, parts
+    outer = Fraction((a + b) * bpow[d - 1] * bracket**m, (apow[d] + bpow[d]) * bpow[d - 1] ** m)
+    return outer * inner, parts
 
 
 def qeuler_higher(m, k, q):
@@ -132,7 +147,7 @@ def qeuler_higher(m, k, q):
     check_int(m, "m", 0)
     check_int(k, "k", 1)
     q, rounded = check_closed_form_base(q, "q")
-    value = _binomial_sum(m, m, (q.numerator, q.denominator), [(1, 1)], k)[0]
+    value = _binomial_value(m, m, (q.numerator, q.denominator), (1, 1), k)
     return float(value) if rounded else value
 
 
@@ -150,7 +165,7 @@ def qeuler_mixed(kdeg, m, q):
     check_int(kdeg, "kdeg", 0)
     check_int(m, "m", 0)
     q, rounded = check_closed_form_base(q, "q")
-    value = _binomial_sum(kdeg, m, (q.numerator, q.denominator), [(1, 1)])[0]
+    value = _binomial_value(kdeg, m, (q.numerator, q.denominator), (1, 1))
     return float(value) if rounded else value
 
 
@@ -167,7 +182,7 @@ def qeuler_poly_exact(m, r, d, a):
     check_int(d, "d", 1)
     r = check_rational(r, "r", unit=True)
     rn, rd = r.numerator, r.denominator
-    return _binomial_sum(m, m, (rn**d, rd**d), [(rn**a, rd**a)])[0]
+    return _binomial_value(m, m, (rn**d, rd**d), (rn**a, rd**a))
 
 
 def qeuler_poly_numeric(m, q, x):
@@ -184,7 +199,7 @@ def qeuler_poly_numeric(m, q, x):
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     y = (float(q) ** x).as_integer_ratio()
-    return float(_binomial_sum(m, m, (q.numerator, q.denominator), [y])[0])
+    return float(_binomial_value(m, m, (q.numerator, q.denominator), y))
 
 
 @lru_cache(maxsize=None)
@@ -232,9 +247,14 @@ def distribution_residual(n, d, x, r):
     check_int(d, "d", 1, odd=True)
     check_int(x, "x", 0)
     r = check_rational(r, "r", unit=True)
-    lhs = qeuler_poly_exact(n, r, 1, x)
+    # one exact sum: the left side E_n(x) and the d parts, each times its prefactor
+    a, b = r.numerator, r.denominator
+    lhs_factor, (lhs,) = _binomial_sum(n, n, (a, b), [(a**x, b**x)])
     prefactor, parts = _distribution_parts(n, r, d, x, range(d))
-    return lhs - _exact_sum(parts) * prefactor
+    pn, pd = prefactor.numerator, prefactor.denominator
+    terms = [(lhs_factor.numerator * lhs.numerator, lhs_factor.denominator * lhs.denominator)]
+    terms += [(-pn * num, pd * den) for num, den in parts]
+    return _exact_sum(terms)
 
 
 def multiplication_residual_x0(m, n, r):
@@ -255,21 +275,25 @@ def multiplication_residual_x0(m, n, r):
     a, b = r.numerator, r.denominator
     apow, bpow = _powers(a, n), _powers(b, n)
     qn = (apow[n], bpow[n])  # the base r**n of the right side
-    ratio = Fraction((a + b) * bpow[n - 1], apow[n] + bpow[n])  # (1+r)/(1+r**n)
+    rhs_num, rhs_den = -(a + b) * bpow[n - 1], apow[n] + bpow[n]  # -(1+r)/(1+r**n)
     # [j]_r = g[j] / b**(j-1) and r**(-j) [j]_r = b g[j] / a**j, g[j] = sum_{i<j} a**i b**(j-1-i)
     g = [sum(apow[i] * bpow[j - 1 - i] for i in range(j)) for j in range(n + 1)]
-    # Term k < m of the right side is C(m,k) [n]**k E_{k,m}(r**n) times the
-    # inner sum over j, put over its common denominator a**((n-1)(m-k)).  The
-    # left side's ratio [n]**m E_m(r**n) joins the sum as the term k = m
-    # (E_{m,m} = E_m), with inner sum 1.
-    terms = []
+    # One exact sum: the left side E_m(r), then term k < m of the right side,
+    # C(m,k) [n]**k E_{k,m}(r**n) times the inner sum over j, put over its
+    # common denominator a**((n-1)(m-k)).  The left side's ratio
+    # [n]**m E_m(r**n) joins the right side as the term k = m
+    # (E_{m,m} = E_m), with inner sum 1.  Each E is prefactor * sum.
+    factor, (value,) = _binomial_sum(m, m, (a, b), [(1, 1)])
+    terms = [(factor.numerator * value.numerator, factor.denominator * value.denominator)]
     for k in range(m + 1):
         e = m - k
         inner = sum((-1) ** j * (b * g[j]) ** e * apow[n - 1 - j] ** e for j in range(1, n))
-        value = _binomial_sum(k, m, qn, [(1, 1)])[0]
-        terms.append((math.comb(m, k) * g[n] ** k * value.numerator * (inner if e else 1),
-                      bpow[n - 1] ** k * value.denominator * apow[n - 1] ** e))
-    return qeuler_higher(m, 1, r) - ratio * _exact_sum(terms)
+        factor, (value,) = _binomial_sum(k, m, qn, [(1, 1)])
+        terms.append((rhs_num * math.comb(m, k) * g[n] ** k * factor.numerator * value.numerator
+                      * (inner if e else 1),
+                      rhs_den * bpow[n - 1] ** k * factor.denominator * value.denominator
+                      * apow[n - 1] ** e))
+    return _exact_sum(terms)
 
 
 def classical_multiplication_residual(m, n):
@@ -280,12 +304,10 @@ def classical_multiplication_residual(m, n):
     """
     check_int(m, "m", 1)
     check_int(n, "n", 1, odd=True)
-    lhs = (1 - Fraction(n) ** m) * euler_classical(m)
-    rhs = Fraction(0)
+    # one exact sum over the numerators and denominators of E_0..E_m
+    euler = [_euler_first(k) for k in range(m + 1)]
+    terms = [((1 - n**m) * euler[m].numerator, euler[m].denominator)]
     for k in range(m):
-        inner = sum(
-            (Fraction(-1) ** j * Fraction(j) ** (m - k) for j in range(1, n)),
-            Fraction(0),
-        )
-        rhs += binom(m, k) * Fraction(n) ** k * euler_classical(k) * inner
-    return lhs - rhs
+        inner = sum((-1) ** j * j ** (m - k) for j in range(1, n))
+        terms.append((-math.comb(m, k) * n**k * inner * euler[k].numerator, euler[k].denominator))
+    return _exact_sum(terms)

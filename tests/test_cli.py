@@ -278,7 +278,7 @@ class TestVerifyOutput:
         monkeypatch.setattr(_verify, "qeuler_higher", shifted_higher)
         monkeypatch.setattr(_verify, "qeuler_mixed", shifted_mixed)
         monkeypatch.setattr(_verify, "euler_zeta_q_direct", scaled_direct)
-        monkeypatch.setattr(_verify, "root_sum_is_zero", lambda values: False)
+        monkeypatch.setattr(_verify, "_exponent_sum_is_zero", lambda exponents, order: False)
         assert main(["verify", "all", "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False

@@ -23,7 +23,8 @@ from qeuler import (
     qeuler_poly_exact,
     qeuler_poly_numeric,
 )
-from qeuler.euler_numbers import _binomial_sum
+from qeuler import euler_numbers
+from qeuler.euler_numbers import _binomial_sum, _binomial_value
 from qeuler.numeric import _MERGE_BITS
 
 import closed_form_oracle as oracle
@@ -273,6 +274,46 @@ class TestResiduals:
             classical_multiplication_residual(2, 4)
 
 
+class TestResidualSensitivity:
+    # A residual that always returned 0 would pass the tests above: shifting
+    # one ingredient by c must move it by exactly the predicted amount.
+
+    @pytest.mark.parametrize("n, d, x, i", [(0, 1, 0, 0), (4, 3, 1, 2), (5, 5, 2, 3)])
+    @pytest.mark.parametrize("r", [F(1, 2), F(2, 3)])
+    def test_distribution_part_shift(self, monkeypatch, n, d, x, i, r):
+        c = F(3, 7)
+        parts_of = euler_numbers._distribution_parts
+
+        def shifted(*args):
+            prefactor, parts = parts_of(*args)
+            num, den = parts[i]
+            parts[i] = (num * c.denominator + c.numerator * den, den * c.denominator)
+            return prefactor, parts
+
+        monkeypatch.setattr(euler_numbers, "_distribution_parts", shifted)
+        # the right side's prefactor (1+q)/(1+q**d) [d]_q**n (1+q**d)/(1-q**d)**n
+        assert distribution_residual(n, d, x, r) == -c * (1 + r) / (1 - r) ** n
+
+    @pytest.mark.parametrize("m, n, j", [(1, 3, 0), (4, 3, 4), (6, 5, 2), (8, 7, 7)])
+    def test_classical_euler_shift(self, monkeypatch, m, n, j):
+        c = F(5, 3)
+        # fill the lru_cache first, so that the cached recursion never
+        # reaches the patched name and stores a shifted value
+        euler_classical(m)
+        first = euler_numbers._euler_first
+        monkeypatch.setattr(euler_numbers, "_euler_first",
+                            lambda k: first(k) + (c if k == j else 0))
+        if j == m:
+            want = (1 - n**m) * c  # E_m on the left side
+        else:
+            inner = sum((-1) ** i * i ** (m - j) for i in range(1, n))
+            want = -math.comb(m, j) * n**j * inner * c
+        assert want != 0
+        assert classical_multiplication_residual(m, n) == want
+        monkeypatch.undo()
+        assert classical_multiplication_residual(m, n) == 0
+
+
 # Differential tests: the integer-built terms and the coefficient vector
 # shared by every y of a call against the per-term Fraction formula.
 
@@ -320,8 +361,10 @@ class TestSharedCoefficientSum:
         ys = [1, *(r**a for a in range(2 * d + 1)), F(r.denominator, r.numerator + r.denominator)]
         q = r**d
         pairs = [(y.numerator, y.denominator) for y in map(F, ys)]
-        batched = _binomial_sum(n, m, (q.numerator, q.denominator), pairs)
-        assert batched == [_binomial_sum(n, m, (q.numerator, q.denominator), [y])[0] for y in pairs]
+        prefactor, sums = _binomial_sum(n, m, (q.numerator, q.denominator), pairs)
+        assert prefactor == (1 + q) / (1 - q) ** n
+        batched = [prefactor * s for s in sums]
+        assert batched == [_binomial_value(n, m, (q.numerator, q.denominator), y) for y in pairs]
         assert batched == [oracle.binomial_sum(n, m, q, y) for y in ys]
 
     def test_unreduced_pairs(self):
@@ -330,7 +373,8 @@ class TestSharedCoefficientSum:
                 == _binomial_sum(5, 5, (1, 2), [(1, 1), (3, 4)]))
 
     def test_empty_batch(self):
-        assert _binomial_sum(4, 4, (1, 2), []) == []
+        # the prefactor comes back once, whatever the number of ys
+        assert _binomial_sum(4, 4, (1, 2), []) == (F(3, 2) / F(1, 2) ** 4, [])
 
     def test_pinned_float_cells(self):
         # the exact value at the double 0.99, rounded once
