@@ -6,9 +6,12 @@ The ``*_direct`` routes of :mod:`qeuler.zeta` sum
 
 for Re(s) >= 1, in one of two ways; ``moment`` forms every term of both, and
 of the continuation's head, in log space, never as a quotient of huge factors.
+Both read chi(n) = chi(a) for n in the class a (mod d) off one class
+table, ``zeta._classes``: (a, k, chi(a)) for each class with chi(a) != 0.
 
-* The plain stream ``plain_terms``: the terms one by one under the
-  series driver.  Its terms are at most T0 r**k with T0 = (1+q)
+* The plain stream ``plain_terms``: the terms with chi(n) != 0 one by
+  one under the series driver, walking the classes in the order of n.
+  The term at n = n0 + step k is at most T0 r**k with T0 = (1+q)
   q**(sigma n0) [n0+x]**(-sigma) and r = q**(sigma step), sigma = Re(s),
   so it needs about ln(T0 / ((1-r) eps)) / (sigma step |ln q|) terms
   (``plain_length``): O(1 / (sigma (1-q))) as q -> 1.  ``plain_rounding``
@@ -124,25 +127,30 @@ def log_tail_bound(sigma, q, x):
     return bound
 
 
-def plain_terms(s, q, chi, x, n0, step=1):
-    """(term, tail) for the terms (1+q) chi(n) (-1)**n q**(s*n) [n+x]**(-s), n = n0, n0+step, ...
+def plain_terms(s, q, x, classes, period):
+    """(term, tail) for the terms (1+q) chi(n) (-1)**n q**(s*n) [n+x]**(-s) at the
+    n = a + period k of the ``classes``, in the order of n.
 
-    ``chi`` maps n to chi(n) as a complex number, 0 off the units; None
-    weighs each term by 1.  [n+x] grows with n, so the moduli without chi
-    fall at least by r = q**(Re(s) step) per step and the tail is the
-    last such modulus times r / (1-r) (inf if r rounds to 1); a term with
-    chi(n) = 0 keeps the tail before it (inf at first).
+    ``classes`` are the (a, k, chi(a)) triples of ``zeta._classes``, chi(a)
+    None for weight 1, a in [a0, a0 + period).  Consecutive n are g or
+    more apart, g the least gap, and [n+x] grows with n, so the moduli
+    fall at least by r = q**(Re(s) g) per term and the tail is the last
+    modulus times r / (1-r) (inf if r rounds to 1).
     """
     log_q = math.log(q)
     em1 = math.expm1(log_q)
-    r = q ** (s.real * step)
+    if len(classes) == 1:  # n = a + period k, as cheap per term as a bare count
+        ((first, _, w),) = classes
+        gap, walk = period, itertools.count(first, period)
+        weights = None if w is None else itertools.repeat(w)
+    else:  # the units of a character, stepping through the gaps between them
+        firsts = [a for a, _, _ in classes]
+        gaps = [b - a for a, b in zip(firsts, firsts[1:] + [firsts[0] + period])]
+        gap, walk = min(gaps), itertools.accumulate(itertools.cycle(gaps), initial=firsts[0])
+        weights = itertools.cycle([v for _, _, v in classes])
+    r = q ** (s.real * gap)
     geometric = r / (1 - r) if r < 1 else math.inf
-    tail = math.inf
-    for n in itertools.count(n0, step):
-        v = 1 if chi is None else chi(n)
-        if v == 0:
-            yield complex(0), tail
-            continue
+    for n in walk:
         try:
             term = (1 + q) * moment(s, n, x, log_q, em1)
         except OverflowError:
@@ -151,7 +159,7 @@ def plain_terms(s, q, chi, x, n0, step=1):
         tail = abs(term) * geometric
         if n % 2:
             term = -term
-        yield (term if chi is None else term * v), tail
+        yield (term if weights is None else term * next(weights)), tail
 
 
 def plain_length(s, q, eps, x, n0, step):
@@ -241,14 +249,14 @@ def crvz_length(s, q, eps, x, step, first, classes):
 
 
 def crvz_sum(s, q, x, step, classes, n):
-    """(value, rounding bound) of n CRVZ terms per class.
+    """(value, rounding bound) of n CRVZ terms per class of ``plain_terms``'s
+    ``classes``, class a weighed by (1+q) (-1)**a chi(a), as in that stream.
 
     Each a_k is a ``moment``, to a relative error of at most
     ``moment_rounding`` at the class's last m and first m + x.  The
     weights and their products add (6n + 3) u, the n-term sum 2n u, the
-    class weights (1+q) (-1)**a chi(a) (1 + CHI_ROUNDING) u, their
-    products 3u and the sum over the classes 2 classes u, all relative to
-    sum_a |weight_a| sum_k w_k |a_k|.
+    class weights (1 + CHI_ROUNDING) u, their products 3u and the sum over
+    the classes 2 classes u, all relative to sum_a |weight_a| sum_k w_k |a_k|.
     """
     w = _weights(n)
     log_q = math.log(q)
@@ -258,7 +266,8 @@ def crvz_sum(s, q, x, step, classes, n):
     fixed = 8 * n + 2 * len(classes) + 7 + CHI_ROUNDING
     total = complex(0)
     rounding = 0.0
-    for a, weight in classes:
+    for a, _, v in classes:
+        weight = (1 + q) * (-1) ** a * (1 if v is None else v)
         acc = complex(0)
         mag = 0.0
         for k in range(n):

@@ -271,7 +271,7 @@ def _rows_orthogonal(chi, psi):
     """sum over a of chi(a) conj(psi(a)) is phi(d) when chi == psi, else 0:
     every exponent k_chi(a) - k_psi(a) (mod L) is 0, or their roots sum to 0."""
     L = chi._lcm
-    ks = [(k1 - k2) % L for (_, k1), (_, k2) in zip(chi._unit_exponents(), psi._unit_exponents())]
+    ks = [(k1 - k2) % L for (_, k1, _), (_, k2, _) in zip(chi._unit_table(), psi._unit_table())]
     return not any(ks) if chi == psi else _exponent_sum_is_zero(ks, L)
 
 
@@ -319,11 +319,11 @@ def _brute_force_conductor(chi):
     # smallest divisor f of d with chi(n) = 1 (exponent 0) on the units
     # n == 1 (mod f) (n % f == 1 % f: for f = 1 every n is congruent)
     d = chi.modulus
-    units = chi._unit_exponents()
+    units = chi._unit_table()
     return next(
         f
         for f in range(1, d + 1)
-        if d % f == 0 and all(k == 0 for n, k in units if n % f == 1 % f)
+        if d % f == 0 and all(k == 0 for n, k, _ in units if n % f == 1 % f)
     )
 
 

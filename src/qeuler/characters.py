@@ -10,9 +10,10 @@ characters.
 A character evaluates to an integer exponent k over L, the lcm of the
 factor orders: chi(n) = e**(2*pi*i*k/L), or no exponent off the units.
 L depends on the modulus alone, so the per-modulus tables also hold the
-L complex roots, each equal to RootOfUnity(k, L).to_complex(); the
-library's sums take chi(n) by exponent, as a root off that table or a
-sign, and build no RootOfUnity.
+L complex roots, each equal to RootOfUnity(k, L).to_complex().  Every
+series route reads chi off the character's one class table, (a, k, chi(a))
+for the units a in order with chi(a) that root, built on first use; none
+calls the character or builds a RootOfUnity.
 Calling a character wraps k in a :class:`RootOfUnity` -- the exact
 exponent k/n of e**(2*pi*i*k/n), kept reduced -- or gives the integer
 0 on non-units.  A sum of roots is tested for exact vanishing on its
@@ -260,9 +261,8 @@ class DirichletCharacter:
     :class:`RootOfUnity`, or the integer 0 on arguments sharing a factor
     with d.  With L the lcm of the factor orders, chi(n) has the integer
     exponent sum_i t_i * dlog_i(n) * (L / phi_i) over L (``_exponent``),
-    and ``_roots[k]`` is its complex value.  ``_unit_exponents`` lists
-    (a, k) for the units 1 <= a <= d, built on first use; the library's
-    sums read chi through these exponents.
+    and ``_roots[k]`` is its complex value; ``_unit_table`` lists
+    (a, k, chi(a)) for the units 1 <= a <= d.
     """
 
     __slots__ = ("modulus", "exponents", "_factors", "_lcm", "_roots", "_terms", "_units")
@@ -286,7 +286,7 @@ class DirichletCharacter:
             for f, t in zip(factors, exponents)
             if t
         )
-        self._units = None  # the (a, k) table, built by _unit_exponents
+        self._units = None  # the (a, k, chi(a)) table, built by _unit_table
 
     @property
     def order(self):
@@ -318,10 +318,10 @@ class DirichletCharacter:
             e += w * dlog[n % pe]
         return e % self._lcm
 
-    def _unit_exponents(self):
-        """((a, k), ...) for the units 1 <= a <= d in order, k = ``_exponent(a)``."""
+    def _unit_table(self):
+        """((a, k, chi(a)), ...) for the units 1 <= a <= d in order, chi(a) = _roots[k]."""
         if self._units is None:
-            self._units = tuple((a, k) for a in range(1, self.modulus + 1)
+            self._units = tuple((a, k, self._roots[k]) for a in range(1, self.modulus + 1)
                                 if (k := self._exponent(a)) is not None)
         return self._units
 
@@ -385,7 +385,7 @@ def generalized_qeuler(m, chi, r):
     r = check_rational(r, "r", unit=True)
     d = chi.modulus
     # i = a mod d: the one unit a = 1 of d = 1 is the residue 0
-    units = [(a % d, k) for a, k in chi._unit_exponents()]
+    units = [(a % d, k) for a, k, _ in chi._unit_table()]
     prefactor, parts = _distribution_parts(m, r, d, 0, [i for i, _ in units])
     return _chi_combination(chi, prefactor, [(k, part) for (_, k), part in zip(units, parts)])
 

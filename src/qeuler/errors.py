@@ -9,7 +9,8 @@ DomainError naming both when the argument lies outside the rule, and
 otherwise returns the argument, as a Fraction for a rational and a
 float for a series base, so every call site is one line.  A NaN or an infinity lies
 outside every rule, so a non-finite argument is always a DomainError,
-never a NaN result or a bare ValueError from the arithmetic.
+never a NaN result or a bare ValueError from the arithmetic; so is
+text or any other type where a number is due, never a bare TypeError.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ def check_instance(value, name, cls):
 
 
 def check_finite(value, name, positive=False):
-    """``value``, neither NaN nor infinite, and > 0 where ``positive`` asks."""
-    if (isinstance(value, (float, complex)) and not cmath.isfinite(value)
-            or positive and not value > 0):
-        raise DomainError(f"{name} must be finite{' and positive' * positive}, got {value!r}")
+    """``value``, a finite int, Fraction, float or complex; real and > 0 where asked."""
+    if (not isinstance(value, (int, Fraction, float, complex))
+            or isinstance(value, (float, complex)) and not cmath.isfinite(value)
+            or positive and (isinstance(value, complex) or not value > 0)):
+        raise DomainError(f"{name} must be a finite{' positive' * positive} number, got {value!r}")
     return value
 
 

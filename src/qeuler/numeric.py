@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, check_finite, check_int, check_rational
+from .errors import DomainError, check_finite, check_instance, check_int, check_rational
 
 __all__ = [
     "q_bracket",
@@ -64,12 +64,10 @@ def q_bracket_signed(x, q):
 
 
 def binom(m, i):
-    """Binomial coefficient C(m, i) for integer m >= 0; zero out of range."""
+    """Binomial coefficient C(m, i) for integers m >= 0 and i; zero for i out of range."""
     check_int(m, "m", 0)
-    if not isinstance(i, int) or i < 0 or i > m:
-        check_finite(i, "i")
-        return 0
-    return math.comb(m, i)
+    check_instance(i, "i", int)
+    return math.comb(m, i) if 0 <= i <= m else 0
 
 
 def gen_binom(s, j):

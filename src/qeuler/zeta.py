@@ -10,11 +10,11 @@ zeta_H(s, x) is (x, 0, 1), the partial zeta H(s, a, F) is (0, a, F), and
 L(s, chi) is (0, 1, 1) weighted by chi mod d.  A character splits its
 progression into residue classes n = a + d k, one per chi(a) != 0
 (``_classes``); the moduli and F are odd, so every class alternates in k.
-``_classes`` gives chi(a) as its integer exponent k over L (see
-:mod:`qeuler.characters`), from the character's table of units, built
-once per character: the exact truncation passes k to ``_chi_combination``,
-and the float routes read the complex chi(a) off the modulus's table
-of L roots, so no route builds a RootOfUnity or calls exp for chi.
+``_classes`` gives the character's one class table (see
+:mod:`qeuler.characters`), (a, k, chi(a)) per class, and every route reads
+it: the exact truncation passes the exponent k to ``_chi_combination``,
+the float routes weigh by the complex chi(a), and the plain stream walks
+the classes in the order of n, so it sums only the terms with chi(n) != 0.
 Two evaluation routes take that one description and are kept
 deliberately separate:
 
@@ -219,45 +219,33 @@ def _rpow(base, s):
 def _classes(n0, step, chi):
     """(classes, step) of the progression n = n0 + step k weighted by chi.
 
-    The classes are (first index, exponent) pairs: (n0, None) alone
-    without chi, else one per 1 <= a <= d with chi(a) != 0 at step
-    d = chi.modulus, with chi(a) = e**(2 pi i k / L) for the exponent k,
-    in the order of a: the character's unit table.
+    The classes are (first index, exponent, weight) triples: (n0, None,
+    None) alone without chi, else the character's unit table at step
+    d = chi.modulus, (a, k, chi(a)) for each unit a in order, with
+    chi(a) = e**(2 pi i k / L) as the exponent k and as a complex.
     """
     if chi is None:
-        return ((n0, None),), step
-    return chi._unit_exponents(), chi.modulus
-
-
-def _float_classes(n0, step, chi):
-    """``_classes`` with each exponent read off the character's root table as
-    the complex chi(a) that the float routes weigh the class by."""
-    classes, step = _classes(n0, step, chi)
-    if chi is not None:
-        roots = chi._roots
-        classes = [(a, roots[k]) for a, k in classes]
-    return classes, step
+        return ((n0, None, None),), step
+    return chi._unit_table(), chi.modulus
 
 
 def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
-    """The defining series term by term under the driver, plus its rounding
-    bound; ``chi`` maps n to the complex chi(n), as in ``_direct.plain_terms``."""
-    value, tail, n = _sum_series(_direct.plain_terms(s, q, chi, x, n0, step), policy, "direct")
+    """The defining series term by term under the driver, plus its rounding bound."""
+    classes, period = _classes(n0, step, chi)
+    value, tail, n = _sum_series(_direct.plain_terms(s, q, x, classes, period), policy, "direct")
     return SeriesValue(value, tail + _direct.plain_rounding(s, q, x, n0, step, n), n, "direct")
 
 
 def _crvz_plan(s, q, eps, x, n0, step, chi):
-    """(classes, class step, n, truncation bound) of the accelerated sum; the
-    classes are ``_float_classes``."""
-    classes, step = _float_classes(n0, step, chi)
+    """(classes, class step, n, truncation bound) of the accelerated sum."""
+    classes, step = _classes(n0, step, chi)
     return (classes, step, *_direct.crvz_length(s, q, eps, x, step, classes[0][0], len(classes)))
 
 
 def _crvz(s, q, x, classes, step, n, truncation):
-    """The accelerated sum of a ``_crvz_plan``; the class weights are (1+q) chi(a) (-1)**a."""
-    weights = [(a, (1 + q) * (-1) ** a * (1 if v is None else v)) for a, v in classes]
-    value, rounding = _direct.crvz_sum(s, q, x, step, weights, n)
-    return SeriesValue(value, truncation + rounding, len(weights) * n, "direct")
+    """The accelerated sum of a ``_crvz_plan``."""
+    value, rounding = _direct.crvz_sum(s, q, x, step, classes, n)
+    return SeriesValue(value, truncation + rounding, len(classes) * n, "direct")
 
 
 def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
@@ -277,9 +265,6 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     cost = len(classes) * n if n is not None else math.inf
     if cost <= policy.max_terms and cost < _direct.plain_length(s, q, policy.eps, x, n0, step):
         return _crvz(s, q, x, *plan)
-    if chi is not None:  # complex chi(n) read off the classes, keyed 1..d
-        values, d = dict(classes), chi.modulus
-        chi = lambda n: values.get(n % d or d, 0)
     return _direct_plain(s, q, policy, x, n0, step, chi)
 
 
@@ -352,8 +337,7 @@ def _continuation_terms(s, q, x, n0, step, eps, Q, base, w, factors):
     if K:
         # Head: the first K terms of the defining series, whose tail bounds
         # hold for head plus continuation (K > 0 only where Re(s) > 0).
-        head = itertools.islice(_direct.plain_terms(s, q, None, x, n0, step), K)
-        yield from head if w is None else ((w * t, tail) for t, tail in head)
+        yield from itertools.islice(_direct.plain_terms(s, q, x, ((n0, None, w),), step), K)
         n0 += K * step
     prefactor = base
     if n0:
@@ -390,7 +374,7 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     policy = policy or _DEFAULT_POLICY
     s = check_finite(complex(s), "s")
     q = check_base(q, "q")
-    classes, step = _float_classes(n0, step, chi)
+    classes, step = _classes(n0, step, chi)
     Q = q**step
     try:
         base = (1 + q) * _rpow(1 - q, s)
@@ -404,7 +388,7 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     shared = itertools.tee(_binomial_factors(s, q, step, Q, Qs), len(classes))
     cut = _direct.log_tail_bound(s.real, q, x) if s.real > 0 and len(classes) > 1 else None
     value, err, used, failures = complex(0), 0.0, 0, []
-    for i, ((a, w), factors) in enumerate(zip(classes, shared)):
+    for i, ((a, _, w), factors) in enumerate(zip(classes, shared)):
         if i and cut:
             log_rest = cut(a)
             if log_rest <= math.log(0.5 * policy.eps * max(1.0, abs(value))):
@@ -446,7 +430,7 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
     """
     classes, step = _classes(n0, step, chi)
     qa, qb = q
-    top = m * max([step] + [a for a, _ in classes])
+    top = m * max([step] + [a for a, _, _ in classes])
     apow, bpow = _powers(qa, top), _powers(qb, top)
     xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
     # C(j-m-1, j) qx**j / (1 + Q**(-e)) = C qx**j Q**e / (Q**e + 1) for e = m - j
@@ -457,7 +441,7 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
         Qa, Qb = apow[step * e], bpow[step * e]
         coeffs.append((c.numerator * xpow[j] * Qa, c.denominator * xbpow[j] * (Qa + Qb)))
     sums = []
-    for a, k in classes:
+    for a, k, _ in classes:
         # y**(-e) = qb**(a e) / qa**(a e)
         value = _exact_sum((cn * bpow[a * e], cd * apow[a * e]) for (cn, cd), e in zip(coeffs, es))
         sums.append((k, -value if a % 2 else value))

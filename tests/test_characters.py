@@ -206,9 +206,10 @@ class TestValues:
         # the series routes split a progression into classes by this table
         for chi in characters_mod(d):
             assert chi._units is None  # built on first use, not by the constructor
-            want = [(a, k) for a in range(1, d + 1) if (k := chi._exponent(a)) is not None]
-            assert list(chi._unit_exponents()) == want
-            assert chi._unit_exponents() is chi._units
+            want = [(a, k, chi(a).to_complex()) for a in range(1, d + 1)
+                    if (k := chi._exponent(a)) is not None]
+            assert list(chi._unit_table()) == want
+            assert chi._unit_table() is chi._units
 
     @pytest.mark.parametrize("d", [3, 5, 9, 15, 45, 105])
     def test_values_match_fraction_definition(self, d):

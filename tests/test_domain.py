@@ -10,6 +10,7 @@ returned NaN.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -138,6 +139,16 @@ WRONG_TYPES = [
     ("convergence_report ctx", lambda v: convergence_report(Integrand.moment(1), v, 2), (3, 4),
      CTX),
     ("higher_order_stage ctx", lambda v: higher_order_stage(2, 1, v, 1), None, CTX),
+    # a number of the wrong type in the kernel: binom used to return 0, the
+    # others to raise a bare TypeError
+    ("binom i Fraction", lambda v: binom(4, v), Fraction(2), 2),
+    ("binom i float", lambda v: binom(4, v), 2.0, 2),
+    ("binom i text", lambda v: binom(4, v), "2", 2),
+    ("gen_binom s", lambda v: gen_binom(v, 3), "2", 2),
+    ("q_bracket x", lambda v: q_bracket(v, 0.5), "3", 3),
+    ("q_bracket q", lambda v: q_bracket(3, v), "0.5", 0.5),
+    ("q_bracket_signed q", lambda v: q_bracket_signed(3, v), "1/2", Fraction(1, 2)),
+    ("PrecisionPolicy eps", lambda v: PrecisionPolicy(eps=v), "1e-9", 1e-9),
 ]
 
 

@@ -78,9 +78,9 @@ class TestSameVerdictAsOracle:
         L = chars[0]._lcm
         for chi in chars:
             for psi in chars:
-                ks = [(k1 - k2) % L for (_, k1), (_, k2)
-                      in zip(chi._unit_exponents(), psi._unit_exponents())]
-                vals = [chi(a) * psi(a).conjugate() for a, _ in chi._unit_exponents()]
+                ks = [(k1 - k2) % L for (_, k1, _), (_, k2, _)
+                      in zip(chi._unit_table(), psi._unit_table())]
+                vals = [chi(a) * psi(a).conjugate() for a, _, _ in chi._unit_table()]
                 assert _exponent_sum_is_zero(ks, L) is root_sum_is_zero(vals) is (chi != psi)
 
     def test_columns(self, d):
