@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from .errors import DomainError, check_instance, check_int, check_rational
 from .euler_numbers import _distribution_parts
-from .numeric import _exact_sum
+from .numeric import _exact_sum, _fraction
 
 __all__ = [
     "RootOfUnity",
@@ -392,15 +392,17 @@ def generalized_qeuler(m, chi, r):
 
 def _chi_combination(chi, prefactor, parts):
     """prefactor * sum chi(a) * num/den over (k, (num, den)) pairs, with
-    chi(a) = e**(2 pi i k / L), a Fraction prefactor and integer pairs.
+    chi(a) = e**(2 pi i k / L) and an integer pair for the prefactor
+    and for every part, none of them reduced.
 
-    Exact (a Fraction) when chi is real-valued (order <= 2: chi(a) is -1
-    where k != 0); otherwise each cofactor prefactor * num/den is rounded
-    once (an integer true division, as ``float`` of the reduced Fraction
-    is), multiplied by the root ``chi._roots[k]`` and added in order in
-    complex floating point.
+    Exact (a Fraction, the one gcd of the value) when chi is real-valued
+    (order <= 2: chi(a) is -1 where k != 0); otherwise each cofactor
+    prefactor * num/den is rounded once (an integer true division, as
+    ``float`` of the reduced Fraction is), multiplied by the root
+    ``chi._roots[k]`` and added in order in complex floating point.
     """
     if chi.order <= 2:
-        return prefactor * _exact_sum((-num if k else num, den) for k, (num, den) in parts)
-    pn, pd = prefactor.numerator, prefactor.denominator
+        return _fraction(_exact_sum(((-num if k else num, den) for k, (num, den) in parts),
+                                    prefactor))
+    pn, pd = prefactor
     return sum((chi._roots[k] * (pn * num / (pd * den)) for k, (num, den) in parts), complex(0))

@@ -18,24 +18,29 @@ formula at that double, with no cancellation however close q is to 1.
 Every closed form is one sum, ``_binomial_sum``, over integers: q = a/b
 and every y come as integer pairs, 1/(1 + q**-k) is a**k/(a**k + b**k),
 and each term is a pair (num, den) with no gcd.  Its coefficient vector
-and its prefactor (1+q)**k/(1-q)**n are formed once per call and serve
-every y the call asks for, so the d residue classes of the distribution
-sum (``_distribution_parts``, also the chi-twisted numbers) share them
-and take the prefactor in once.  ``_exact_sum`` adds the pairs
-level by level and makes one Fraction per sum: small sums merge as
-integers and pay one gcd at the end, large ones add as Fractions, so
-the cost follows the size of the value, and ``Fraction(0.99)`` has a
-denominator of 2**52.  On a 2-core Xeon (Python 3.11), (m, k, q) =
-(12, 1, 1/2) takes about 0.025 ms, (8, 1, 0.99) 0.08 ms, (60, 2, 0.999)
-39 ms, (150, 3, 0.99) 1.1 s and (300, 1, 0.3) 9.6 s; (150, 3) and
-(300, 1) at the rationals 99/100 and 3/10 take 22 and 46 ms.
+is formed once per call and serves every y the call asks for, so the d
+residue classes of the distribution sum (``_distribution_parts``, also
+the chi-twisted numbers) share it.  The prefactor (1+q)**k/(1-q)**n is
+an integer pair too (``_binomial_prefactor``): one value takes it into
+its sum, and the distribution sum takes its own prefactor in once,
+outside the d classes.  ``_exact_sum`` folds a small sum, prefactor
+included, into one unreduced pair, and pairs pass on to the one
+Fraction a public function returns, so each value pays one gcd (a float
+result none: it is one integer division).  A large sum adds level by
+level as Fractions, so the cost follows the size of the value, and
+``Fraction(0.99)`` has a denominator of 2**52.  On a 2-core Xeon
+(Python 3.11), (m, k, q) = (12, 1, 1/2) takes about 0.018 ms,
+(8, 1, 0.99) 0.027 ms, (60, 2, 0.999) 29 ms, (150, 3, 0.99) 1.0 s and
+(300, 1, 0.3) 8.4 s; (150, 3) and (300, 1) at the rationals 99/100 and
+3/10 take 22 and 45 ms.
 
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
 distribution and multiplication identities as "should be exactly zero"
-quantities so tests and demos can assert them directly; each one is a
-single ``_exact_sum`` of its two sides, every term with its prefactor
-multiplied in as integers.
+quantities so tests and demos can assert them directly; each one is
+one Fraction of its two sides: the terms of the right side sum as
+integer pairs with their common prefactor folded in once, and the left
+side joins them as one more pair.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, check_closed_form_base, check_finite, check_int, check_rational
-from .numeric import _exact_sum, _powers, binom
+from .numeric import _exact_sum, _float, _fraction, _pair, _powers, binom
 
 __all__ = [
     "qeuler_higher",
@@ -59,23 +64,30 @@ __all__ = [
 ]
 
 
-def _binomial_sum(n, m, q, ys, k=1):
-    """(prefactor, sums): prefactor = (1+q)**k/(1-q)**n and one sum
-    sum_{j=0}^{n} C(n,j) (-1)**j y**j prod_{l<k} 1/(1 + q**(j-m-l)) for
-    each y in ys, exact; q = a/b and each y = s/t are integer pairs.  The
-    value for y is prefactor * sums[i].
+def _binomial_prefactor(n, q, k=1):
+    """(1+q)**k/(1-q)**n as the integer pair
+    ((a+b)**k b**(n-k), (b-a)**n b**(k-n)), q = a/b, unreduced."""
+    a, b = q
+    return (a + b) ** k * b ** max(n - k, 0), (b - a) ** n * b ** max(k - n, 0)
 
-    E_m^(k) is n = m, y = 1; E_m(x) is n = m, k = 1, y = q**x; E_{n,m} is
-    k = 1, y = 1.  The n+1 coefficients are formed once per call from
-    integer powers of a and b: 1/(1 + q**e) is b**e/(a**e + b**e) for
-    e >= 0 and a**-e/(a**-e + b**-e) for e < 0, positive for positive q.
-    Term j is the integer pair (c_num * s**j, c_den * t**j) (y = 1 takes
-    the coefficients as they are), and ``_exact_sum`` turns the terms
-    into one reduced Fraction.  The prefactor is a small Fraction,
-    (a+b)**k b**(n-k) / (b-a)**n, handed back once for all the ys: each
-    caller multiplies it into its own result once, so the product's
-    gcds run against the small side; folded into the sum's pair, it
-    would cost one gcd at the full size of the value.
+
+def _binomial_sum(n, m, q, ys, k=1, prefactor=(1, 1)):
+    """prefactor * sum_{j=0}^{n} C(n,j) (-1)**j y**j prod_{l<k} 1/(1 + q**(j-m-l))
+    for each y in ys, as raw values of ``_exact_sum``; q = a/b, each
+    y = s/t and the prefactor are integer pairs.
+
+    E_m^(k) is n = m, y = 1 with the prefactor ``_binomial_prefactor``;
+    E_m(x) is n = m, k = 1, y = q**x; E_{n,m} is k = 1, y = 1.  The n+1
+    coefficients are formed once per call from integer powers of a and
+    b: 1/(1 + q**e) is b**e/(a**e + b**e) for e >= 0 and
+    a**-e/(a**-e + b**-e) for e < 0, positive for positive q.  Term j is
+    the integer pair (c_num * s**j, c_den * t**j) (y = 1 takes the
+    coefficients as they are), and ``_exact_sum`` folds each y's terms,
+    and the prefactor, into one pair with no gcd (a reduced Fraction for
+    a large sum).  A caller of one value passes its prefactor in, so the
+    value's one Fraction pays the only gcd; a caller of several ys, the
+    residue classes of the distribution sum, passes none and takes its
+    shared prefactor in once, outside.
     """
     a, b = q
     top = max(m + k - 1, n - m)
@@ -92,7 +104,6 @@ def _binomial_sum(n, m, q, ys, k=1):
             num *= fnum[i]
             den *= fden[i]
         coeffs.append((num, den))
-    prefactor = Fraction((a + b) ** k * b ** max(n - k, 0), (b - a) ** n * b ** max(k - n, 0))
     sums = []
     for s, t in ys:
         if s == t:
@@ -100,14 +111,15 @@ def _binomial_sum(n, m, q, ys, k=1):
         else:
             spow, tpow = _powers(s, n), _powers(t, n)
             terms = [(cn * sj, cd * tj) for (cn, cd), sj, tj in zip(coeffs, spow, tpow)]
-        sums.append(_exact_sum(terms))
-    return prefactor, sums
+        sums.append(_exact_sum(terms, prefactor))
+    return sums
 
 
 def _binomial_value(n, m, q, y, k=1):
-    """The one value prefactor * sum of ``_binomial_sum`` at a single y."""
-    prefactor, (value,) = _binomial_sum(n, m, q, [y], k)
-    return prefactor * value
+    """The raw value of ``_binomial_sum`` at a single y, prefactor
+    (1+q)**k/(1-q)**n included."""
+    (value,) = _binomial_sum(n, m, q, [y], k, _binomial_prefactor(n, q, k))
+    return value
 
 
 def _distribution_parts(m, r, d, x, shifts):
@@ -116,22 +128,24 @@ def _distribution_parts(m, r, d, x, shifts):
     at q = r = a/b, each E_m at base q**d from one coefficient vector: the
     distribution sum.  Each part is an integer pair, the i-th term
     without the factors common to all of them; those make up the one
-    Fraction prefactor, which each caller applies once in its own order.
+    prefactor pair, which each caller applies once in its own order.
     """
     a, b = r.numerator, r.denominator
     top = max(d, x + max(shifts), m * max(shifts))
     apow, bpow = _powers(a, top), _powers(b, top)
     # E_m at base q**d is inner * sum: inner = (1+q**d)/(1-q**d)**m is shared
-    inner, sums = _binomial_sum(m, m, (apow[d], bpow[d]),
-                                [(apow[x + i], bpow[x + i]) for i in shifts])
+    qd = (apow[d], bpow[d])
+    inner = _binomial_prefactor(m, qd)
+    sums = _binomial_sum(m, m, qd, [(apow[x + i], bpow[x + i]) for i in shifts])
     parts = []
     for i, value in zip(shifts, sums):
-        num = value.numerator * bpow[m * i]  # q**(-m*i) = b**(m*i) / a**(m*i)
-        parts.append((-num if i % 2 else num, value.denominator * apow[m * i]))
+        num, den = _pair(value)
+        num *= bpow[m * i]  # q**(-m*i) = b**(m*i) / a**(m*i)
+        parts.append((-num if i % 2 else num, den * apow[m * i]))
     # [d]_q = sum_{i<d} a**i b**(d-1-i) / b**(d-1), (1+q)/(1+q**d) = (a+b) b**(d-1) / (a**d+b**d)
     bracket = sum(apow[i] * bpow[d - 1 - i] for i in range(d))
-    outer = Fraction((a + b) * bpow[d - 1] * bracket**m, (apow[d] + bpow[d]) * bpow[d - 1] ** m)
-    return outer * inner, parts
+    return ((a + b) * bpow[d - 1] * bracket**m * inner[0],
+            (apow[d] + bpow[d]) * bpow[d - 1] ** m * inner[1]), parts
 
 
 def qeuler_higher(m, k, q):
@@ -148,7 +162,7 @@ def qeuler_higher(m, k, q):
     check_int(k, "k", 1)
     q, rounded = check_closed_form_base(q, "q")
     value = _binomial_value(m, m, (q.numerator, q.denominator), (1, 1), k)
-    return float(value) if rounded else value
+    return _float(value) if rounded else _fraction(value)
 
 
 def qeuler_mixed(kdeg, m, q):
@@ -166,7 +180,7 @@ def qeuler_mixed(kdeg, m, q):
     check_int(m, "m", 0)
     q, rounded = check_closed_form_base(q, "q")
     value = _binomial_value(kdeg, m, (q.numerator, q.denominator), (1, 1))
-    return float(value) if rounded else value
+    return _float(value) if rounded else _fraction(value)
 
 
 def qeuler_poly_exact(m, r, d, a):
@@ -182,7 +196,7 @@ def qeuler_poly_exact(m, r, d, a):
     check_int(d, "d", 1)
     r = check_rational(r, "r", unit=True)
     rn, rd = r.numerator, r.denominator
-    return _binomial_value(m, m, (rn**d, rd**d), (rn**a, rd**a))
+    return _fraction(_binomial_value(m, m, (rn**d, rd**d), (rn**a, rd**a)))
 
 
 def qeuler_poly_numeric(m, q, x):
@@ -199,7 +213,7 @@ def qeuler_poly_numeric(m, q, x):
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     y = (float(q) ** x).as_integer_ratio()
-    return float(_binomial_value(m, m, (q.numerator, q.denominator), y))
+    return _float(_binomial_value(m, m, (q.numerator, q.denominator), y))
 
 
 @lru_cache(maxsize=None)
@@ -247,14 +261,11 @@ def distribution_residual(n, d, x, r):
     check_int(d, "d", 1, odd=True)
     check_int(x, "x", 0)
     r = check_rational(r, "r", unit=True)
-    # one exact sum: the left side E_n(x) and the d parts, each times its prefactor
+    # the left side E_n(x) minus the d parts times their prefactor, one Fraction
     a, b = r.numerator, r.denominator
-    lhs_factor, (lhs,) = _binomial_sum(n, n, (a, b), [(a**x, b**x)])
-    prefactor, parts = _distribution_parts(n, r, d, x, range(d))
-    pn, pd = prefactor.numerator, prefactor.denominator
-    terms = [(lhs_factor.numerator * lhs.numerator, lhs_factor.denominator * lhs.denominator)]
-    terms += [(-pn * num, pd * den) for num, den in parts]
-    return _exact_sum(terms)
+    lhs = _binomial_value(n, n, (a, b), (a**x, b**x))
+    (pn, pd), parts = _distribution_parts(n, r, d, x, range(d))
+    return _fraction(_exact_sum([_pair(lhs), _pair(_exact_sum(parts, (-pn, pd)))]))
 
 
 def multiplication_residual_x0(m, n, r):
@@ -275,25 +286,23 @@ def multiplication_residual_x0(m, n, r):
     a, b = r.numerator, r.denominator
     apow, bpow = _powers(a, n), _powers(b, n)
     qn = (apow[n], bpow[n])  # the base r**n of the right side
-    rhs_num, rhs_den = -(a + b) * bpow[n - 1], apow[n] + bpow[n]  # -(1+r)/(1+r**n)
     # [j]_r = g[j] / b**(j-1) and r**(-j) [j]_r = b g[j] / a**j, g[j] = sum_{i<j} a**i b**(j-1-i)
     g = [sum(apow[i] * bpow[j - 1 - i] for i in range(j)) for j in range(n + 1)]
-    # One exact sum: the left side E_m(r), then term k < m of the right side,
-    # C(m,k) [n]**k E_{k,m}(r**n) times the inner sum over j, put over its
-    # common denominator a**((n-1)(m-k)).  The left side's ratio
-    # [n]**m E_m(r**n) joins the right side as the term k = m
-    # (E_{m,m} = E_m), with inner sum 1.  Each E is prefactor * sum.
-    factor, (value,) = _binomial_sum(m, m, (a, b), [(1, 1)])
-    terms = [(factor.numerator * value.numerator, factor.denominator * value.denominator)]
+    # The left side E_m(r) minus (1+r)/(1+r**n) times one sum over k: term
+    # k < m is C(m,k) [n]**k E_{k,m}(r**n) times the inner sum over j, put
+    # over its common denominator a**((n-1)(m-k)), and the left side's
+    # ratio [n]**m E_m(r**n) joins it as the term k = m (E_{m,m} = E_m),
+    # with inner sum 1.
+    terms = []
     for k in range(m + 1):
         e = m - k
         inner = sum((-1) ** j * (b * g[j]) ** e * apow[n - 1 - j] ** e for j in range(1, n))
-        factor, (value,) = _binomial_sum(k, m, qn, [(1, 1)])
-        terms.append((rhs_num * math.comb(m, k) * g[n] ** k * factor.numerator * value.numerator
-                      * (inner if e else 1),
-                      rhs_den * bpow[n - 1] ** k * factor.denominator * value.denominator
-                      * apow[n - 1] ** e))
-    return _exact_sum(terms)
+        num, den = _pair(_binomial_value(k, m, qn, (1, 1)))
+        terms.append((math.comb(m, k) * g[n] ** k * num * (inner if e else 1),
+                      bpow[n - 1] ** k * den * apow[n - 1] ** e))
+    lhs = _binomial_value(m, m, (a, b), (1, 1))
+    rhs = _exact_sum(terms, (-(a + b) * bpow[n - 1], apow[n] + bpow[n]))  # -(1+r)/(1+r**n)
+    return _fraction(_exact_sum([_pair(lhs), _pair(rhs)]))
 
 
 def classical_multiplication_residual(m, n):
@@ -310,4 +319,4 @@ def classical_multiplication_residual(m, n):
     for k in range(m):
         inner = sum((-1) ** j * j ** (m - k) for j in range(1, n))
         terms.append((-math.comb(m, k) * n**k * inner * euler[k].numerator, euler[k].denominator))
-    return _exact_sum(terms)
+    return _fraction(_exact_sum(terms))

@@ -94,26 +94,50 @@ def gen_binom(s, j):
     return out
 
 
-# The largest denominator, in bits, that a merge of two integer pairs may
-# build without a gcd; above it the operands become Fractions.
+# The largest denominator, in bits, that a sum of integer pairs may build
+# without a gcd; above it the operands become Fractions.
 _MERGE_BITS = 4096
 
 
-def _exact_sum(pairs):
-    """Sum of integer pairs (num, den), den > 0, as one reduced Fraction.
+def _exact_sum(pairs, prefactor=(1, 1)):
+    """prefactor * (sum of integer pairs (num, den)) as a raw value: an
+    unreduced integer pair, or a reduced Fraction for a large sum.
 
-    Neighbours merge level by level (binary splitting), so each operand
-    is about the size of the terms it combines.  Two pairs whose
-    denominators together stay within ``_MERGE_BITS`` merge as integers,
-    (n1*d2 + n2*d1, d1*d2), with no gcd; a small sum pays one gcd, when
-    its total becomes a Fraction.  Above the bound the unreduced
-    denominators would grow faster than a gcd costs, so the operands
-    become Fractions and add with Fraction's reduction by gcd(d1, d2).
-    A factor common to every term stays outside: multiplied into the
-    returned Fraction it costs gcds against its own small size only,
-    where folded into the pairs it would join the final gcd at full size.
+    The denominators are nonzero integers, and so is the prefactor's.  A
+    sum whose denominators total at most ``_MERGE_BITS`` bits is folded
+    in one pass, (n1*d2 + n2*d1, d1*d2), with no gcd, and the prefactor
+    pair multiplies the result as integers: the one gcd is paid by the
+    caller's Fraction (``_fraction``), or the pair joins a larger sum as
+    one of its terms.  Above the bound the terms merge level by level
+    (``_tree``), so each operand is about the size of the terms it
+    combines, and operands past the bound add as Fractions with
+    Fraction's reduction by gcd(d1, d2); the prefactor multiplies the
+    reduced Fraction, with gcds against its own small size only.
     """
     xs = list(pairs)
+    if sum(d.bit_length() for _, d in xs) <= _MERGE_BITS:
+        num, den = _fold(xs)
+        return prefactor[0] * num, prefactor[1] * den
+    value = _fraction(_tree(xs))
+    return value if prefactor == (1, 1) else value * Fraction(*prefactor)
+
+
+def _fold(pairs):
+    """The unreduced pair of a sum, term by term.
+
+    Its numerator is sum_i n_i prod_{j != i} d_j and its denominator
+    prod_i d_i, the same integers ``_tree`` builds below the bound.
+    """
+    num, den = 0, 1
+    for n, d in pairs:
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _tree(xs):
+    """The sum of a nonempty list of pairs by binary splitting: neighbours
+    whose denominators together stay within ``_MERGE_BITS`` merge as
+    integers, the others as Fractions; a pair or a Fraction."""
     while len(xs) > 1:
         merged = []
         for i in range(1, len(xs), 2):
@@ -126,12 +150,26 @@ def _exact_sum(pairs):
         if len(xs) % 2:
             merged.append(xs[-1])
         xs = merged
-    return _fraction(xs[0]) if xs else Fraction(0)
+    return xs[0]
 
 
 def _fraction(x):
-    """A Fraction for a pair or a Fraction."""
+    """The reduced Fraction of a raw value (a pair or a Fraction)."""
     return Fraction(*x) if type(x) is tuple else x
+
+
+def _pair(x):
+    """An integer pair (num, den) of a raw value, to enter a larger sum."""
+    return x if type(x) is tuple else (x.numerator, x.denominator)
+
+
+def _float(x):
+    """A raw value rounded once: an integer true division over a positive
+    denominator, as ``float`` of the reduced Fraction is, with no gcd."""
+    if type(x) is not tuple:
+        return float(x)
+    num, den = x
+    return num / den if den > 0 else -num / -den
 
 
 def _powers(x, n):

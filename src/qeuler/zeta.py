@@ -112,13 +112,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _direct
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_finite,
                      check_instance, check_int, check_rational)
-from .numeric import _exact_sum, _powers, gen_binom
+from .numeric import _exact_sum, _fraction, _pair, _powers, gen_binom
 
 __all__ = [
     "PrecisionPolicy",
@@ -423,33 +422,41 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
 
     with e = m - j, y = q**a and Q = q**step.  ``q`` = qa/qb is an integer
     pair, and so must ``qx`` = q**x be (x = a/d at base q = r**d gives
-    r**a).  Every power is one of qa or qb, each term is an integer
-    pair, and ``_exact_sum`` makes each class sum one Fraction; the
-    coefficients serve every class.  The prefactor, common to all
-    classes, is one small Fraction that multiplies the reduced sum.
+    r**a).  Term j is
+
+        C qx**j Q**e y**(-e) / (Q**e + 1)
+            = C qx**j (qa**(step-a) qb**a)**e / (qa**(step e) + qb**(step e)):
+
+    the qa**(a e) of y**(-e) cancels against the qa**(step e) of Q**e, as
+    0 <= a <= step for every class, so the denominators are the same for
+    every class and only the numerators take the class's power.  Each
+    term is an integer pair, and ``_exact_sum`` folds a class into one
+    pair, prefactor and sign included, with no gcd: the public value's
+    one Fraction is the only reduction.
     """
     classes, step = _classes(n0, step, chi)
     qa, qb = q
-    top = m * max([step] + [a for a, _, _ in classes])
-    apow, bpow = _powers(qa, top), _powers(qb, top)
+    Qa, Qb = _powers(qa**step, m), _powers(qb**step, m)
     xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
-    # C(j-m-1, j) qx**j / (1 + Q**(-e)) = C qx**j Q**e / (Q**e + 1) for e = m - j
+    # C(j-m-1, j) qx**j Q**e y**(-e) / (Q**e + 1) = num_j * (class power)**e / den_j, e = m - j
     es = range(m, -1, -1)
-    coeffs = []
+    nums, dens = [], []
     for j, e in enumerate(es):
         c = gen_binom(-m, j)
-        Qa, Qb = apow[step * e], bpow[step * e]
-        coeffs.append((c.numerator * xpow[j] * Qa, c.denominator * xbpow[j] * (Qa + Qb)))
+        nums.append(c.numerator * xpow[j])
+        dens.append(c.denominator * xbpow[j] * (Qa[e] + Qb[e]))
+    # (1+q)/(1-q)**m = (qa+qb) qb**(m-1) / (qb-qa)**m
+    pn, pd = (qa + qb) * qb ** max(m - 1, 0), (qb - qa) ** m * qb ** max(1 - m, 0)
     sums = []
     for a, k, _ in classes:
-        # y**(-e) = qb**(a e) / qa**(a e)
-        value = _exact_sum((cn * bpow[a * e], cd * apow[a * e]) for (cn, cd), e in zip(coeffs, es))
-        sums.append((k, -value if a % 2 else value))
-    # (1+q)/(1-q)**m = (qa+qb) qb**(m-1) / (qb-qa)**m
-    prefactor = Fraction((qa + qb) * qb ** max(m - 1, 0), (qb - qa) ** m * qb ** max(1 - m, 0))
+        # a power, not an index into a shared table: step - a < 0 cannot wrap around
+        ys = _powers(qa ** (step - a) * qb**a, m)
+        sign = -1 if a % 2 else 1
+        sums.append((k, _exact_sum(((cn * ys[e], cd) for cn, cd, e in zip(nums, dens, es)),
+                                   (sign * pn, pd) if chi is None else (sign, 1))))
     if chi is None:
-        return prefactor * sums[0][1]
-    return _chi_combination(chi, prefactor, [(k, (v.numerator, v.denominator)) for k, v in sums])
+        return _fraction(sums[0][1])
+    return _chi_combination(chi, (pn, pd), [(k, _pair(v)) for k, v in sums])
 
 
 def hurwitz_zeta_q(s, x, q, policy=None):

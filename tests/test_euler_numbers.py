@@ -12,20 +12,22 @@ from hypothesis import strategies as st
 
 from qeuler import (
     DomainError,
+    characters_mod,
     classical_multiplication_residual,
     distribution_residual,
     euler_classical,
     euler_zeta_neg_int_exact,
     hurwitz_neg_int_exact,
     multiplication_residual_x0,
+    partial_zeta_neg_int_exact,
     qeuler_higher,
     qeuler_mixed,
     qeuler_poly_exact,
     qeuler_poly_numeric,
 )
-from qeuler import euler_numbers
-from qeuler.euler_numbers import _binomial_sum, _binomial_value
-from qeuler.numeric import _MERGE_BITS
+from qeuler import euler_numbers, zeta
+from qeuler.euler_numbers import _binomial_prefactor, _binomial_sum, _binomial_value
+from qeuler.numeric import _MERGE_BITS, _fraction
 
 import closed_form_oracle as oracle
 
@@ -360,21 +362,28 @@ class TestSharedCoefficientSum:
     def test_batched_call_equals_one_call_per_y(self, n, m, r, d):
         ys = [1, *(r**a for a in range(2 * d + 1)), F(r.denominator, r.numerator + r.denominator)]
         q = r**d
+        qp = (q.numerator, q.denominator)
         pairs = [(y.numerator, y.denominator) for y in map(F, ys)]
-        prefactor, sums = _binomial_sum(n, m, (q.numerator, q.denominator), pairs)
-        assert prefactor == (1 + q) / (1 - q) ** n
-        batched = [prefactor * s for s in sums]
-        assert batched == [_binomial_value(n, m, (q.numerator, q.denominator), y) for y in pairs]
+        prefactor = _binomial_prefactor(n, qp)
+        assert F(*prefactor) == (1 + q) / (1 - q) ** n
+        # the prefactor folded into every sum of one call, or taken in outside
+        batched = [_fraction(v) for v in _binomial_sum(n, m, qp, pairs, 1, prefactor)]
+        assert batched == [F(*prefactor) * _fraction(v) for v in _binomial_sum(n, m, qp, pairs)]
+        assert batched == [_fraction(_binomial_value(n, m, qp, y)) for y in pairs]
         assert batched == [oracle.binomial_sum(n, m, q, y) for y in ys]
 
     def test_unreduced_pairs(self):
         # the pairs need not be in lowest terms, and y = s/s is 1
-        assert (_binomial_sum(5, 5, (2, 4), [(3, 3), (6, 8)])
-                == _binomial_sum(5, 5, (1, 2), [(1, 1), (3, 4)]))
+        def reduced(q, ys):
+            return F(*_binomial_prefactor(5, q)), [_fraction(v) for v in _binomial_sum(5, 5, q, ys)]
+
+        assert reduced((2, 4), [(3, 3), (6, 8)]) == reduced((1, 2), [(1, 1), (3, 4)])
 
     def test_empty_batch(self):
-        # the prefactor comes back once, whatever the number of ys
-        assert _binomial_sum(4, 4, (1, 2), []) == (F(3, 2) / F(1, 2) ** 4, [])
+        # no ys, no sums; the prefactor is formed apart from them
+        assert _binomial_sum(4, 4, (1, 2), []) == []
+        assert _binomial_sum(4, 4, (1, 2), [], 1, _binomial_prefactor(4, (1, 2))) == []
+        assert F(*_binomial_prefactor(4, (1, 2))) == F(3, 2) / F(1, 2) ** 4
 
     def test_pinned_float_cells(self):
         # the exact value at the double 0.99, rounded once
@@ -382,6 +391,40 @@ class TestSharedCoefficientSum:
         assert qeuler_poly_numeric(16, 0.99, 0).hex() == "-0x1.048599616686cp+17"
         assert qeuler_poly_numeric(40, 0.99, 0.3).hex() == "-0x1.4e85ffb30ec63p+93"
         assert float(oracle.qeuler_mixed(16, 16, F(0.99))).hex() == "-0x1.048599616686cp+17"
+
+
+class TestTruncationEdgeClasses:
+    """The exact truncation cancels the q**(a e) of its class against the
+    Q**e = q**(step e) of its numerators, which needs 0 <= a <= step: the
+    edge classes a = step (partial zeta at a = F) and a = 0 (Hurwitz)
+    against the per-term oracle, and the class tables of every route."""
+
+    @given(n=st.integers(1, 16), F_=st.sampled_from([3, 5, 9, 15]), r=RATIONALS)
+    @settings(deadline=None)
+    def test_class_at_its_step_equals_oracle(self, n, F_, r):
+        # H(-n, F, F) is the term i = F of the distribution sum at base r**F
+        want = ((1 + r) / (1 + r**F_) * oracle.q_bracket(F_, r) ** n * (-1) ** F_
+                * r ** (-n * F_) * oracle.qeuler_poly_exact(n, r, F_, F_))
+        assert partial_zeta_neg_int_exact(n, F_, F_, r) == want
+
+    @given(m=st.integers(1, 16), r=RATIONALS, d=MODULI, data=st.data())
+    @settings(deadline=None)
+    def test_class_zero_equals_oracle(self, m, r, d, data):
+        a = data.draw(st.integers(0, 2 * d))
+        assert hurwitz_neg_int_exact(m, r, d, a) == oracle.qeuler_poly_exact(m, r, d, a)
+
+    def test_every_class_lies_within_its_step(self):
+        # a negative step - a would be a power of qa below zero: no route builds one
+        tables = [zeta._classes(0, 1, None), zeta._classes(1, 1, None)]
+        tables += [zeta._classes(a, F_, None) for F_ in (3, 5, 7, 9) for a in range(1, F_ + 1)]
+        tables += [zeta._classes(1, 1, chi) for d in (1, 3, 5, 7, 9, 15, 21, 45, 105)
+                   for chi in characters_mod(d)]
+        for classes, step in tables:
+            assert all(0 <= a <= step for a, _, _ in classes)
+        # and the partial zeta keeps its class in 1..F
+        for a in (0, 6):
+            with pytest.raises(DomainError):
+                partial_zeta_neg_int_exact(2, a, 5, F(1, 2))
 
 
 class TestLargeSizeCells:

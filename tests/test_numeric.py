@@ -20,7 +20,7 @@ from qeuler import (
     q_bracket,
     q_bracket_signed,
 )
-from qeuler.numeric import _MERGE_BITS, _exact_sum
+from qeuler.numeric import _MERGE_BITS, _exact_sum, _float, _fold, _fraction, _pair, _tree
 
 F = Fraction
 
@@ -185,24 +185,89 @@ def _pairs_of(bits):
     return st.tuples(st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits))
 
 
+# lists of pairs whose denominators total below, near and far above _MERGE_BITS
+PAIR_LISTS = st.one_of(
+    st.lists(st.integers(0, 400).flatmap(_pairs_of), max_size=17),
+    st.lists(st.integers(0, 6000).flatmap(_pairs_of), max_size=33),
+)
+# prefactor pairs, with a denominator of either sign
+PREFACTORS = st.tuples(st.integers(-(2**80), 2**80),
+                       st.integers(1, 2**80).flatmap(lambda d: st.sampled_from([d, -d])))
+
+
+def _sum(pairs):
+    return sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+
+
+def _bits(pairs):
+    return sum(d.bit_length() for _, d in pairs)
+
+
 class TestExactSum:
     # denominators from 1 bit to about 2**6000, so that pairs merge as
     # integers below _MERGE_BITS, as Fractions above it, and across it
-    @given(st.lists(st.integers(0, 6000).flatmap(_pairs_of), max_size=33))
+    @given(PAIR_LISTS)
     @settings(deadline=None)
     def test_equals_sum_of_fractions(self, pairs):
-        got = _exact_sum(pairs)
+        raw = _exact_sum(pairs)
+        got = _fraction(raw)
         assert isinstance(got, Fraction)
-        assert got == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+        assert got == _sum(pairs)
+        # a pair up to the bound, a reduced Fraction past it
+        if _bits(pairs) <= _MERGE_BITS:
+            assert type(raw) is tuple
+        else:
+            assert isinstance(raw, Fraction)
+            assert raw == got and raw.denominator == got.denominator
+
+    @given(PAIR_LISTS)
+    @settings(deadline=None)
+    def test_fold_builds_the_tree_pair(self, pairs):
+        # within the bound no merge of the tree passes it, so the one-pass
+        # fold and the level-by-level tree build the identical integers
+        if pairs and _bits(pairs) <= _MERGE_BITS:
+            assert _fold(pairs) == _tree(list(pairs)) == _exact_sum(pairs)
+        elif pairs:
+            assert _fraction(_tree(list(pairs))) == _fraction(_exact_sum(pairs))
+
+    @given(PAIR_LISTS, PREFACTORS)
+    @settings(deadline=None)
+    def test_prefactor_multiplies_the_sum(self, pairs, prefactor):
+        raw = _exact_sum(pairs, prefactor)
+        want = Fraction(*prefactor) * _sum(pairs)
+        assert _fraction(raw) == want
+        num, den = _pair(raw)
+        assert Fraction(num, den) == want
+        if _bits(pairs) <= _MERGE_BITS:
+            # folded in as integers, before the one gcd
+            n, d = _fold(pairs)
+            assert raw == (prefactor[0] * n, prefactor[1] * d)
+
+    @given(st.lists(st.integers(0, 300).flatmap(_pairs_of), max_size=9), PREFACTORS)
+    @settings(deadline=None)
+    def test_raw_value_rounds_like_its_fraction(self, pairs, prefactor):
+        raw = _exact_sum(pairs, prefactor)
+        try:
+            want = float(_fraction(raw))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _float(raw)
+            return
+        # bit for bit, the sign of a zero included
+        assert _float(raw).hex() == want.hex()
 
     def test_edges(self):
-        assert _exact_sum([]) == 0 and isinstance(_exact_sum([]), Fraction)
-        assert _exact_sum([(7, 1)]) == 7 and isinstance(_exact_sum([(7, 1)]), Fraction)
-        assert _exact_sum([(6, 4)]) == F(3, 2)  # an unreduced pair is reduced once
-        assert _exact_sum(iter([(1, 2), (1, 3), (1, 1)])) == F(11, 6)
-        assert _exact_sum([(0, 5), (-3, 6), (0, 1)]) == F(-1, 2)
+        assert _exact_sum([]) == (0, 1) and _fraction(_exact_sum([])) == 0
+        assert _fraction(_exact_sum([(7, 1)])) == 7 and isinstance(_fraction((7, 1)), Fraction)
+        assert _exact_sum([(6, 4)]) == (6, 4)  # an unreduced pair stays unreduced
+        assert _fraction(_exact_sum([(6, 4)])) == F(3, 2)  # and is reduced once
+        assert _fraction(_exact_sum(iter([(1, 2), (1, 3), (1, 1)]))) == F(11, 6)
+        assert _fraction(_exact_sum([(0, 5), (-3, 6), (0, 1)])) == F(-1, 2)
         pairs = [((-1) ** n, n + 2) for n in range(7)]
-        assert _exact_sum(pairs) == sum((F(n, d) for n, d in pairs), Fraction(0))
+        assert _fraction(_exact_sum(pairs)) == _sum(pairs)
+        assert _exact_sum([(1, 2), (1, 3)], (5, -7)) == (25, -42)
+        assert _float((0, -5)).hex() == float(F(0, 5)).hex() == "0x0.0p+0"
+        assert _pair(F(6, 4)) == (3, 2) and _pair((6, 4)) == (6, 4)
 
     def test_both_sides_of_the_merge_bound(self):
         big = 2**_MERGE_BITS + 1
@@ -211,6 +276,9 @@ class TestExactSum:
         want = F(1, 3) + F(2, 3 * big) + F(5, 7)
         got = _exact_sum(pairs)
         assert got == want and got.denominator == want.denominator
+        # a large sum takes the prefactor into its reduced Fraction
+        got = _exact_sum(pairs, (3, 4))
+        assert isinstance(got, Fraction) and got == F(3, 4) * want
 
 
 class TestPValuation:
