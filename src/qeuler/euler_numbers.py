@@ -23,16 +23,16 @@ residue classes of the distribution sum (``_distribution_parts``, also
 the chi-twisted numbers) share it.  The prefactor (1+q)**k/(1-q)**n is
 an integer pair too (``_binomial_prefactor``): one value takes it into
 its sum, and the distribution sum takes its own prefactor in once,
-outside the d classes.  ``_exact_sum`` folds a small sum, prefactor
+outside the d classes.  ``_exact_sum`` adds a small sum, prefactor
 included, into one unreduced pair, and pairs pass on to the one
 Fraction a public function returns, so each value pays one gcd (a float
 result none: it is one integer division).  A large sum adds level by
 level as Fractions, so the cost follows the size of the value, and
 ``Fraction(0.99)`` has a denominator of 2**52.  On a 2-core Xeon
-(Python 3.11), (m, k, q) = (12, 1, 1/2) takes about 0.018 ms,
-(8, 1, 0.99) 0.027 ms, (60, 2, 0.999) 29 ms, (150, 3, 0.99) 1.0 s and
+(Python 3.11), (m, k, q) = (12, 1, 1/2) takes about 0.019 ms,
+(8, 1, 0.99) 0.026 ms, (60, 2, 0.999) 30 ms, (150, 3, 0.99) 0.9 s and
 (300, 1, 0.3) 8.4 s; (150, 3) and (300, 1) at the rationals 99/100 and
-3/10 take 22 and 45 ms.
+3/10 take 21 and 42 ms.
 
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
@@ -82,7 +82,7 @@ def _binomial_sum(n, m, q, ys, k=1, prefactor=(1, 1)):
     b: 1/(1 + q**e) is b**e/(a**e + b**e) for e >= 0 and
     a**-e/(a**-e + b**-e) for e < 0, positive for positive q.  Term j is
     the integer pair (c_num * s**j, c_den * t**j) (y = 1 takes the
-    coefficients as they are), and ``_exact_sum`` folds each y's terms,
+    coefficients as they are), and ``_exact_sum`` adds each y's terms,
     and the prefactor, into one pair with no gcd (a reduced Fraction for
     a large sum).  A caller of one value passes its prefactor in, so the
     value's one Fraction pays the only gcd; a caller of several ys, the

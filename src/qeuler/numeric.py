@@ -101,37 +101,24 @@ _MERGE_BITS = 4096
 
 def _exact_sum(pairs, prefactor=(1, 1)):
     """prefactor * (sum of integer pairs (num, den)) as a raw value: an
-    unreduced integer pair, or a reduced Fraction for a large sum.
+    unreduced integer pair, or a reduced Fraction once the sum passes
+    ``_MERGE_BITS``.
 
-    The denominators are nonzero integers, and so is the prefactor's.  A
-    sum whose denominators total at most ``_MERGE_BITS`` bits is folded
-    in one pass, (n1*d2 + n2*d1, d1*d2), with no gcd, and the prefactor
-    pair multiplies the result as integers: the one gcd is paid by the
-    caller's Fraction (``_fraction``), or the pair joins a larger sum as
-    one of its terms.  Above the bound the terms merge level by level
-    (``_tree``), so each operand is about the size of the terms it
-    combines, and operands past the bound add as Fractions with
-    Fraction's reduction by gcd(d1, d2); the prefactor multiplies the
-    reduced Fraction, with gcds against its own small size only.
+    The denominators are nonzero integers, and so is the prefactor's.
+    ``_tree`` merges the terms level by level, as integers while two
+    denominators together stay within the bound, so a sum whose
+    denominators total at most ``_MERGE_BITS`` bits comes back as one
+    unreduced pair, with no gcd.  The prefactor pair multiplies a pair as
+    integers: the one gcd is paid by the caller's Fraction
+    (``_fraction``), or the pair joins a larger sum as one of its terms.
+    A Fraction result takes the prefactor as a small Fraction, with gcds
+    against the prefactor's own size only.
     """
     xs = list(pairs)
-    if sum(d.bit_length() for _, d in xs) <= _MERGE_BITS:
-        num, den = _fold(xs)
-        return prefactor[0] * num, prefactor[1] * den
-    value = _fraction(_tree(xs))
+    value = _tree(xs) if xs else (0, 1)
+    if type(value) is tuple:
+        return prefactor[0] * value[0], prefactor[1] * value[1]
     return value if prefactor == (1, 1) else value * Fraction(*prefactor)
-
-
-def _fold(pairs):
-    """The unreduced pair of a sum, term by term.
-
-    Its numerator is sum_i n_i prod_{j != i} d_j and its denominator
-    prod_i d_i, the same integers ``_tree`` builds below the bound.
-    """
-    num, den = 0, 1
-    for n, d in pairs:
-        num, den = num * d + n * den, den * d
-    return num, den
 
 
 def _tree(xs):

@@ -430,7 +430,7 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
     the qa**(a e) of y**(-e) cancels against the qa**(step e) of Q**e, as
     0 <= a <= step for every class, so the denominators are the same for
     every class and only the numerators take the class's power.  Each
-    term is an integer pair, and ``_exact_sum`` folds a class into one
+    term is an integer pair, and ``_exact_sum`` adds a class into one
     pair, prefactor and sign included, with no gcd: the public value's
     one Fraction is the only reduction.
     """
@@ -449,7 +449,8 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
     pn, pd = (qa + qb) * qb ** max(m - 1, 0), (qb - qa) ** m * qb ** max(1 - m, 0)
     sums = []
     for a, k, _ in classes:
-        # a power, not an index into a shared table: step - a < 0 cannot wrap around
+        # needs 0 <= a <= step, which every class table of ``_classes`` keeps (pinned by
+        # test_every_class_lies_within_its_step); a > step would make this power a float
         ys = _powers(qa ** (step - a) * qb**a, m)
         sign = -1 if a % 2 else 1
         sums.append((k, _exact_sum(((cn * ys[e], cd) for cn, cd, e in zip(nums, dens, es)),

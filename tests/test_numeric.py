@@ -20,7 +20,7 @@ from qeuler import (
     q_bracket,
     q_bracket_signed,
 )
-from qeuler.numeric import _MERGE_BITS, _exact_sum, _float, _fold, _fraction, _pair, _tree
+from qeuler.numeric import _MERGE_BITS, _exact_sum, _float, _fraction, _pair
 
 F = Fraction
 
@@ -203,6 +203,13 @@ def _bits(pairs):
     return sum(d.bit_length() for _, d in pairs)
 
 
+def _unreduced(pairs):
+    """(sum_i n_i prod_{j != i} d_j, prod_i d_i): the sum with no gcd."""
+    dens = [d for _, d in pairs]
+    return (sum(n * math.prod(dens[:i] + dens[i + 1:]) for i, (n, _) in enumerate(pairs)),
+            math.prod(dens))
+
+
 class TestExactSum:
     # denominators from 1 bit to about 2**6000, so that pairs merge as
     # integers below _MERGE_BITS, as Fractions above it, and across it
@@ -213,22 +220,19 @@ class TestExactSum:
         got = _fraction(raw)
         assert isinstance(got, Fraction)
         assert got == _sum(pairs)
-        # a pair up to the bound, a reduced Fraction past it
+        # a pair up to the bound; past it a Fraction comes back reduced
         if _bits(pairs) <= _MERGE_BITS:
             assert type(raw) is tuple
-        else:
-            assert isinstance(raw, Fraction)
-            assert raw == got and raw.denominator == got.denominator
+        elif isinstance(raw, Fraction):
+            assert raw.denominator == got.denominator
 
     @given(PAIR_LISTS)
     @settings(deadline=None)
-    def test_fold_builds_the_tree_pair(self, pairs):
-        # within the bound no merge of the tree passes it, so the one-pass
-        # fold and the level-by-level tree build the identical integers
-        if pairs and _bits(pairs) <= _MERGE_BITS:
-            assert _fold(pairs) == _tree(list(pairs)) == _exact_sum(pairs)
-        elif pairs:
-            assert _fraction(_tree(list(pairs))) == _fraction(_exact_sum(pairs))
+    def test_pair_is_the_unreduced_sum(self, pairs):
+        # within the bound no merge of the tree passes it, so the level-by-level
+        # merges build the same integers as the sum over one common denominator
+        if _bits(pairs) <= _MERGE_BITS:
+            assert _exact_sum(pairs) == _unreduced(pairs)
 
     @given(PAIR_LISTS, PREFACTORS)
     @settings(deadline=None)
@@ -239,8 +243,8 @@ class TestExactSum:
         num, den = _pair(raw)
         assert Fraction(num, den) == want
         if _bits(pairs) <= _MERGE_BITS:
-            # folded in as integers, before the one gcd
-            n, d = _fold(pairs)
+            # multiplied in as integers, before the one gcd
+            n, d = _unreduced(pairs)
             assert raw == (prefactor[0] * n, prefactor[1] * d)
 
     @given(st.lists(st.integers(0, 300).flatmap(_pairs_of), max_size=9), PREFACTORS)
