@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from .errors import DomainError, check_instance, check_int, check_rational
 from .euler_numbers import _distribution_parts
-from .numeric import _exact_sum, _fraction
+from .numeric import _exact_sum, _fraction, _negated, _pair
 
 __all__ = [
     "RootOfUnity",
@@ -391,18 +391,19 @@ def generalized_qeuler(m, chi, r):
 
 
 def _chi_combination(chi, prefactor, parts):
-    """prefactor * sum chi(a) * num/den over (k, (num, den)) pairs, with
-    chi(a) = e**(2 pi i k / L) and an integer pair for the prefactor
-    and for every part, none of them reduced.
+    """prefactor * sum chi(a) * v over (k, v) parts, with
+    chi(a) = e**(2 pi i k / L), an integer pair for the prefactor and a
+    raw value v (an unreduced integer pair or a reduced Fraction) for
+    every part.
 
     Exact (a Fraction, the one gcd of the value) when chi is real-valued
     (order <= 2: chi(a) is -1 where k != 0); otherwise each cofactor
-    prefactor * num/den is rounded once (an integer true division, as
+    prefactor * v is rounded once (an integer true division, as
     ``float`` of the reduced Fraction is), multiplied by the root
     ``chi._roots[k]`` and added in order in complex floating point.
     """
     if chi.order <= 2:
-        return _fraction(_exact_sum(((-num if k else num, den) for k, (num, den) in parts),
-                                    prefactor))
+        return _fraction(_exact_sum((_negated(v) if k else v for k, v in parts), prefactor))
     pn, pd = prefactor
-    return sum((chi._roots[k] * (pn * num / (pd * den)) for k, (num, den) in parts), complex(0))
+    pairs = [(k, _pair(v)) for k, v in parts]
+    return sum((chi._roots[k] * (pn * num / (pd * den)) for k, (num, den) in pairs), complex(0))

@@ -5,6 +5,15 @@ Subcommands
     table   sweep one parameter -> CSV (default) or JSON array
     verify  run verification suites -> pass/fail lines (or JSON report)
 
+``eval`` and ``table`` share six options: ``--q`` (a rational, 'a/b' or
+decimal), ``--s`` ('re' or 're,im'), ``--k`` (order, default 1),
+``--exact``, ``--eps`` and ``--max-terms``.  ``eval`` adds the other
+parameters of its eight functions (``--m --x --char --a --F --p --N``)
+and ``--method``.  ``table`` sweeps exactly one of ``--m a..b``,
+``--s-grid a..b`` or ``--q-list q1,q2,...``; a ``--q-list`` sweep of
+``qeuler`` takes its degree from ``--m-fixed``.  Every row of a table is
+the record ``eval`` gives at that point.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 non-convergence.  Exact values are rendered as "num/den" strings that
 parse back to the identical rational; numeric values use shortest
@@ -16,6 +25,7 @@ overrides the default series term cap (explicit --max-terms wins).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -150,17 +160,6 @@ def _value_obj(v):
     return {"re": float(v), "im": 0.0}
 
 
-def _record(function, params, value, method, err=None, terms=None):
-    return {
-        "function": function,
-        "params": params,
-        "value": _value_obj(value),
-        "method": method,
-        "err": err,
-        "terms": terms,
-    }
-
-
 def _cell(v):
     """Render a record's value object as one CSV cell: exact rationals as
     num/den, numeric values as round-trip floats (complex when Im != 0)."""
@@ -176,47 +175,31 @@ def _real_str(x):
 
 
 def _param_str(v):
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, complex):
         if v.imag:
             return f"{_real_str(v.real)},{_real_str(v.imag)}"
         return _real_str(v.real)
-    return v if isinstance(v, str) else str(v)
+    return str(v)
 
 
 def _policy_from_args(args):
-    max_terms = args.max_terms
-    if max_terms is None:
-        env = os.environ.get("QEULER_MAX_TERMS")
-        if env is not None:
-            try:
-                max_terms = int(env)
-            except ValueError:
-                raise DomainError(f"QEULER_MAX_TERMS must be an integer, got {env!r}") from None
-    if max_terms is None:
-        max_terms = PrecisionPolicy.max_terms
-    return PrecisionPolicy(eps=args.eps, max_terms=max_terms)
-
-
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise DomainError(f"--{name} is required for this function")
+    max_terms, env = args.max_terms, os.environ.get("QEULER_MAX_TERMS")
+    if max_terms is None and env is not None:
+        try:
+            max_terms = int(env)
+        except ValueError:
+            raise DomainError(f"QEULER_MAX_TERMS must be an integer, got {env!r}") from None
+    return PrecisionPolicy(args.eps, PrecisionPolicy.max_terms if max_terms is None else max_terms)
 
 
 # ---------------------------------------------------------------------------
-# eval and table: one evaluator per function.
+# eval and table: one row per function.
 #
 # Each evaluator takes the parsed options and the series policy and returns
-# the record's params with either an exact (or closed-form float) value or
-# a SeriesValue.  Library functions are looked up in this module's globals
-# at call time, so wrappers installed on these names (the benchmark's
-# per-layer tracer) see every call.
-
-
-def _order(args):
-    return args.k if args.k is not None else 1
+# the value: exact (or a closed-form float) or a SeriesValue.  Library
+# functions are looked up in this module's globals at call time, so
+# wrappers installed on these names (the benchmark's per-layer tracer) see
+# every call.
 
 
 def _exact_s(args, fn, allow_zero=False):
@@ -228,101 +211,97 @@ def _exact_s(args, fn, allow_zero=False):
     raise DomainError(f"exact {fn} needs s a {kind} integer, got {s}")
 
 
-def _route(args, continuation, direct):
-    return direct if args.method == "direct" else continuation
+def _exact_point(args, kind):
+    """(r, d, a) for the exact point x = a/d at base q = r**d; x > 0, or
+    x >= 0 where ``kind`` is "nonnegative"."""
+    x = _parse_rational(args.x)
+    if not (x > 0 or x == 0 and kind == "nonnegative"):
+        raise DomainError(f"x must be {kind}, got {x}")
+    return _exact_root(args.q, x.denominator), x.denominator, x.numerator
+
+
+def _series(args, policy, continuation, direct, *point):
+    """The series at (s, *point, q) by the route --method names."""
+    route = direct if args.method == "direct" else continuation
+    return route(args.s, *point, float(args.q), policy)
 
 
 def _eval_qeuler(args, policy):
-    k = _order(args)
-    value = qeuler_higher(args.m, k, args.q)
-    return {"m": args.m, "k": k, "q": _param_str(args.q)}, value if args.exact else float(value)
+    value = qeuler_higher(args.m, args.k, args.q)
+    return value if args.exact else float(value)
 
 
 def _eval_qeuler_poly(args, policy):
     if args.exact:
-        x = _parse_rational(args.x)
-        if not 0 <= x:
-            raise DomainError(f"x must be nonnegative, got {x}")
-        a, d = x.numerator, x.denominator
-        value = qeuler_poly_exact(args.m, _exact_root(args.q, d), d, a)
-    else:
-        value = qeuler_poly_numeric(args.m, args.q, Fraction(args.x))
-    return {"m": args.m, "q": _param_str(args.q), "x": args.x}, value
+        return qeuler_poly_exact(args.m, *_exact_point(args, "nonnegative"))
+    return qeuler_poly_numeric(args.m, args.q, Fraction(args.x))
 
 
 def _eval_classical(args, policy):
-    k = _order(args)
-    return {"m": args.m, "k": k}, euler_classical(args.m, k)
+    return euler_classical(args.m, args.k)
 
 
 def _eval_stage(args, policy):
-    k = _order(args)
-    value = higher_order_stage(args.m, k, PAdicQParam(args.p, args.q), args.N)
-    return {"m": args.m, "k": k, "p": args.p, "q": _param_str(args.q), "N": args.N}, value
+    return higher_order_stage(args.m, args.k, PAdicQParam(args.p, args.q), args.N)
 
 
 def _eval_zeta(args, policy):
-    params = {"s": _param_str(args.s), "q": _param_str(args.q)}
     if args.exact:
-        return params, euler_zeta_neg_int_exact(_exact_s(args, "zeta", True), args.q)
-    route = _route(args, euler_zeta_q, euler_zeta_q_direct)
-    return params, route(args.s, float(args.q), policy)
+        return euler_zeta_neg_int_exact(_exact_s(args, "zeta", True), args.q)
+    return _series(args, policy, euler_zeta_q, euler_zeta_q_direct)
 
 
 def _eval_hurwitz(args, policy):
-    params = {"s": _param_str(args.s), "x": args.x, "q": _param_str(args.q)}
     if args.exact:
-        m = _exact_s(args, "hurwitz")
-        x = _parse_rational(args.x)
-        if not x > 0:
-            raise DomainError(f"x must be positive, got {x}")
-        a, d = x.numerator, x.denominator
-        return params, hurwitz_neg_int_exact(m, _exact_root(args.q, d), d, a)
-    route = _route(args, hurwitz_zeta_q, hurwitz_zeta_q_direct)
-    return params, route(args.s, float(Fraction(args.x)), float(args.q), policy)
+        return hurwitz_neg_int_exact(_exact_s(args, "hurwitz"), *_exact_point(args, "positive"))
+    return _series(args, policy, hurwitz_zeta_q, hurwitz_zeta_q_direct, float(Fraction(args.x)))
 
 
 def _eval_lseries(args, policy):
     chi = _parse_char(args.char)
-    params = {"s": _param_str(args.s), "char": args.char, "q": _param_str(args.q)}
     if args.exact:
-        return params, l_neg_int_exact(_exact_s(args, "lseries"), chi, args.q)
-    return params, _route(args, l_series, l_series_direct)(args.s, chi, float(args.q), policy)
+        return l_neg_int_exact(_exact_s(args, "lseries"), chi, args.q)
+    return _series(args, policy, l_series, l_series_direct, chi)
 
 
 def _eval_partial(args, policy):
-    params = {"s": _param_str(args.s), "a": args.a, "F": args.F, "q": _param_str(args.q)}
     if args.exact:
-        n = _exact_s(args, "partial")
-        return params, partial_zeta_neg_int_exact(n, args.a, args.F, args.q)
-    route = _route(args, partial_zeta, partial_zeta_direct)
-    return params, route(args.s, args.a, args.F, float(args.q), policy)
+        return partial_zeta_neg_int_exact(_exact_s(args, "partial"), args.a, args.F, args.q)
+    return _series(args, policy, partial_zeta, partial_zeta_direct, args.a, args.F)
 
 
 _EXACT = "exact-negative-integer"
 
-# name -> (required options, method of a non-series value, evaluator)
+# name -> (the record's params in output order, each required but k, which
+# defaults to 1; method of a non-series value; evaluator)
 _FUNCTIONS = {
     "zeta": (("s", "q"), _EXACT, _eval_zeta),
-    "hurwitz": (("s", "q", "x"), _EXACT, _eval_hurwitz),
-    "lseries": (("s", "q", "char"), _EXACT, _eval_lseries),
-    "partial": (("s", "q", "a", "F"), _EXACT, _eval_partial),
-    "qeuler": (("m", "q"), "closed-form", _eval_qeuler),
+    "hurwitz": (("s", "x", "q"), _EXACT, _eval_hurwitz),
+    "lseries": (("s", "char", "q"), _EXACT, _eval_lseries),
+    "partial": (("s", "a", "F", "q"), _EXACT, _eval_partial),
+    "qeuler": (("m", "k", "q"), "closed-form", _eval_qeuler),
     "qeuler-poly": (("m", "q", "x"), "closed-form", _eval_qeuler_poly),
-    "classical": (("m",), "closed-form", _eval_classical),
-    "integral-stage": (("m", "p", "q", "N"), "stage", _eval_stage),
+    "classical": (("m", "k"), "closed-form", _eval_classical),
+    "integral-stage": (("m", "k", "p", "q", "N"), "stage", _eval_stage),
 }
 
 
 def _eval_record(args):
     policy = _policy_from_args(args)
-    required, method, evaluate = _FUNCTIONS[args.function]
-    _require(args, required)
-    params, value = evaluate(args, policy)
+    names, method, evaluate = _FUNCTIONS[args.function]
+    params = {}
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            raise DomainError(f"--{name} is required for this function")
+        params[name] = _param_str(value) if name in ("s", "q") else value
+    value = evaluate(args, policy)
+    err = terms = None
     if isinstance(value, SeriesValue):
-        return _record(args.function, params, value.value, value.method,
-                       value.abs_error_estimate, value.terms_used)
-    return _record(args.function, params, value, method)
+        value, method, err, terms = (value.value, value.method, value.abs_error_estimate,
+                                     value.terms_used)
+    return {"function": args.function, "params": params, "value": _value_obj(value),
+            "method": method, "err": err, "terms": terms}
 
 
 def _cmd_eval(args):
@@ -340,12 +319,11 @@ def _table_rows(args):
     if len(sweeps) != 1:
         raise DomainError("exactly one of --m, --s-grid, --q-list must sweep")
     sweep, name = sweeps[0]
-    required = _FUNCTIONS[args.function][0]
-    if name not in required:
+    params = _FUNCTIONS[args.function][0]
+    if name not in params:
         raise DomainError(f"{args.function} has no parameter {name} to sweep")
-    if "m" in required and name != "m" and args.m_single is None:
+    if "m" in params and name != "m" and args.m is None:
         raise DomainError(f"table {args.function} needs --m-fixed unless it sweeps --m")
-    args.m = args.m_single
     for value in getattr(args, sweep):
         setattr(args, name, value)
         yield name, _param_str(value), _eval_record(args)
@@ -379,10 +357,7 @@ def _cmd_verify(args):
                     "suites": names,
                     "seed": args.seed,
                     "passed": not failed,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in checks
-                    ],
+                    "checks": [dataclasses.asdict(c) for c in checks],
                 },
                 indent=2,
             )
@@ -411,46 +386,38 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_policy(p):
-        p.add_argument("--eps", type=float, default=PrecisionPolicy.eps,
-                       help="stopping threshold")
-        p.add_argument("--max-terms", type=int, default=None,
-                       help="series term cap (default 10000; env QEULER_MAX_TERMS)")
+    # the options eval and table share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--q", type=_parse_rational, help="base q, as 'a/b' or decimal")
+    shared.add_argument("--s", type=_parse_s, help="s as 're' or 're,im'")
+    shared.add_argument("--k", type=int, default=1, help="order (default 1)")
+    shared.add_argument("--exact", action="store_true", help="exact rational values")
+    shared.add_argument("--eps", type=float, default=PrecisionPolicy.eps,
+                        help="stopping threshold")
+    shared.add_argument("--max-terms", type=int,
+                        help=f"series term cap (default {PrecisionPolicy.max_terms}; "
+                             "env QEULER_MAX_TERMS)")
 
-    p_eval = sub.add_parser("eval", help="evaluate one function at one point")
+    p_eval = sub.add_parser("eval", parents=[shared], help="evaluate one function at one point")
     p_eval.add_argument("function", choices=list(_FUNCTIONS))
-    p_eval.add_argument("--q", type=_parse_rational, help="base q, as 'a/b' or decimal")
-    p_eval.add_argument("--s", type=_parse_s, help="s as 're' or 're,im'")
     p_eval.add_argument("--x", help="polynomial argument x (rational 'a/b' or decimal)")
     p_eval.add_argument("--char", help="Dirichlet character as 'modulus:index'")
     p_eval.add_argument("--m", type=int, help="degree")
-    p_eval.add_argument("--k", type=int, help="order (default 1)")
     p_eval.add_argument("--a", type=int, help="residue class for partial zeta")
     p_eval.add_argument("--F", type=int, help="modulus for partial zeta")
     p_eval.add_argument("--p", type=int, help="odd prime for integral-stage")
     p_eval.add_argument("--N", type=int, help="stage index for integral-stage")
-    p_eval.add_argument("--exact", action="store_true", help="exact rational path")
     p_eval.add_argument("--method", choices=["continuation", "direct"],
                         default="continuation", help="numeric series route")
-    add_policy(p_eval)
     p_eval.set_defaults(run=_cmd_eval)
 
-    p_table = sub.add_parser("table", help="sweep one parameter into a table")
+    p_table = sub.add_parser("table", parents=[shared], help="sweep one parameter into a table")
     p_table.add_argument("function", choices=["qeuler", "classical", "zeta"])
-    p_table.add_argument("--q", type=_parse_rational, help="fixed base q")
-    p_table.add_argument("--s", type=_parse_s, help="fixed s (for --q-list sweeps)")
-    p_table.add_argument("--m", dest="m_range", type=_parse_int_range, default=None,
-                         help="m sweep 'a..b'")
-    p_table.add_argument("--m-fixed", dest="m_single", type=int, default=None,
-                         help="fixed m (for --q-list sweeps)")
-    p_table.add_argument("--k", type=int, help="order (default 1)")
-    p_table.add_argument("--s-grid", dest="s_grid", type=_parse_int_range, default=None,
-                         help="integer s sweep 'a..b'")
-    p_table.add_argument("--q-list", dest="q_list", type=_parse_q_list, default=None,
-                         help="comma-separated q sweep")
-    p_table.add_argument("--exact", action="store_true", help="exact rational rows")
+    p_table.add_argument("--m", dest="m_range", type=_parse_int_range, help="m sweep 'a..b'")
+    p_table.add_argument("--m-fixed", dest="m", type=int, help="fixed m (for --q-list sweeps)")
+    p_table.add_argument("--s-grid", type=_parse_int_range, help="integer s sweep 'a..b'")
+    p_table.add_argument("--q-list", type=_parse_q_list, help="comma-separated q sweep")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    add_policy(p_table)
     p_table.set_defaults(run=_cmd_table, method="continuation")
 
     p_verify = sub.add_parser("verify", help="run verification suites")

@@ -7,10 +7,14 @@ exact base), the float base of the series routes and the base of a
 closed form.  A check takes the argument and its name, raises
 DomainError naming both when the argument lies outside the rule, and
 otherwise returns the argument, as a Fraction for a rational and a
-float for a series base, so every call site is one line.  A NaN or an infinity lies
-outside every rule, so a non-finite argument is always a DomainError,
-never a NaN result or a bare ValueError from the arithmetic; so is
-text or any other type where a number is due, never a bare TypeError.
+float for a series base, so every call site is one line.  A NaN or an
+infinity lies outside every rule, so a non-finite argument is always a
+DomainError, never a NaN result or a bare ValueError from the
+arithmetic.  Every check of a number applies one type test
+(``_number``) before it compares or converts: an int, a Fraction or a
+float (or a complex where the rule allows one) is a number, and text,
+None or any other type is a DomainError, never a bare TypeError and
+never parsed.
 """
 
 from __future__ import annotations
@@ -73,10 +77,17 @@ def check_instance(value, name, cls):
     return value
 
 
+def _number(value, name, kinds=(int, Fraction, float)):
+    """``value``, an instance of ``kinds`` (a real number by default)."""
+    if not isinstance(value, kinds):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def check_finite(value, name, positive=False):
     """``value``, a finite int, Fraction, float or complex; real and > 0 where asked."""
-    if (not isinstance(value, (int, Fraction, float, complex))
-            or isinstance(value, (float, complex)) and not cmath.isfinite(value)
+    _number(value, name, (int, Fraction, float, complex))
+    if (isinstance(value, (float, complex)) and not cmath.isfinite(value)
             or positive and (isinstance(value, complex) or not value > 0)):
         raise DomainError(f"{name} must be a finite{' positive' * positive} number, got {value!r}")
     return value
@@ -84,9 +95,10 @@ def check_finite(value, name, positive=False):
 
 def check_rational(value, name, unit=False):
     """``Fraction(value)``, a float taken exactly; in (0, 1) where ``unit`` asks."""
+    _number(value, name)
     try:
         r = Fraction(value)
-    except (ValueError, OverflowError):  # a NaN or an infinity, or unparsable text
+    except (ValueError, OverflowError):  # a NaN or an infinity
         raise DomainError(f"{name} must be a finite rational, got {value!r}") from None
     if unit and not 0 < r < 1:
         raise DomainError(f"{name} must be a rational in (0, 1), got {r}")
@@ -95,7 +107,7 @@ def check_rational(value, name, unit=False):
 
 def check_base(q, name):
     """``float(q)``, a float base in (0, 1) for the series routes."""
-    q = float(q)
+    q = float(_number(q, name))
     if not 0 < q < 1:
         raise DomainError(f"{name} must lie in (0, 1), got {q}")
     return q
@@ -105,8 +117,7 @@ def check_closed_form_base(q, name, unit=False):
     """(``Fraction(q)``, whether to round the result to a float) for the base
     of a closed form: an int, a Fraction or a finite float, > 0 and != 1,
     in (0, 1) where ``unit`` asks.  A float q is taken exactly."""
-    # text and other types that Fraction() would take are outside the rule
-    r = check_rational(q, name, unit) if isinstance(q, (int, Fraction, float)) else 0
+    r = check_rational(q, name, unit)
     if r <= 0 or r == 1:
         raise DomainError(f"{name} must be a rational or a float, > 0 and != 1, got {q!r}")
     return r, isinstance(q, float)

@@ -27,12 +27,12 @@ outside the d classes.  ``_exact_sum`` adds a small sum, prefactor
 included, into one unreduced pair, and pairs pass on to the one
 Fraction a public function returns, so each value pays one gcd (a float
 result none: it is one integer division).  A large sum adds level by
-level as Fractions, so the cost follows the size of the value, and
-``Fraction(0.99)`` has a denominator of 2**52.  On a 2-core Xeon
-(Python 3.11), (m, k, q) = (12, 1, 1/2) takes about 0.019 ms,
-(8, 1, 0.99) 0.026 ms, (60, 2, 0.999) 30 ms, (150, 3, 0.99) 0.9 s and
-(300, 1, 0.3) 8.4 s; (150, 3) and (300, 1) at the rationals 99/100 and
-3/10 take 21 and 42 ms.
+level as Fractions, and its reduced Fraction joins any larger sum as it
+is, never reduced again.  The cost follows the size of the value, and
+``Fraction(0.99)`` has a denominator of 2**52: the value's denominator
+grows like m**2 times the bit height of q (about 78,000 bits at
+(m, k, q) = (60, 1, 0.999), 9,800 at (60, 1, 99/100)), and the time
+faster than that size.  The README gives measured times.
 
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, check_closed_form_base, check_finite, check_int, check_rational
+from .errors import DomainError, check_closed_form_base, check_int, check_rational
 from .numeric import _exact_sum, _float, _fraction, _pair, _powers, binom
 
 __all__ = [
@@ -126,7 +126,8 @@ def _distribution_parts(m, r, d, x, shifts):
     """(prefactor, parts) with prefactor * sum(parts) =
     ((1+q)/(1+q**d)) [d]_q**m sum_{i in shifts} (-1)**i q**(-m*i) E_m((x+i)/d)
     at q = r = a/b, each E_m at base q**d from one coefficient vector: the
-    distribution sum.  Each part is an integer pair, the i-th term
+    distribution sum.  Each part is a raw value (an integer pair, or a
+    reduced Fraction as ``_binomial_sum`` returned it), the i-th term
     without the factors common to all of them; those make up the one
     prefactor pair, which each caller applies once in its own order.
     """
@@ -139,9 +140,10 @@ def _distribution_parts(m, r, d, x, shifts):
     sums = _binomial_sum(m, m, qd, [(apow[x + i], bpow[x + i]) for i in shifts])
     parts = []
     for i, value in zip(shifts, sums):
-        num, den = _pair(value)
-        num *= bpow[m * i]  # q**(-m*i) = b**(m*i) / a**(m*i)
-        parts.append((-num if i % 2 else num, den * apow[m * i]))
+        if i:  # times (-1)**i q**(-m*i) = (-1)**i b**(m*i) / a**(m*i); i = 0 stays raw
+            num, den = _pair(value)
+            value = (-num if i % 2 else num) * bpow[m * i], den * apow[m * i]
+        parts.append(value)
     # [d]_q = sum_{i<d} a**i b**(d-1-i) / b**(d-1), (1+q)/(1+q**d) = (a+b) b**(d-1) / (a**d+b**d)
     bracket = sum(apow[i] * bpow[d - 1 - i] for i in range(d))
     return ((a + b) * bpow[d - 1] * bracket**m * inner[0],
@@ -209,7 +211,7 @@ def qeuler_poly_numeric(m, q, x):
     """
     check_int(m, "m", 0)
     q, _ = check_closed_form_base(q, "q", unit=True)
-    x = check_finite(float(x), "x")
+    x = float(check_rational(x, "x"))
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     y = (float(q) ** x).as_integer_ratio()
@@ -265,7 +267,7 @@ def distribution_residual(n, d, x, r):
     a, b = r.numerator, r.denominator
     lhs = _binomial_value(n, n, (a, b), (a**x, b**x))
     (pn, pd), parts = _distribution_parts(n, r, d, x, range(d))
-    return _fraction(_exact_sum([_pair(lhs), _pair(_exact_sum(parts, (-pn, pd)))]))
+    return _fraction(_exact_sum([lhs, _exact_sum(parts, (-pn, pd))]))
 
 
 def multiplication_residual_x0(m, n, r):
@@ -280,7 +282,7 @@ def multiplication_residual_x0(m, n, r):
     """
     check_int(m, "m", 0)
     check_int(n, "n", 1, odd=True)
-    r = check_rational(r, "r")  # text too, unlike the closed-form base
+    r = check_rational(r, "r")
     if r <= 0 or r == 1:
         raise DomainError(f"r must be a positive rational != 1, got {r}")
     a, b = r.numerator, r.denominator
@@ -302,7 +304,7 @@ def multiplication_residual_x0(m, n, r):
                       bpow[n - 1] ** k * den * apow[n - 1] ** e))
     lhs = _binomial_value(m, m, (a, b), (1, 1))
     rhs = _exact_sum(terms, (-(a + b) * bpow[n - 1], apow[n] + bpow[n]))  # -(1+r)/(1+r**n)
-    return _fraction(_exact_sum([_pair(lhs), _pair(rhs)]))
+    return _fraction(_exact_sum([lhs, rhs]))
 
 
 def classical_multiplication_residual(m, n):

@@ -99,22 +99,23 @@ def gen_binom(s, j):
 _MERGE_BITS = 4096
 
 
-def _exact_sum(pairs, prefactor=(1, 1)):
-    """prefactor * (sum of integer pairs (num, den)) as a raw value: an
-    unreduced integer pair, or a reduced Fraction once the sum passes
-    ``_MERGE_BITS``.
+def _exact_sum(values, prefactor=(1, 1)):
+    """prefactor * (sum of raw values) as a raw value: an unreduced
+    integer pair, or a reduced Fraction once the sum passes ``_MERGE_BITS``.
 
-    The denominators are nonzero integers, and so is the prefactor's.
+    A raw value is an integer pair (num, den) or a reduced Fraction; the
+    denominators are nonzero integers, and so is the prefactor's.
     ``_tree`` merges the terms level by level, as integers while two
-    denominators together stay within the bound, so a sum whose
-    denominators total at most ``_MERGE_BITS`` bits comes back as one
-    unreduced pair, with no gcd.  The prefactor pair multiplies a pair as
-    integers: the one gcd is paid by the caller's Fraction
-    (``_fraction``), or the pair joins a larger sum as one of its terms.
-    A Fraction result takes the prefactor as a small Fraction, with gcds
-    against the prefactor's own size only.
+    pairs' denominators together stay within the bound, so a sum of pairs
+    whose denominators total at most ``_MERGE_BITS`` bits comes back as
+    one unreduced pair, with no gcd.  A Fraction term stays a Fraction,
+    so a value already reduced is never reduced again.  The prefactor pair
+    multiplies a pair as integers: the one gcd is paid by the caller's
+    Fraction (``_fraction``), or the raw value joins a larger sum as one
+    of its terms.  A Fraction result takes the prefactor as a small
+    Fraction, with gcds against the prefactor's own size only.
     """
-    xs = list(pairs)
+    xs = list(values)
     value = _tree(xs) if xs else (0, 1)
     if type(value) is tuple:
         return prefactor[0] * value[0], prefactor[1] * value[1]
@@ -122,9 +123,10 @@ def _exact_sum(pairs, prefactor=(1, 1)):
 
 
 def _tree(xs):
-    """The sum of a nonempty list of pairs by binary splitting: neighbours
-    whose denominators together stay within ``_MERGE_BITS`` merge as
-    integers, the others as Fractions; a pair or a Fraction."""
+    """The sum of a nonempty list of raw values by binary splitting: two
+    neighbouring pairs whose denominators together stay within
+    ``_MERGE_BITS`` merge as integers, the others as Fractions; a pair or
+    a Fraction."""
     while len(xs) > 1:
         merged = []
         for i in range(1, len(xs), 2):
@@ -146,8 +148,13 @@ def _fraction(x):
 
 
 def _pair(x):
-    """An integer pair (num, den) of a raw value, to enter a larger sum."""
+    """An integer pair (num, den) of a raw value, to take its integers apart."""
     return x if type(x) is tuple else (x.numerator, x.denominator)
+
+
+def _negated(x):
+    """The raw value -x, with no gcd."""
+    return (-x[0], x[1]) if type(x) is tuple else -x
 
 
 def _float(x):

@@ -117,7 +117,7 @@ from . import _direct
 from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
 from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_finite,
                      check_instance, check_int, check_rational)
-from .numeric import _exact_sum, _fraction, _pair, _powers, gen_binom
+from .numeric import _exact_sum, _fraction, _powers, gen_binom
 
 __all__ = [
     "PrecisionPolicy",
@@ -255,7 +255,7 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     NonConvergenceError with its partial when it runs out.
     """
     policy = policy or _DEFAULT_POLICY
-    s = check_finite(complex(s), "s")
+    s = complex(check_finite(s, "s"))
     q = check_base(q, "q")
     if s.real < 1:
         raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
@@ -371,7 +371,7 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     added up.  A q**(step s) beyond the double range raises OverflowError.
     """
     policy = policy or _DEFAULT_POLICY
-    s = check_finite(complex(s), "s")
+    s = complex(check_finite(s, "s"))
     q = check_base(q, "q")
     classes, step = _classes(n0, step, chi)
     Q = q**step
@@ -432,7 +432,9 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
     every class and only the numerators take the class's power.  Each
     term is an integer pair, and ``_exact_sum`` adds a class into one
     pair, prefactor and sign included, with no gcd: the public value's
-    one Fraction is the only reduction.
+    one Fraction is the only reduction.  A class whose sum passes
+    ``_MERGE_BITS`` comes back as a reduced Fraction and joins the
+    character combination as it is, never reduced again.
     """
     classes, step = _classes(n0, step, chi)
     qa, qb = q
@@ -457,7 +459,7 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
                                    (sign * pn, pd) if chi is None else (sign, 1))))
     if chi is None:
         return _fraction(sums[0][1])
-    return _chi_combination(chi, (pn, pd), [(k, _pair(v)) for k, v in sums])
+    return _chi_combination(chi, (pn, pd), sums)
 
 
 def hurwitz_zeta_q(s, x, q, policy=None):
@@ -470,7 +472,7 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     continuation runs at x+K (see the module docstring); ``terms_used``
     counts both parts.
     """
-    return _continuation(s, q, policy, x=check_finite(float(x), "x", positive=True), n0=0)
+    return _continuation(s, q, policy, x=float(check_finite(x, "x", positive=True)), n0=0)
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):
@@ -482,7 +484,7 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     needs fewer terms by an a-priori count (see the module docstring);
     ``abs_error_estimate`` is truncation plus rounding.
     """
-    return _direct_series(s, q, policy, x=check_finite(float(x), "x", positive=True), n0=0)
+    return _direct_series(s, q, policy, x=float(check_finite(x, "x", positive=True)), n0=0)
 
 
 def hurwitz_neg_int_exact(m, r, d, a):

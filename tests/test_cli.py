@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from qeuler import qeuler_higher
+from qeuler import cli
 from qeuler.cli import main
 
 from gen_verify_golden import SEEDS, TEXT_SEED, verify_args, verify_text_args
@@ -146,6 +148,102 @@ class TestEvalRecords:
         # 1/2 has no exact cube root: domain error, not a wrong answer
         assert main(["eval", "hurwitz", "--s", "-1", "--x", "1/3", "--q", "1/2",
                      "--exact"]) == 2
+
+
+class TestRecordShape:
+    """The params of every eval function's record, in output order, with
+    ints for m k a F p N and strings for s q x char; and every table row
+    equals the eval record at its point, for each of the three sweeps."""
+
+    CASES = [
+        ("zeta", ["--s", "2", "--q", "0.5"], {"s": "2", "q": "1/2"}),
+        ("hurwitz", ["--s", "2,1", "--x", "1/3", "--q", "0.5"],
+         {"s": "2,1", "x": "1/3", "q": "1/2"}),
+        ("lseries", ["--s", "-2", "--char", "5:1", "--q", "1/2", "--exact"],
+         {"s": "-2", "char": "5:1", "q": "1/2"}),
+        ("partial", ["--s", "1.5", "--a", "2", "--F", "5", "--q", "0.5"],
+         {"s": "1.5", "a": 2, "F": 5, "q": "1/2"}),
+        ("qeuler", ["--m", "3", "--q", "0.25"], {"m": 3, "k": 1, "q": "1/4"}),
+        ("qeuler-poly", ["--m", "3", "--q", "1/8", "--x", "2/3", "--exact"],
+         {"m": 3, "q": "1/8", "x": "2/3"}),
+        ("classical", ["--m", "4", "--k", "2"], {"m": 4, "k": 2}),
+        ("integral-stage", ["--m", "1", "--p", "3", "--q", "4", "--N", "1"],
+         {"m": 1, "k": 1, "p": 3, "q": "4", "N": 1}),
+    ]
+    INTS = {"m", "k", "a", "F", "p", "N"}
+
+    @pytest.mark.parametrize("function,options,params", CASES, ids=[c[0] for c in CASES])
+    def test_params_in_order_with_their_types(self, capsys, function, options, params):
+        assert main(["eval", function, *options]) == 0
+        got = json.loads(capsys.readouterr().out)["params"]
+        assert list(got) == list(params)
+        assert got == params
+        assert all(type(v) is (int if k in self.INTS else str) for k, v in got.items())
+
+    SWEEPS = [
+        (["table", "qeuler", "--q", "1/2", "--m", "2..4", "--exact"],
+         [["eval", "qeuler", "--q", "1/2", "--m", str(m), "--exact"] for m in (2, 3, 4)]),
+        (["table", "zeta", "--q", "0.5", "--s-grid", "-2..1"],
+         [["eval", "zeta", "--q", "0.5", "--s", str(s)] for s in (-2, -1, 0, 1)]),
+        (["table", "qeuler", "--m-fixed", "3", "--k", "2", "--q-list", "1/3,0.5"],
+         [["eval", "qeuler", "--m", "3", "--k", "2", "--q", q] for q in ("1/3", "0.5")]),
+    ]
+
+    @pytest.mark.parametrize("table,evals", SWEEPS, ids=["m", "s-grid", "q-list"])
+    def test_table_rows_equal_eval(self, capsys, table, evals):
+        assert main([*table, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(evals)
+        for argv, row in zip(evals, rows):
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out) == row, argv
+
+
+class TestOptionInventory:
+    """Every option string of eval, table and verify with its default (and
+    choices), read from the built parser: an option added, dropped or
+    re-defaulted shows up here."""
+
+    S = argparse.SUPPRESS
+    SHARED = {"-h": S, "--help": S, "--q": None, "--s": None, "--k": 1, "--exact": False,
+              "--eps": 1e-12, "--max-terms": None}
+    OPTIONS = {
+        "eval": {**SHARED, "--x": None, "--char": None, "--m": None, "--a": None, "--F": None,
+                 "--p": None, "--N": None, "--method": "continuation"},
+        "table": {**SHARED, "--m": None, "--m-fixed": None, "--s-grid": None, "--q-list": None,
+                  "--format": "csv"},
+        "verify": {"-h": S, "--help": S, "--seed": 0, "--format": "text",
+                   "--inject-failure": False},
+    }
+    CHOICES = {
+        "eval": {"function": ["zeta", "hurwitz", "lseries", "partial", "qeuler", "qeuler-poly",
+                              "classical", "integral-stage"],
+                 "--method": ["continuation", "direct"]},
+        "table": {"function": ["qeuler", "classical", "zeta"], "--format": ["csv", "json"]},
+        "verify": {"suite": ["identities", "interpolation", "padic", "characters", "methods",
+                             "all"],
+                   "--format": ["text", "json"]},
+    }
+
+    def subcommands(self):
+        parser = cli._parser()
+        assert sorted(o for a in parser._actions for o in a.option_strings) == [
+            "--help", "--version", "-h"]
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_option_strings_and_defaults(self):
+        subs = self.subcommands()
+        assert list(subs) == list(self.OPTIONS)
+        for name, sub in subs.items():
+            got = {o: a.default for a in sub._actions for o in a.option_strings}
+            assert got == self.OPTIONS[name], name
+
+    def test_choices(self):
+        for name, sub in self.subcommands().items():
+            got = {a.option_strings[0] if a.option_strings else a.dest: a.choices
+                   for a in sub._actions if a.choices is not None}
+            assert got == self.CHOICES[name], name
 
 
 class TestExitCodes:

@@ -1,10 +1,12 @@
-"""The non-finite rule: a NaN or an infinity in any float or complex
-argument of a public function raises DomainError; so does an argument of
-the wrong type where a character or a p-adic context is expected.
+"""The number rule: a NaN or an infinity in any float or complex
+argument of a public function raises DomainError, and so does None,
+text (even the text of a good value) or any other object where a number
+is due; so does an argument of the wrong type where a character or a
+p-adic context is expected.
 
 DomainError subclasses ValueError, so a bare ValueError (from math.ceil
-or Fraction) fails these tests, as does a NonConvergenceError or a
-returned NaN.
+or Fraction) fails these tests, as does a bare TypeError, a
+NonConvergenceError or a returned NaN.
 """
 
 from __future__ import annotations
@@ -113,10 +115,24 @@ ENTRY_POINTS = [
     ("partial_zeta_neg_int_exact r", lambda v: partial_zeta_neg_int_exact(2, 2, 5, v), 0.5, REAL),
 ]
 
-CASES = [(name, call, bad) for name, call, _, values in ENTRY_POINTS for bad in values]
+
+class _Object:
+    """A plain object with a stable repr, for stable test ids."""
+
+    def __repr__(self):
+        return "object()"
 
 
-@pytest.mark.parametrize("name,call,bad", CASES, ids=[f"{n}={b}" for n, _, b in CASES])
+# Besides the non-finite values, every argument refuses None (except the
+# optional reference of convergence_report), a plain object and the text
+# of its own good value: the Python API parses no text.
+CASES = [(name, call, bad) for name, call, good, values in ENTRY_POINTS
+         for bad in (*values, *(() if name.startswith("convergence_report") else (None,)),
+                     _Object(), str(good))]
+
+
+@pytest.mark.parametrize("name,call,bad", CASES, ids=[f"{n}={b!r}" if isinstance(b, str)
+                                                      else f"{n}={b}" for n, _, b in CASES])
 def test_non_finite_argument_raises_domain_error(name, call, bad):
     with pytest.raises(DomainError):
         call(bad)

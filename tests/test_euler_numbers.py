@@ -25,7 +25,7 @@ from qeuler import (
     qeuler_poly_exact,
     qeuler_poly_numeric,
 )
-from qeuler import euler_numbers, zeta
+from qeuler import characters, euler_numbers, numeric, zeta
 from qeuler.euler_numbers import _binomial_prefactor, _binomial_sum, _binomial_value
 from qeuler.numeric import _MERGE_BITS, _fraction
 
@@ -425,6 +425,45 @@ class TestTruncationEdgeClasses:
         for a in (0, 6):
             with pytest.raises(DomainError):
                 partial_zeta_neg_int_exact(2, a, 5, F(1, 2))
+
+
+class TestOneGcdPerValue:
+    """A value that ``_exact_sum`` has already reduced to a Fraction
+    (its sum passed ``_MERGE_BITS``) enters a larger sum as it is, and is
+    never rebuilt by ``Fraction(*pair)``, a second full gcd."""
+
+    CHI105 = characters_mod(105)
+    CASES = [
+        ("decomposition real chi", zeta.l_neg_int_decomposition,
+         (4, next(c for c in CHI105 if c.order == 2), F(99, 100))),
+        ("decomposition complex chi", zeta.l_neg_int_decomposition,
+         (4, next(c for c in CHI105 if c.order > 2), F(99, 100))),
+        ("distribution residual", distribution_residual, (12, 15, 3, F(9999, 10000))),
+        ("multiplication residual", multiplication_residual_x0, (20, 9, F(9999, 10000))),
+    ]
+
+    @pytest.mark.parametrize("name,fn,args", CASES, ids=[c[0] for c in CASES])
+    def test_reduced_values_are_not_rebuilt(self, monkeypatch, name, fn, args):
+        reduced, rebuilt = set(), []
+        exact_sum, fraction = numeric._exact_sum, numeric._fraction
+
+        def spy_sum(*args):
+            value = exact_sum(*args)
+            if type(value) is not tuple:
+                reduced.add((value.numerator, value.denominator))
+            return value
+
+        def spy_fraction(x):
+            if type(x) is tuple and x in reduced:
+                rebuilt.append(x)
+            return fraction(x)
+
+        for module in (zeta, characters, euler_numbers):
+            monkeypatch.setattr(module, "_exact_sum", spy_sum)
+        monkeypatch.setattr(numeric, "_fraction", spy_fraction)
+        fn(*args)
+        assert reduced, "the case must pass _MERGE_BITS"
+        assert not rebuilt
 
 
 class TestLargeSizeCells:
