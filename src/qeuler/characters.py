@@ -27,9 +27,11 @@ the same test.
 
 ``generalized_qeuler`` builds the chi-twisted q-Euler numbers from the
 distribution sum of :mod:`qeuler.euler_numbers`, all residue classes
-from one shared coefficient vector; the result is a Fraction whenever
-chi is real-valued and a complex number (assembled from exact rational
-prestages) otherwise.
+from one shared coefficient vector.  ``_class_groups`` says which
+classes share one exact sum: for a real chi all of them, each with its
+sign chi(a), so the result is one Fraction of one sum; for a complex chi
+one sum per class, and the result is a complex number assembled from
+those exact rational prestages (``_chi_combination``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 from .errors import DomainError, check_instance, check_int, check_rational
 from .euler_numbers import _distribution_parts
-from .numeric import _exact_sum, _fraction, _negated, _pair
+from .numeric import _factorize, _float, _fraction
 
 __all__ = [
     "RootOfUnity",
@@ -186,23 +188,6 @@ def root_sum_is_zero(values):
 
 # ---------------------------------------------------------------------------
 # Unit-group structure of an odd modulus.
-
-
-def _factorize(n):
-    """Prime-power factorization of n >= 1: (p, e) pairs, ascending primes."""
-    out = []
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e:
-            out.append((f, e))
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _primitive_root(p, e):
@@ -384,26 +369,38 @@ def generalized_qeuler(m, chi, r):
     check_instance(chi, "chi", DirichletCharacter)
     r = check_rational(r, "r", unit=True)
     d = chi.modulus
+    groups = _class_groups(chi._unit_table(), chi)
     # i = a mod d: the one unit a = 1 of d = 1 is the residue 0
-    units = [(a % d, k) for a, k, _ in chi._unit_table()]
-    prefactor, parts = _distribution_parts(m, r, d, 0, [i for i, _ in units])
-    return _chi_combination(chi, prefactor, [(k, part) for (_, k), part in zip(units, parts)])
+    parts = _distribution_parts(m, r, d, 0, [[(a % d, c) for a, c in group] for _, group in groups])
+    return _chi_combination(chi, [(k, part) for (k, _), part in zip(groups, parts)])
 
 
-def _chi_combination(chi, prefactor, parts):
-    """prefactor * sum chi(a) * v over (k, v) parts, with
-    chi(a) = e**(2 pi i k / L), an integer pair for the prefactor and a
-    raw value v (an unreduced integer pair or a reduced Fraction) for
-    every part.
+def _class_groups(classes, chi):
+    """The classes (a, k, chi(a)) of a class table as groups (k, [(a, c), ...]),
+    each group one exact sum in which class a has the sign c.
 
-    Exact (a Fraction, the one gcd of the value) when chi is real-valued
-    (order <= 2: chi(a) is -1 where k != 0); otherwise each cofactor
-    prefactor * v is rounded once (an integer true division, as
-    ``float`` of the reduced Fraction is), multiplied by the root
-    ``chi._roots[k]`` and added in order in complex floating point.
+    Without chi, or for a real chi (order <= 2: chi(a) = -1 where k != 0),
+    every class is in one group, with c = chi(a) and k = 0, so the value is
+    one sum.  A complex chi has one group per class, with c = 1 and the
+    class's k: ``_chi_combination`` weighs each group's sum by chi(a).
     """
-    if chi.order <= 2:
-        return _fraction(_exact_sum((_negated(v) if k else v for k, v in parts), prefactor))
-    pn, pd = prefactor
-    pairs = [(k, _pair(v)) for k, v in parts]
-    return sum((chi._roots[k] * (pn * num / (pd * den)) for k, (num, den) in pairs), complex(0))
+    if chi is None or chi.order <= 2:
+        return [(0, [(a, -1 if k else 1) for a, k, _ in classes])]
+    return [(k, [(a, 1)]) for a, k, _ in classes]
+
+
+def _chi_combination(chi, sums):
+    """The value of the sums (k, v) of the ``_class_groups`` of chi, each v
+    a raw value with its prefactor in (an unreduced integer pair or a
+    reduced Fraction).
+
+    Without chi, or for a real chi, the one group's sum is the value: a
+    Fraction, its one gcd.  Otherwise each cofactor v is rounded once (an
+    integer true division, as ``float`` of the reduced Fraction is),
+    multiplied by the root chi(a) = ``chi._roots[k]`` and added in order
+    in complex floating point.
+    """
+    if chi is None or chi.order <= 2:
+        ((_, value),) = sums
+        return _fraction(value)
+    return sum((chi._roots[k] * _float(v) for k, v in sums), complex(0))

@@ -223,7 +223,7 @@ def _exact_point(args, kind):
 def _series(args, policy, continuation, direct, *point):
     """The series at (s, *point, q) by the route --method names."""
     route = direct if args.method == "direct" else continuation
-    return route(args.s, *point, float(args.q), policy)
+    return route(args.s, *point, args.q, policy)
 
 
 def _eval_qeuler(args, policy):
@@ -254,7 +254,7 @@ def _eval_zeta(args, policy):
 def _eval_hurwitz(args, policy):
     if args.exact:
         return hurwitz_neg_int_exact(_exact_s(args, "hurwitz"), *_exact_point(args, "positive"))
-    return _series(args, policy, hurwitz_zeta_q, hurwitz_zeta_q_direct, float(Fraction(args.x)))
+    return _series(args, policy, hurwitz_zeta_q, hurwitz_zeta_q_direct, Fraction(args.x))
 
 
 def _eval_lseries(args, policy):

@@ -7,7 +7,8 @@ exact base), the float base of the series routes and the base of a
 closed form.  A check takes the argument and its name, raises
 DomainError naming both when the argument lies outside the rule, and
 otherwise returns the argument, as a Fraction for a rational and a
-float for a series base, so every call site is one line.  A NaN or an
+float for a series base (``check_double`` for a float or complex
+argument), so every call site is one line.  A NaN or an
 infinity lies outside every rule, so a non-finite argument is always a
 DomainError, never a NaN result or a bare ValueError from the
 arithmetic.  Every check of a number applies one type test
@@ -93,6 +94,22 @@ def check_finite(value, name, positive=False):
     return value
 
 
+def check_double(value, name, kind=float, positive=False):
+    """``kind(value)``, a float or a complex, of a number ``check_finite``
+    accepts (``_double``)."""
+    return _double(check_finite(value, name, positive), name, kind)
+
+
+def _double(value, name, kind=float):
+    """``kind(value)`` of a number: an int or a Fraction beyond the double
+    range is a DomainError, never an OverflowError of the conversion."""
+    try:
+        return kind(value)
+    except OverflowError:
+        raise DomainError(f"{name} must lie within the double range, "
+                          f"got {value!r:.40}...") from None
+
+
 def check_rational(value, name, unit=False):
     """``Fraction(value)``, a float taken exactly; in (0, 1) where ``unit`` asks."""
     _number(value, name)
@@ -107,7 +124,7 @@ def check_rational(value, name, unit=False):
 
 def check_base(q, name):
     """``float(q)``, a float base in (0, 1) for the series routes."""
-    q = float(_number(q, name))
+    q = _double(_number(q, name), name)
     if not 0 < q < 1:
         raise DomainError(f"{name} must lie in (0, 1), got {q}")
     return q

@@ -4,6 +4,15 @@ Everything here is a pure function over plain numbers.  Exact inputs
 (``int``, ``Fraction``) give exact outputs; ``float``/``complex`` inputs
 stay floating.  The type of the argument selects the path -- exact and
 floating arithmetic are never mixed silently.
+
+The exact sums of the package run on the private helpers here:
+``_exact_sum`` adds integer pairs (num, den) by a balanced tree,
+``_tree``, that multiplies denominators without a gcd while they are
+small and reduces as Fractions above ``_MERGE_BITS``.  The producers
+build their terms in ``_factor_order`` of the exponent e of their
+denominators a**e + b**e, so that the tree merges the denominators that
+share cyclotomic factors first, and weigh several residue classes into
+one term by ``_power_sums``.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, check_finite, check_instance, check_int, check_rational
 
@@ -171,6 +181,61 @@ def _powers(x, n):
     out = [1]
     for _ in range(n):
         out.append(out[-1] * x)
+    return out
+
+
+def _power_sums(zs, n):
+    """[sum of c * z**e over (c, z) in zs, for e = 0..n], integers c and z:
+    the weight at exponent e of a sum whose classes add c * z**e each."""
+    out = [0] * (n + 1)
+    for c, z in zs:
+        term = c  # c * z**e
+        for e in range(n + 1):
+            out[e] += term
+            term *= z
+    return out
+
+
+@lru_cache(maxsize=None)
+def _factor_order(n):
+    """The exponents 0..n in the order in which an exact sum adds the terms
+    over a**e + b**e (q = a/b), as a tuple cached per n.
+
+    a**e + b**e is the product of the cyclotomic values Phi_d(a, b) over the
+    d | 2e that do not divide e.  Two of them share a factor only when their
+    exponents have the same 2-adic valuation v: then they share
+    Phi_(2**(v+1) t)(a, b) for each odd t dividing both exponents.  So the
+    exponents are sorted by (v, their odd prime factors largest first, e),
+    with e = 0 (the denominator 2) last, and ``_tree`` merges neighbours
+    whose denominators share factors near its leaves: each Fraction it
+    reduces cancels them, and the denominators grow toward their lcm, not
+    their product.  An exact sum does not depend on the order.
+    """
+    return tuple(sorted(range(n + 1), key=_factor_key))
+
+
+def _factor_key(e):
+    """The sort key of e in ``_factor_order``."""
+    if not e:
+        return (math.inf,)
+    v = (e & -e).bit_length() - 1
+    return v, tuple(p for p, _ in reversed(_factorize(e >> v))), e
+
+
+def _factorize(n):
+    """Prime-power factorization of n >= 1: (p, e) pairs, ascending primes."""
+    out = []
+    f = 2
+    while f * f <= n:
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        if e:
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append((n, 1))
     return out
 
 

@@ -12,7 +12,7 @@ progression into residue classes n = a + d k, one per chi(a) != 0
 (``_classes``); the moduli and F are odd, so every class alternates in k.
 ``_classes`` gives the character's one class table (see
 :mod:`qeuler.characters`), (a, k, chi(a)) per class, and every route reads
-it: the exact truncation passes the exponent k to ``_chi_combination``,
+it: the exact truncation groups the classes by ``_class_groups``,
 the float routes weigh by the complex chi(a), and the plain stream walks
 the classes in the order of n, so it sums only the terms with chi(n) != 0.
 Two evaluation routes take that one description and are kept
@@ -111,13 +111,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _direct
-from .characters import DirichletCharacter, _chi_combination, generalized_qeuler
-from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_finite,
-                     check_instance, check_int, check_rational)
-from .numeric import _exact_sum, _fraction, _powers, gen_binom
+from .characters import DirichletCharacter, _chi_combination, _class_groups, generalized_qeuler
+from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_double,
+                     check_finite, check_instance, check_int, check_rational)
+from .numeric import _exact_sum, _factor_order, _power_sums, _powers, gen_binom
 
 __all__ = [
     "PrecisionPolicy",
@@ -255,7 +256,7 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     NonConvergenceError with its partial when it runs out.
     """
     policy = policy or _DEFAULT_POLICY
-    s = complex(check_finite(s, "s"))
+    s = check_double(s, "s", complex)
     q = check_base(q, "q")
     if s.real < 1:
         raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
@@ -279,17 +280,19 @@ def _shift_length(s, x, q, eps):
     the geometric tail of those terms multiplies them by at most
     1 / (1 - q**x), since the ratio only falls as K grows; so
     c = min(1, |s| / (1 - q**x)), with the cap 1 the constant of the
-    model for larger |s|.  K + that count is least at
+    model for larger |s|; 1 - q**x is formed as -expm1(x ln q), which stays
+    positive for a tiny x where q**x rounds to 1 (x ln q itself is a normal
+    double: ``_hurwitz_x`` checks it).  K + that count is least at
     x + K = sqrt(ln(c/eps) / |ln q|), and K = 0 where c <= eps: there
     the first terms of the plain series already meet eps.
     The shift only pays where the plain ratio q**x is near 1, and it
     makes Re(s) <= 0 worse, so those regions keep K = 0.
     """
-    qx = q**x
-    if s.real <= 0 or qx <= 0.5:
+    if s.real <= 0 or q**x <= 0.5:
         return 0
-    c = min(1.0, abs(s) / (1 - qx))
-    target = math.sqrt(max(0.0, math.log(c / eps)) / -math.log(q))
+    log_q = math.log(q)
+    c = min(1.0, abs(s) / -math.expm1(x * log_q))  # -expm1(x ln q) = 1 - q**x
+    target = math.sqrt(max(0.0, math.log(c / eps)) / -log_q)
     return max(0, round(target - x))
 
 
@@ -371,7 +374,7 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     added up.  A q**(step s) beyond the double range raises OverflowError.
     """
     policy = policy or _DEFAULT_POLICY
-    s = complex(check_finite(s, "s"))
+    s = check_double(s, "s", complex)
     q = check_base(q, "q")
     classes, step = _classes(n0, step, chi)
     Q = q**step
@@ -429,37 +432,52 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
 
     the qa**(a e) of y**(-e) cancels against the qa**(step e) of Q**e, as
     0 <= a <= step for every class, so the denominators are the same for
-    every class and only the numerators take the class's power.  Each
-    term is an integer pair, and ``_exact_sum`` adds a class into one
-    pair, prefactor and sign included, with no gcd: the public value's
-    one Fraction is the only reduction.  A class whose sum passes
-    ``_MERGE_BITS`` comes back as a reduced Fraction and joins the
-    character combination as it is, never reduced again.
+    every class and only the numerators take the class's power.  The
+    classes of one ``_class_groups`` group, each with its sign (-1)**a
+    chi(a), therefore make one sum of m+1 terms, whose term j has the
+    weight U_e = sum over the classes of (-1)**a chi(a) (qa**(step-a)
+    qb**a)**e (``_power_sums``): a real chi gives one sum, not one per
+    class.  The terms are built in ``_factor_order`` of e, so that
+    ``_tree`` merges the denominators that share cyclotomic factors first.
+    Each term is an integer pair, and ``_exact_sum`` adds a group into one
+    pair, prefactor included, with no gcd: the public value's one Fraction
+    is the only reduction.  A sum past ``_MERGE_BITS`` comes back as a
+    reduced Fraction, never reduced again.
     """
     classes, step = _classes(n0, step, chi)
     qa, qb = q
     Qa, Qb = _powers(qa**step, m), _powers(qb**step, m)
     xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
     # C(j-m-1, j) qx**j Q**e y**(-e) / (Q**e + 1) = num_j * (class power)**e / den_j, e = m - j
-    es = range(m, -1, -1)
+    es = _factor_order(m)
     nums, dens = [], []
-    for j, e in enumerate(es):
+    for e in es:
+        j = m - e
         c = gen_binom(-m, j)
         nums.append(c.numerator * xpow[j])
         dens.append(c.denominator * xbpow[j] * (Qa[e] + Qb[e]))
     # (1+q)/(1-q)**m = (qa+qb) qb**(m-1) / (qb-qa)**m
-    pn, pd = (qa + qb) * qb ** max(m - 1, 0), (qb - qa) ** m * qb ** max(1 - m, 0)
+    prefactor = (qa + qb) * qb ** max(m - 1, 0), (qb - qa) ** m * qb ** max(1 - m, 0)
     sums = []
-    for a, k, _ in classes:
+    for k, group in _class_groups(classes, chi):
         # needs 0 <= a <= step, which every class table of ``_classes`` keeps (pinned by
         # test_every_class_lies_within_its_step); a > step would make this power a float
-        ys = _powers(qa ** (step - a) * qb**a, m)
-        sign = -1 if a % 2 else 1
-        sums.append((k, _exact_sum(((cn * ys[e], cd) for cn, cd, e in zip(nums, dens, es)),
-                                   (sign * pn, pd) if chi is None else (sign, 1))))
-    if chi is None:
-        return _fraction(sums[0][1])
-    return _chi_combination(chi, (pn, pd), sums)
+        u = _power_sums([(-c if a % 2 else c, qa ** (step - a) * qb**a) for a, c in group], m)
+        sums.append((k, _exact_sum(((cn * u[e], cd) for cn, cd, e in zip(nums, dens, es)),
+                                   prefactor)))
+    return _chi_combination(chi, sums)
+
+
+def _hurwitz_x(x, q):
+    """x as a float, > 0, and not so small at base q that x ln q is below
+    the normal range: [x]_q = -expm1(x ln q) / (1-q) then keeps its full
+    relative precision (a subnormal x ln q loses it, and 0 would be a
+    bracket of 0)."""
+    x = check_double(x, "x", positive=True)
+    if -x * math.log(check_base(q, "q")) < sys.float_info.min:
+        raise DomainError(f"x = {x!r} is too small at q = {q}: x ln q lies below the normal "
+                          "double range, and [x]_q would lose its precision")
+    return x
 
 
 def hurwitz_zeta_q(s, x, q, policy=None):
@@ -472,7 +490,7 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     continuation runs at x+K (see the module docstring); ``terms_used``
     counts both parts.
     """
-    return _continuation(s, q, policy, x=float(check_finite(x, "x", positive=True)), n0=0)
+    return _continuation(s, q, policy, x=_hurwitz_x(x, q), n0=0)
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):
@@ -484,7 +502,7 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     needs fewer terms by an a-priori count (see the module docstring);
     ``abs_error_estimate`` is truncation plus rounding.
     """
-    return _direct_series(s, q, policy, x=float(check_finite(x, "x", positive=True)), n0=0)
+    return _direct_series(s, q, policy, x=_hurwitz_x(x, q), n0=0)
 
 
 def hurwitz_neg_int_exact(m, r, d, a):

@@ -22,7 +22,7 @@ from qeuler import (
     qeuler_higher,
     root_sum_is_zero,
 )
-
+from qeuler import euler_numbers, numeric, zeta
 from qeuler.characters import _factorize, _primitive_root, _unit_group
 
 import closed_form_oracle as oracle
@@ -400,3 +400,53 @@ class TestSharedCoefficientsAcrossClasses:
         chi = next(c for c in characters_mod(105) if c.order == 2 and is_primitive(c))
         for m, r in ((6, F(2, 3)), (10, F(1, 2))):
             assert generalized_qeuler(m, chi, r) == oracle.generalized_qeuler_real(m, chi, r)
+
+
+def _twisted_cells():
+    """(chi, m) for the real characters mod 15, 45 and 105: every m <= 12
+    mod 15, a spread of m mod 45, and mod 105 small m for all eight with
+    m = 12 for a primitive one (the oracle takes about a second there)."""
+    cells = []
+    for d, ms in ((15, range(13)), (45, (0, 1, 2, 5, 8, 12)), (105, (1, 4))):
+        cells += [(chi, m) for chi in characters_mod(d) if chi.order <= 2 for m in ms]
+    primitive = next(c for c in characters_mod(105) if c.order == 2 and is_primitive(c))
+    return cells + [(primitive, 12)]
+
+
+class TestOneSumPerTwistedValue:
+    """A real chi's classes make one sum over j, each term weighted by the
+    signed class powers; a complex chi keeps one sum per class."""
+
+    @pytest.mark.parametrize("chi, m", _twisted_cells(),
+                             ids=lambda v: f"chi{v.modulus}:{v.index}" if hasattr(v, "modulus")
+                             else f"m{v}")
+    def test_real_character_equals_per_class_oracle(self, chi, m):
+        r = F(99, 100)
+        want = oracle.generalized_qeuler_real(m, chi, r)
+        assert generalized_qeuler(m, chi, r) == want
+        if m:
+            assert l_neg_int_decomposition(m, chi, r) == want
+
+    @pytest.mark.parametrize("d", [15, 45, 105])
+    def test_sums_per_value(self, monkeypatch, d):
+        # one exact sum of m+1 terms for a real chi, one per class for a complex chi
+        sizes = []
+        exact_sum = numeric._exact_sum
+
+        def spy(values, prefactor=(1, 1)):
+            values = list(values)
+            sizes.append(len(values))
+            return exact_sum(values, prefactor)
+
+        for module in (euler_numbers, zeta):
+            monkeypatch.setattr(module, "_exact_sum", spy)
+        chars = characters_mod(d)
+        real = next(c for c in chars if c.order == 2)
+        complex_ = next(c for c in chars if c.order > 2)
+        for fn in (generalized_qeuler, l_neg_int_decomposition):
+            sizes.clear()
+            fn(5, real, F(2, 3))
+            assert sizes == [6]
+            sizes.clear()
+            fn(5, complex_, F(2, 3))
+            assert sizes == [6] * len(complex_._unit_table())

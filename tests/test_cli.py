@@ -280,6 +280,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "eval zeta (route continuation): (1-q)**s exceeds the double range" in err
 
+    @pytest.mark.parametrize("x, q, code", [
+        ("1e-17", "0.5", 0), ("1e-300", "0.5", 2), ("5e-324", "0.5", 2), ("5e-324", "0.99", 2),
+    ])
+    def test_tiny_hurwitz_x_is_a_value_or_two(self, x, q, code, capsys):
+        # q**x rounds to 1: a value, or an error line with exit 2, never a traceback
+        assert main(["eval", "hurwitz", "--s", "2", "--x", x, "--q", q]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["value"]["re"] > 0
+        else:
+            assert err.startswith("qeuler: error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "zeta", "--s", "2", "--q", "1e400"],
+        ["eval", "hurwitz", "--s", "2", "--x", "1e400", "--q", "0.5"],
+    ])
+    def test_number_beyond_double_range_is_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "must lie within the double range" in capsys.readouterr().err
+
     def test_explicit_flag_beats_environment(self):
         proc = run_cli("eval", "zeta", "--s", "2", "--q", "0.5",
                        "--max-terms", "10000",

@@ -2,7 +2,8 @@
 argument of a public function raises DomainError, and so does None,
 text (even the text of a good value) or any other object where a number
 is due; so does an argument of the wrong type where a character or a
-p-adic context is expected.
+p-adic context is expected, and an int or a Fraction beyond the double
+range where a float route converts it.
 
 DomainError subclasses ValueError, so a bare ValueError (from math.ceil
 or Fraction) fails these tests, as does a bare TypeError, a
@@ -173,3 +174,20 @@ def test_wrong_type_raises_domain_error(name, call, bad, good):
     with pytest.raises(DomainError, match=name.split()[1]):
         call(bad)
     call(good)
+
+
+# The float routes convert their exact arguments to doubles: an int or a
+# Fraction beyond the double range is a DomainError there, not the
+# OverflowError of the conversion.
+FLOAT_ROUTE_NAMES = {"euler_zeta_q", "euler_zeta_q_direct", "hurwitz_zeta_q",
+                     "hurwitz_zeta_q_direct", "l_series", "l_series_direct", "partial_zeta",
+                     "partial_zeta_direct", "qeuler_poly_numeric"}
+FLOAT_ROUTES = [e[:2] for e in ENTRY_POINTS if e[0].split()[0] in FLOAT_ROUTE_NAMES]
+BEYOND_DOUBLE = [Fraction(10**400), 10**400, Fraction(-(10**400), 3)]
+
+
+@pytest.mark.parametrize("name,call", FLOAT_ROUTES, ids=[e[0] for e in FLOAT_ROUTES])
+@pytest.mark.parametrize("big", BEYOND_DOUBLE, ids=["Fraction", "int", "negative"])
+def test_beyond_double_range_raises_domain_error(name, call, big):
+    with pytest.raises(DomainError):
+        call(big)

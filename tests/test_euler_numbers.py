@@ -25,9 +25,9 @@ from qeuler import (
     qeuler_poly_exact,
     qeuler_poly_numeric,
 )
-from qeuler import characters, euler_numbers, numeric, zeta
-from qeuler.euler_numbers import _binomial_prefactor, _binomial_sum, _binomial_value
-from qeuler.numeric import _MERGE_BITS, _fraction
+from qeuler import euler_numbers, numeric, zeta
+from qeuler.euler_numbers import _binomial_prefactor, _binomial_sum, _binomial_value, _y_powers
+from qeuler.numeric import _MERGE_BITS, _factor_order, _fraction
 
 import closed_form_oracle as oracle
 
@@ -283,18 +283,25 @@ class TestResidualSensitivity:
     @pytest.mark.parametrize("n, d, x, i", [(0, 1, 0, 0), (4, 3, 1, 2), (5, 5, 2, 3)])
     @pytest.mark.parametrize("r", [F(1, 2), F(2, 3)])
     def test_distribution_part_shift(self, monkeypatch, n, d, x, i, r):
+        # The right side is one sum of n+1 terms, all d classes in one group,
+        # with the prefactor (1+q)/(1-q)**n / a**((d-1) n), q = a/b: shifting
+        # its i-th term by c moves the residual by -c times that prefactor.
         c = F(3, 7)
-        parts_of = euler_numbers._distribution_parts
+        exact_sum, calls = euler_numbers._exact_sum, []
 
-        def shifted(*args):
-            prefactor, parts = parts_of(*args)
-            num, den = parts[i]
-            parts[i] = (num * c.denominator + c.numerator * den, den * c.denominator)
-            return prefactor, parts
+        def shifted(values, prefactor=(1, 1)):
+            values = list(values)
+            calls.append(prefactor)
+            if len(calls) == 2:  # the left side's sum comes first, their difference last
+                num, den = values[i]
+                values[i] = (num * c.denominator + c.numerator * den, den * c.denominator)
+            return exact_sum(values, prefactor)
 
-        monkeypatch.setattr(euler_numbers, "_distribution_parts", shifted)
-        # the right side's prefactor (1+q)/(1+q**d) [d]_q**n (1+q**d)/(1-q**d)**n
-        assert distribution_residual(n, d, x, r) == -c * (1 + r) / (1 - r) ** n
+        monkeypatch.setattr(euler_numbers, "_exact_sum", shifted)
+        got = distribution_residual(n, d, x, r)
+        want = (1 + r) / (1 - r) ** n / r.numerator ** ((d - 1) * n)
+        assert len(calls) == 3 and F(*calls[1]) == want
+        assert got == -c * want != 0
 
     @pytest.mark.parametrize("m, n, j", [(1, 3, 0), (4, 3, 4), (6, 5, 2), (8, 7, 7)])
     def test_classical_euler_shift(self, monkeypatch, m, n, j):
@@ -364,25 +371,29 @@ class TestSharedCoefficientSum:
         q = r**d
         qp = (q.numerator, q.denominator)
         pairs = [(y.numerator, y.denominator) for y in map(F, ys)]
+        weights = [_y_powers(y, n) for y in pairs]
         prefactor = _binomial_prefactor(n, qp)
         assert F(*prefactor) == (1 + q) / (1 - q) ** n
         # the prefactor folded into every sum of one call, or taken in outside
-        batched = [_fraction(v) for v in _binomial_sum(n, m, qp, pairs, 1, prefactor)]
-        assert batched == [F(*prefactor) * _fraction(v) for v in _binomial_sum(n, m, qp, pairs)]
+        batched = [_fraction(v) for v in _binomial_sum(n, m, qp, [(w, prefactor) for w in weights])]
+        assert batched == [F(*prefactor) * _fraction(v)
+                           for v in _binomial_sum(n, m, qp, [(w, (1, 1)) for w in weights])]
         assert batched == [_fraction(_binomial_value(n, m, qp, y)) for y in pairs]
         assert batched == [oracle.binomial_sum(n, m, q, y) for y in ys]
 
     def test_unreduced_pairs(self):
         # the pairs need not be in lowest terms, and y = s/s is 1
         def reduced(q, ys):
-            return F(*_binomial_prefactor(5, q)), [_fraction(v) for v in _binomial_sum(5, 5, q, ys)]
+            sums = _binomial_sum(5, 5, q, [(_y_powers(y, 5), (1, 1)) for y in ys])
+            return F(*_binomial_prefactor(5, q)), [_fraction(v) for v in sums]
 
         assert reduced((2, 4), [(3, 3), (6, 8)]) == reduced((1, 2), [(1, 1), (3, 4)])
+        assert _y_powers((3, 3), 5) is None
 
     def test_empty_batch(self):
-        # no ys, no sums; the prefactor is formed apart from them
+        # no weights, no sums; the prefactor is formed apart from them
         assert _binomial_sum(4, 4, (1, 2), []) == []
-        assert _binomial_sum(4, 4, (1, 2), [], 1, _binomial_prefactor(4, (1, 2))) == []
+        assert _binomial_sum(4, 4, (1, 2), [], 3) == []
         assert F(*_binomial_prefactor(4, (1, 2))) == F(3, 2) / F(1, 2) ** 4
 
     def test_pinned_float_cells(self):
@@ -391,6 +402,65 @@ class TestSharedCoefficientSum:
         assert qeuler_poly_numeric(16, 0.99, 0).hex() == "-0x1.048599616686cp+17"
         assert qeuler_poly_numeric(40, 0.99, 0.3).hex() == "-0x1.4e85ffb30ec63p+93"
         assert float(oracle.qeuler_mixed(16, 16, F(0.99))).hex() == "-0x1.048599616686cp+17"
+
+
+ORDER_Q = st.one_of(st.sampled_from([F(1, 2), F(2, 3)]),
+                    st.integers(3, 10_001).map(lambda n: F(n - 1, n)))
+
+
+def _term_denominators(monkeypatch, module, call):
+    """The term denominators, in order, of the one ``_exact_sum`` that
+    ``call`` makes in ``module``."""
+    seen = []
+    exact_sum = numeric._exact_sum
+
+    def spy(values, prefactor=(1, 1)):
+        values = list(values)
+        seen.append([den for _, den in values])
+        return exact_sum(values, prefactor)
+
+    monkeypatch.setattr(module, "_exact_sum", spy)
+    call()
+    (dens,) = seen
+    return dens
+
+
+class TestFactorOrderedSums:
+    """The exact sums add their terms in ``_factor_order`` of the exponent
+    e = m - j of their denominators; an exact sum does not depend on the
+    order, so the values equal the term-by-term oracle."""
+
+    @given(m=st.integers(0, 60), k=st.integers(1, 3), q=ORDER_Q)
+    @settings(deadline=None, max_examples=60)
+    def test_ordered_sums_equal_oracle(self, m, k, q):
+        value = qeuler_higher(m, k, q)
+        assert value == oracle.qeuler_higher(m, k, q)
+        if k == 1 and m:
+            assert euler_zeta_neg_int_exact(m, q) == value
+
+    @given(kdeg=st.integers(0, 40), m=st.integers(0, 40), q=ORDER_Q)
+    @settings(deadline=None, max_examples=40)
+    def test_mixed_sums_equal_oracle(self, kdeg, m, q):
+        # kdeg > m has exponents of both signs
+        assert qeuler_mixed(kdeg, m, q) == oracle.qeuler_mixed(kdeg, m, q)
+
+    @pytest.mark.parametrize("module, call", [
+        (euler_numbers, lambda m, q: qeuler_higher(m, 1, q)),
+        (zeta, euler_zeta_neg_int_exact),
+    ])
+    @pytest.mark.parametrize("m", [1, 12, 45])
+    def test_terms_arrive_in_factor_order(self, monkeypatch, module, call, m):
+        # term e of either route is over a**e + b**e, times factors that are
+        # 1 at k = 1 and x = 0, so the denominators show the order
+        dens = _term_denominators(monkeypatch, module, lambda: call(m, F(2, 3)))
+        assert dens == [2**e + 3**e for e in _factor_order(m)]
+
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_higher_order_terms_stay_in_order_of_j(self, monkeypatch, m):
+        # at k = 2 term j is over the denominators of e = m-j and m-j+1, so
+        # neighbours in the order of j share one of their two
+        dens = _term_denominators(monkeypatch, euler_numbers, lambda: qeuler_higher(m, 2, F(2, 3)))
+        assert dens == [(2**e + 3**e) * (2 ** (e + 1) + 3 ** (e + 1)) for e in range(m, -1, -1)]
 
 
 class TestTruncationEdgeClasses:
@@ -458,7 +528,7 @@ class TestOneGcdPerValue:
                 rebuilt.append(x)
             return fraction(x)
 
-        for module in (zeta, characters, euler_numbers):
+        for module in (zeta, euler_numbers):
             monkeypatch.setattr(module, "_exact_sum", spy_sum)
         monkeypatch.setattr(numeric, "_fraction", spy_fraction)
         fn(*args)

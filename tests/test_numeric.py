@@ -20,7 +20,8 @@ from qeuler import (
     q_bracket,
     q_bracket_signed,
 )
-from qeuler.numeric import _MERGE_BITS, _exact_sum, _float, _fraction, _pair
+from qeuler.numeric import (_MERGE_BITS, _exact_sum, _factor_order, _float, _fraction, _pair,
+                            _power_sums)
 
 F = Fraction
 
@@ -283,6 +284,49 @@ class TestExactSum:
         # a large sum takes the prefactor into its reduced Fraction
         got = _exact_sum(pairs, (3, 4))
         assert isinstance(got, Fraction) and got == F(3, 4) * want
+
+
+def _v2(e):
+    return (e & -e).bit_length() - 1
+
+
+def _largest_odd_prime(e):
+    odd = e >> _v2(e)
+    return max((p for p in range(3, odd + 1, 2) if odd % p == 0 and is_prime(p)), default=1)
+
+
+class TestFactorOrder:
+    """The order in which the exact sums add their terms over a**e + b**e."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 16, 45, 148, 300])
+    def test_is_a_permutation(self, n):
+        order = _factor_order(n)
+        assert sorted(order) == list(range(n + 1))
+        assert _factor_order(n) is order  # built once per n
+
+    @pytest.mark.parametrize("n", [1, 16, 45, 148, 300])
+    def test_each_class_is_contiguous(self, n):
+        # a**e + b**e and a**f + b**f share a cyclotomic factor only when
+        # v2(e) = v2(f): each 2-adic class is one run, 0 comes last, and in a
+        # class the exponents with the same largest odd prime are one run
+        order = _factor_order(n)
+        assert order[-1] == 0
+        rest = order[:-1]
+        classes = [_v2(e) for e in rest]
+        assert classes == sorted(classes)
+        keys = [(_v2(e), _largest_odd_prime(e)) for e in rest]
+        runs = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k]
+        assert len(runs) == len(set(runs))
+
+    def test_small_order(self):
+        assert _factor_order(12) == (1, 3, 9, 5, 7, 11, 2, 6, 10, 4, 12, 8, 0)
+
+    def test_power_sums(self):
+        # sum of c * z**e over (c, z), for e = 0..n
+        assert _power_sums([(1, 2), (-1, 3)], 3) == [0, -1, -5, -19]
+        assert _power_sums([], 2) == [0, 0, 0]
+        zs = [(-1, 7), (1, 1), (1, 10**30)]
+        assert _power_sums(zs, 5) == [sum(c * z**e for c, z in zs) for e in range(6)]
 
 
 class TestPValuation:
