@@ -31,18 +31,24 @@ distribution sum (``_distribution_parts``, also the chi-twisted numbers)
 weighs the d residue classes of a group into one weight per term, an
 integer over a power of a, so a real chi or the distribution identity
 is one sum of m+1 terms, not d sums; a complex chi keeps one group per
-class.  The prefactor
-(1+q)**k/(1-q)**n is an integer pair too (``_binomial_prefactor``), taken
-into each sum once.  ``_exact_sum`` adds a small sum, prefactor
+class.  The prefactor (1+q)**k/(1-q)**n is an integer pair too
+(``_binomial_prefactor``), taken into each sum once, and so is the one
+denominator of a weight (t**n for y = s/t), so at k = 1 each term is
+over a**|e| + b**|e| alone.  ``_exact_sum`` adds a small sum, prefactor
 included, into one unreduced pair, and pairs pass on to the one
 Fraction a public function returns, so each value pays one gcd (a float
 result none: it is one integer division).  A large sum adds level by
 level as Fractions, and its reduced Fraction joins any larger sum as it
-is, never reduced again.  The cost follows the size of the value, and
-``Fraction(0.99)`` has a denominator of 2**52: the value's denominator
-grows like m**2 times the bit height of q (about 78,000 bits at
-(m, k, q) = (60, 1, 0.999), 9,800 at (60, 1, 99/100)), and the time
-faster than that size.  The README gives measured times.
+is, never reduced again.  At k = 1 a sum past ``_MERGE_BITS`` adds each
+2-adic class of e on its own tree and joins the classes with no gcd of
+two denominators: for coprime a, b no odd prime divides a**e + b**e and
+a**f + b**f when v2(e) != v2(f), so the gcd is a power of 2, read from
+trailing zeros (``numeric._coprime_add``).  A sum within the bound
+stays one pair and pays nothing for it.  The cost follows the size of
+the value, and ``Fraction(0.99)`` has a denominator of 2**52: the
+value's denominator grows like m**2 times the bit height of q (about
+78,000 bits at (m, k, q) = (60, 1, 0.999), 9,800 at (60, 1, 99/100)),
+and the time faster than that size.  The README gives measured times.
 
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
@@ -60,8 +66,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, check_closed_form_base, check_double, check_int, check_rational
-from .numeric import (_exact_sum, _factor_order, _float, _fraction, _negated, _pair, _power_sums,
-                      _powers, binom)
+from .numeric import (_MERGE_BITS, _exact_sum, _factor_key, _float, _fraction, _negated, _pair,
+                      _power_sums, _powers, _v2_runs, binom)
 
 __all__ = [
     "qeuler_higher",
@@ -84,19 +90,20 @@ def _binomial_prefactor(n, q, k=1):
 
 @lru_cache(maxsize=None)
 def _term_order(n, m):
-    """The indices j = 0..n of a binomial sum, whose term j is over
-    a**|e| + b**|e| with e = m - j, in the ``_factor_order`` of |e|: the
-    j <= m first, then any j > m.  A tuple, cached per (n, m)."""
-    js = tuple(m - e for e in _factor_order(m) if e >= m - n)
-    return js + tuple(m + e for e in _factor_order(n - m) if e) if n > m else js
+    """(js, runs): the indices j = 0..n of a binomial sum, whose term j is
+    over a**|e| + b**|e| with e = m - j, in the ``_factor_order`` of |e|
+    (e before -e), and the lengths of its runs of one v2(|e|)
+    (``_v2_runs``), as ``_exact_sum`` takes them.  Cached per (n, m)."""
+    js = tuple(sorted(range(n + 1), key=lambda j: _factor_key(abs(m - j))))
+    return js, _v2_runs(m - j for j in js)
 
 
 def _binomial_sum(n, m, q, weights, k=1):
     """[prefactor * sum_{j=0}^{n} C(n,j) (-1)**j w_j prod_{l<k} 1/(1 + q**(j-m-l))
     for (w, prefactor) in weights], raw values of ``_exact_sum``; q = a/b and
-    each prefactor are integer pairs, and the weights w are a pair of
-    integer lists (nums, dens) indexed by j, w_j = nums[j]/dens[j], or None
-    for w_j = 1.
+    each prefactor are integer pairs, and the weights w are a pair
+    (nums, den) of an integer list indexed by j and one integer,
+    w_j = nums[j]/den, or None for w_j = 1.
 
     E_m^(k) is n = m, w_j = 1 with the prefactor ``_binomial_prefactor``;
     E_m(x) is n = m, k = 1, w_j = y**j with y = q**x (``_y_powers``);
@@ -107,11 +114,14 @@ def _binomial_sum(n, m, q, weights, k=1):
     so that ``_tree`` merges the terms whose denominators share cyclotomic
     factors first; for k > 1 they stay in the order of j, in which term j,
     over the k denominators of e = m-j .. m-j+k-1, shares k-1 of them with
-    its neighbour.  Term j is the integer pair
-    (c_num * nums[j], c_den * dens[j]), and ``_exact_sum`` adds each sum's
-    terms, and its prefactor, into one pair with no gcd (a reduced
-    Fraction for a large sum): the value's one Fraction pays the only gcd.
-    The weighted sums of one call, the groups of residue classes of
+    its neighbour.  Term j is the integer pair (c_num * nums[j], c_den),
+    and the weight's den joins the prefactor, so at k = 1 every term is
+    over a**|e| + b**|e| alone and a large sum adds its 2-adic classes
+    apart and joins them with no gcd (``_exact_sum``'s runs; at k > 1 a
+    term spans several classes).  ``_exact_sum`` adds each sum's terms,
+    and its prefactor, into one pair with no gcd (a reduced Fraction for
+    a large sum): the value's one Fraction pays the only gcd.  The
+    weighted sums of one call, the groups of residue classes of
     ``_distribution_parts``, share the coefficients.
     """
     a, b = q
@@ -121,7 +131,12 @@ def _binomial_sum(n, m, q, weights, k=1):
     es = range(1 - m - k, n - m + 1)
     fnum = [bpow[e] if e >= 0 else apow[-e] for e in es]
     fden = [apow[abs(e)] + bpow[abs(e)] for e in es]
-    js = _term_order(n, m) if k == 1 else range(n + 1)
+    if k == 1:  # term j is over fden[j] alone, the largest at j = 0 or n
+        js, runs = _term_order(n, m)
+        if (n + 1) * fden[n if n > 2 * m else 0].bit_length() <= _MERGE_BITS:
+            runs = None  # a sum that stays one pair has no classes to join
+    else:
+        js, runs = range(n + 1), None
     coeffs = []
     for j in js:
         num = -math.comb(n, j) if j % 2 else math.comb(n, j)
@@ -135,17 +150,25 @@ def _binomial_sum(n, m, q, weights, k=1):
         if w is None:
             terms = coeffs
         else:
-            nums, dens = w
-            terms = [(cn * nums[j], cd * dens[j]) for (cn, cd), j in zip(coeffs, js)]
-        sums.append(_exact_sum(terms, prefactor))
+            nums, den = w
+            terms = [(cn * nums[j], cd) for (cn, cd), j in zip(coeffs, js)]
+            prefactor = prefactor[0], prefactor[1] * den
+        sums.append(_exact_sum(terms, prefactor, runs))
     return sums
 
 
 def _y_powers(y, n):
     """The weights w_j = y**j, j = 0..n, of an integer pair y = s/t, as
-    ``_binomial_sum`` takes them: None for y = 1."""
+    ``_binomial_sum`` takes them: (s**j t**(n-j) for j = 0..n, t**n), or
+    None for y = 1."""
     s, t = y
-    return None if s == t else (_powers(s, n), _powers(t, n))
+    if s == t:
+        return None
+    tpow, nums, sj = _powers(t, n), [], 1
+    for j in range(n, -1, -1):
+        nums.append(sj * tpow[j])
+        sj *= s
+    return nums, tpow[n]
 
 
 def _binomial_value(n, m, q, y, k=1):
@@ -173,21 +196,24 @@ def _distribution_parts(m, r, d, x, groups):
     W_j = a**((x+I) j) V_e / b**(x j) / a**(I m) with the integers
     V_e = sum_i c (-1)**i (b**i a**(I-i))**e (``_power_sums``).  The d
     classes of a group thus make one sum of m+1 terms, not d sums, and
-    all groups share one coefficient vector.  The prefactor
+    all groups share one coefficient vector.  The 1/b**(x j) is
+    b**(x e) / b**(x m): the weight's numerators take b**(x e), and its one
+    denominator b**(x m) joins the prefactor, so each term is over the
+    denominator of its coefficient alone.  The prefactor
     (1+q)/(1+q**d) [d]_q**m (1+Q)/(1-Q)**m is (1+q)/(1-q)**m, as
     [d]_q = (1-Q)/(1-q); with 1/a**(I m) it is each group's prefactor.
     """
     a, b = r.numerator, r.denominator
     apow, bpow = _powers(a, x + d), _powers(b, x + d)
     pn, pd = _binomial_prefactor(m, (a, b))
-    dens = _powers(bpow[x], m)  # b**(x j)
+    bx = _powers(bpow[x], m)  # b**(x e)
     weights = []
     for group in groups:
         last = max(i for i, _ in group)  # I
         v = _power_sums([(-c if i % 2 else c, apow[last - i] * bpow[i]) for i, c in group], m)
         lead = _powers(apow[x + last], m)  # a**((x+I) j)
-        nums = [lead[j] * v[m - j] for j in range(m + 1)]
-        weights.append(((nums, dens), (pn, pd * apow[last] ** m)))
+        nums = [lead[j] * v[m - j] * bx[m - j] for j in range(m + 1)]  # over b**(x m)
+        weights.append(((nums, bx[m]), (pn, pd * apow[last] ** m)))
     return _binomial_sum(m, m, (apow[d], bpow[d]), weights)
 
 

@@ -13,16 +13,27 @@ build their terms in ``_factor_order`` of the exponent e of their
 denominators a**e + b**e, so that the tree merges the denominators that
 share cyclotomic factors first, and weigh several residue classes into
 one term by ``_power_sums``.
+
+For coprime a, b no odd prime divides both a**e + b**e and a**f + b**f
+when v2(e) != v2(f) (the lemma is proved at ``_v2_runs``).  So a sum
+whose terms are over these denominators alone, once it passes
+``_MERGE_BITS`` (the gate), adds each 2-adic class, a run of
+``_factor_runs``, on its own tree and joins the classes' reduced
+Fractions smallest first with no gcd of two denominators: their gcd is
+the power of 2 read from trailing zeros (``_coprime_add``), and the sum
+is built as a Fraction already in lowest terms (``_reduced``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, check_finite, check_instance, check_int, check_rational
+from .errors import (DomainError, check_double, check_finite, check_instance, check_int,
+                     check_rational)
 
 __all__ = [
     "q_bracket",
@@ -40,13 +51,17 @@ def q_bracket(x, q):
 
     ``q`` must be positive.  For exact ``q`` (int or Fraction) the
     exponent ``x`` must be an integer: the bracket of x = a/d is exact at
-    base q = r**d, as (1 - r**a) / (1 - r**d).
+    base q = r**d, as (1 - r**a) / (1 - r**d).  A float or complex ``x``,
+    or a float ``q``, takes the floating path, where an exact argument
+    beyond the double range is a DomainError.
     """
     check_finite(x, "x")
     check_finite(q, "q", positive=True)
     if q == 1:
         return x  # limit value: lim_{q->1} [x]_q = x
-    if isinstance(x, float) or isinstance(q, float):
+    if isinstance(x, (float, complex)) or isinstance(q, float):
+        x = check_double(x, "x", complex if isinstance(x, complex) else float)
+        q = check_double(q, "q")
         return (1.0 - q**x) / (1.0 - q)
     if isinstance(x, Fraction):
         if x.denominator != 1:
@@ -84,7 +99,8 @@ def gen_binom(s, j):
     """Generalized binomial coefficient C(s + j - 1, j) = prod_{i=1}^{j} (s + i - 1)/i.
 
     These are the coefficients of (1 - z)**(-s).  Exact (Fraction) for
-    int/Fraction ``s``; float for float ``s``; complex for complex ``s``.
+    int/Fraction ``s``; float for float ``s``; complex for complex ``s``,
+    where a coefficient beyond the double range raises OverflowError.
     At s = -m with integer m >= 0 this equals (-1)**j * C(m, j), and in
     particular vanishes for all j > m.
     """
@@ -101,6 +117,8 @@ def gen_binom(s, j):
     out = complex(1) if isinstance(s, complex) else 1.0
     for i in range(1, j + 1):
         out *= (s + i - 1) / i
+    if not cmath.isfinite(out):
+        raise OverflowError(f"C(s+j-1, j) exceeds the double range at s = {s}, j = {j}")
     return out
 
 
@@ -109,7 +127,7 @@ def gen_binom(s, j):
 _MERGE_BITS = 4096
 
 
-def _exact_sum(values, prefactor=(1, 1)):
+def _exact_sum(values, prefactor=(1, 1), runs=None):
     """prefactor * (sum of raw values) as a raw value: an unreduced
     integer pair, or a reduced Fraction once the sum passes ``_MERGE_BITS``.
 
@@ -124,12 +142,64 @@ def _exact_sum(values, prefactor=(1, 1)):
     Fraction (``_fraction``), or the raw value joins a larger sum as one
     of its terms.  A Fraction result takes the prefactor as a small
     Fraction, with gcds against the prefactor's own size only.
+
+    ``runs``, where given, splits the values, integer pairs with positive
+    denominators, into consecutive runs (their lengths) whose denominators
+    share no odd prime from one run to another: the 2-adic classes of
+    ``_factor_runs``.  A sum past the bound then adds each run by
+    ``_tree``, reduces it to a Fraction (a small pair pays its own small
+    gcd), and joins the runs' Fractions smallest first by
+    ``_coprime_add``, with no gcd of two denominators.  A sum within the
+    bound ignores the runs and stays one pair.  The producers pass runs
+    only where their count of terms times their largest denominator
+    passes the bound, a test in O(1) that keeps the many small sums of
+    the package off this path.
     """
     xs = list(values)
-    value = _tree(xs) if xs else (0, 1)
+    if runs and sum(x[1].bit_length() for x in xs) > _MERGE_BITS:
+        parts, i = [], 0
+        for n in runs:
+            parts.append(_fraction(_tree(xs[i:i + n])))
+            i += n
+        parts.sort(key=lambda x: x.denominator.bit_length())
+        value = parts[0]
+        for x in parts[1:]:
+            value = _coprime_add(value, x)
+    else:
+        value = _tree(xs) if xs else (0, 1)
     if type(value) is tuple:
         return prefactor[0] * value[0], prefactor[1] * value[1]
     return value if prefactor == (1, 1) else value * Fraction(*prefactor)
+
+
+def _coprime_add(x, y):
+    """x + y for two reduced Fractions whose denominators share no odd
+    prime, as ``Fraction`` adds them, but with both of its gcds read from
+    trailing zeros: gcd(da, db) is 2**min(v2(da), v2(db)), and the gcd of
+    the cross sum with it a power of 2 too.  The sum is reduced, built by
+    ``_reduced``."""
+    na, da = x.numerator, x.denominator
+    nb, db = y.numerator, y.denominator
+    k = min(_v2(da), _v2(db))
+    s = da >> k
+    t = na * (db >> k) + nb * s
+    if not t:
+        return _reduced(0, 1)
+    k = min(_v2(t), k)
+    return _reduced(t >> k, s * (db >> k))
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _reduced = Fraction._from_coprime_ints
+else:
+    def _reduced(num, den):
+        """The Fraction num/den of integers in lowest terms, den > 0, with no gcd."""
+        return Fraction(num, den, _normalize=False)
+
+
+def _v2(n):
+    """The 2-adic valuation of a nonzero integer n (of either sign)."""
+    return (n & -n).bit_length() - 1
 
 
 def _tree(xs):
@@ -214,11 +284,41 @@ def _factor_order(n):
     return tuple(sorted(range(n + 1), key=_factor_key))
 
 
+@lru_cache(maxsize=None)
+def _factor_runs(n):
+    """The lengths of the runs of ``_factor_order(n)`` that share v2(e),
+    e = 0 a run of its own, as ``_exact_sum`` takes them; cached per n."""
+    return _v2_runs(_factor_order(n))
+
+
+def _v2_runs(es):
+    """The lengths of the maximal runs of the exponents es that share
+    v2(|e|), e = 0 a class of its own.
+
+    The lemma: for coprime a, b, no odd prime divides both a**e + b**e and
+    a**f + b**f when v2(e) != v2(f).  An odd prime p of a**e + b**e
+    divides neither a nor b, and r = a/b (mod p) has r**e = -1 != 1, so
+    the order of r divides 2e but not e: its 2-adic valuation is
+    v2(e) + 1, and a common p would make it v2(f) + 1 too.  And
+    a**0 + b**0 = 2.  So terms over these denominators, in these runs,
+    are what ``_exact_sum`` joins from run to run without a gcd.
+    """
+    runs, last = [], None
+    for e in es:
+        v = _v2(e) if e else -1
+        if v == last:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+            last = v
+    return tuple(runs)
+
+
 def _factor_key(e):
     """The sort key of e in ``_factor_order``."""
     if not e:
         return (math.inf,)
-    v = (e & -e).bit_length() - 1
+    v = _v2(e)
     return v, tuple(p for p, _ in reversed(_factorize(e >> v))), e
 
 

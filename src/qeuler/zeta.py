@@ -118,7 +118,8 @@ from . import _direct
 from .characters import DirichletCharacter, _chi_combination, _class_groups, generalized_qeuler
 from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_double,
                      check_finite, check_instance, check_int, check_rational)
-from .numeric import _exact_sum, _factor_order, _power_sums, _powers, gen_binom
+from .numeric import (_MERGE_BITS, _exact_sum, _factor_order, _factor_runs, _power_sums, _powers,
+                      gen_binom)
 
 __all__ = [
     "PrecisionPolicy",
@@ -439,32 +440,39 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
     qb**a)**e (``_power_sums``): a real chi gives one sum, not one per
     class.  The terms are built in ``_factor_order`` of e, so that
     ``_tree`` merges the denominators that share cyclotomic factors first.
+    The qxb**j of qx**j is qxb**e / qxb**m: the numerators take qxb**e and
+    the prefactor takes 1/qxb**m, so term j is over Qa**e + Qb**e alone.
     Each term is an integer pair, and ``_exact_sum`` adds a group into one
     pair, prefactor included, with no gcd: the public value's one Fraction
-    is the only reduction.  A sum past ``_MERGE_BITS`` comes back as a
-    reduced Fraction, never reduced again.
+    is the only reduction.  A sum past ``_MERGE_BITS`` adds each 2-adic
+    class of e (``_factor_runs``) apart and joins the classes with no gcd
+    of two denominators, as no odd prime divides two denominators of
+    different classes; it comes back as a reduced Fraction, never reduced
+    again.
     """
     classes, step = _classes(n0, step, chi)
     qa, qb = q
     Qa, Qb = _powers(qa**step, m), _powers(qb**step, m)
     xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
-    # C(j-m-1, j) qx**j Q**e y**(-e) / (Q**e + 1) = num_j * (class power)**e / den_j, e = m - j
+    # C(j-m-1, j) qx**j Q**e y**(-e) / (Q**e + 1) = num_j * (class power)**e / den_j / qxb**m,
+    # e = m - j; C(j-m-1, j) = (-1)**j C(m, j) is an integer
     es = _factor_order(m)
     nums, dens = [], []
     for e in es:
         j = m - e
-        c = gen_binom(-m, j)
-        nums.append(c.numerator * xpow[j])
-        dens.append(c.denominator * xbpow[j] * (Qa[e] + Qb[e]))
-    # (1+q)/(1-q)**m = (qa+qb) qb**(m-1) / (qb-qa)**m
-    prefactor = (qa + qb) * qb ** max(m - 1, 0), (qb - qa) ** m * qb ** max(1 - m, 0)
+        nums.append(gen_binom(-m, j).numerator * xpow[j] * xbpow[e])
+        dens.append(Qa[e] + Qb[e])
+    # (1+q)/(1-q)**m / qxb**m = (qa+qb) qb**(m-1) / ((qb-qa)**m qxb**m)
+    prefactor = ((qa + qb) * qb ** max(m - 1, 0),
+                 (qb - qa) ** m * qb ** max(1 - m, 0) * xbpow[m])
+    runs = _factor_runs(m) if (m + 1) * (Qa[m] + Qb[m]).bit_length() > _MERGE_BITS else None
     sums = []
     for k, group in _class_groups(classes, chi):
         # needs 0 <= a <= step, which every class table of ``_classes`` keeps (pinned by
         # test_every_class_lies_within_its_step); a > step would make this power a float
         u = _power_sums([(-c if a % 2 else c, qa ** (step - a) * qb**a) for a, c in group], m)
         sums.append((k, _exact_sum(((cn * u[e], cd) for cn, cd, e in zip(nums, dens, es)),
-                                   prefactor)))
+                                   prefactor, runs)))
     return _chi_combination(chi, sums)
 
 

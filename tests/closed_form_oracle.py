@@ -76,3 +76,13 @@ def generalized_qeuler_real(m, chi, r):
         term = v.as_rational() * r ** (-m * i) * qeuler_poly_exact(m, r, d, i)
         total += -term if i % 2 else term
     return (1 + r) / (1 + r**d) * q_bracket(d, r) ** m * total
+
+
+def distribution_class(n, r, d, i):
+    """Class i of the distribution sum at base r:
+    (1+r)/(1+r**d) [d]_r**n (-1)**i r**(-n i) E_n(i/d) at base r**d, which
+    is also the partial zeta H(-n, i, d) for 1 <= i <= d."""
+    r = Fraction(r)
+    term = ((1 + r) / (1 + r**d) * q_bracket(d, r) ** n * r ** (-n * i)
+            * qeuler_poly_exact(n, r, d, i))
+    return -term if i % 2 else term

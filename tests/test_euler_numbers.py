@@ -27,7 +27,7 @@ from qeuler import (
 )
 from qeuler import euler_numbers, numeric, zeta
 from qeuler.euler_numbers import _binomial_prefactor, _binomial_sum, _binomial_value, _y_powers
-from qeuler.numeric import _MERGE_BITS, _factor_order, _fraction
+from qeuler.numeric import _MERGE_BITS, _factor_order, _factor_runs, _fraction
 
 import closed_form_oracle as oracle
 
@@ -284,22 +284,23 @@ class TestResidualSensitivity:
     @pytest.mark.parametrize("r", [F(1, 2), F(2, 3)])
     def test_distribution_part_shift(self, monkeypatch, n, d, x, i, r):
         # The right side is one sum of n+1 terms, all d classes in one group,
-        # with the prefactor (1+q)/(1-q)**n / a**((d-1) n), q = a/b: shifting
-        # its i-th term by c moves the residual by -c times that prefactor.
+        # with the prefactor (1+q)/(1-q)**n / a**((d-1) n) / b**(x n), q = a/b
+        # (the weights' common denominator b**(x n) folded in): shifting its
+        # i-th term by c moves the residual by -c times that prefactor.
         c = F(3, 7)
         exact_sum, calls = euler_numbers._exact_sum, []
 
-        def shifted(values, prefactor=(1, 1)):
+        def shifted(values, prefactor=(1, 1), runs=None):
             values = list(values)
             calls.append(prefactor)
             if len(calls) == 2:  # the left side's sum comes first, their difference last
                 num, den = values[i]
                 values[i] = (num * c.denominator + c.numerator * den, den * c.denominator)
-            return exact_sum(values, prefactor)
+            return exact_sum(values, prefactor, runs)
 
         monkeypatch.setattr(euler_numbers, "_exact_sum", shifted)
         got = distribution_residual(n, d, x, r)
-        want = (1 + r) / (1 - r) ** n / r.numerator ** ((d - 1) * n)
+        want = (1 + r) / (1 - r) ** n / r.numerator ** ((d - 1) * n) / r.denominator ** (x * n)
         assert len(calls) == 3 and F(*calls[1]) == want
         assert got == -c * want != 0
 
@@ -409,20 +410,20 @@ ORDER_Q = st.one_of(st.sampled_from([F(1, 2), F(2, 3)]),
 
 
 def _term_denominators(monkeypatch, module, call):
-    """The term denominators, in order, of the one ``_exact_sum`` that
-    ``call`` makes in ``module``."""
+    """The term denominators, in order, and the runs of the one
+    ``_exact_sum`` that ``call`` makes in ``module``."""
     seen = []
     exact_sum = numeric._exact_sum
 
-    def spy(values, prefactor=(1, 1)):
+    def spy(values, prefactor=(1, 1), runs=None):
         values = list(values)
-        seen.append([den for _, den in values])
-        return exact_sum(values, prefactor)
+        seen.append(([den for _, den in values], runs))
+        return exact_sum(values, prefactor, runs)
 
     monkeypatch.setattr(module, "_exact_sum", spy)
     call()
-    (dens,) = seen
-    return dens
+    (seen,) = seen
+    return seen
 
 
 class TestFactorOrderedSums:
@@ -448,19 +449,25 @@ class TestFactorOrderedSums:
         (euler_numbers, lambda m, q: qeuler_higher(m, 1, q)),
         (zeta, euler_zeta_neg_int_exact),
     ])
-    @pytest.mark.parametrize("m", [1, 12, 45])
+    @pytest.mark.parametrize("m", [1, 12, 45, 80])
     def test_terms_arrive_in_factor_order(self, monkeypatch, module, call, m):
-        # term e of either route is over a**e + b**e, times factors that are
-        # 1 at k = 1 and x = 0, so the denominators show the order
-        dens = _term_denominators(monkeypatch, module, lambda: call(m, F(2, 3)))
+        # term e of either route is over a**e + b**e alone at k = 1 and x = 0,
+        # so the denominators show the order; a sum past _MERGE_BITS (m = 80)
+        # takes its 2-adic classes as runs, a smaller one is one pair
+        dens, runs = _term_denominators(monkeypatch, module, lambda: call(m, F(2, 3)))
         assert dens == [2**e + 3**e for e in _factor_order(m)]
+        big = sum(d.bit_length() for d in dens) > _MERGE_BITS
+        assert runs == (_factor_runs(m) if big else None) and big == (m == 80)
 
-    @pytest.mark.parametrize("m", [3, 20])
+    @pytest.mark.parametrize("m", [3, 20, 90])
     def test_higher_order_terms_stay_in_order_of_j(self, monkeypatch, m):
         # at k = 2 term j is over the denominators of e = m-j and m-j+1, so
-        # neighbours in the order of j share one of their two
-        dens = _term_denominators(monkeypatch, euler_numbers, lambda: qeuler_higher(m, 2, F(2, 3)))
+        # neighbours in the order of j share one of their two, and a term
+        # spans two 2-adic classes: the sum takes no runs
+        dens, runs = _term_denominators(monkeypatch, euler_numbers,
+                                        lambda: qeuler_higher(m, 2, F(2, 3)))
         assert dens == [(2**e + 3**e) * (2 ** (e + 1) + 3 ** (e + 1)) for e in range(m, -1, -1)]
+        assert runs is None
 
 
 class TestTruncationEdgeClasses:

@@ -47,6 +47,14 @@ class TestQBracket:
         assert isinstance(q_bracket(3, 0.5), float)
         assert q_bracket(0.5, 0.25) == pytest.approx((1 - 0.25**0.5) / 0.75)
 
+    @pytest.mark.parametrize("x, q", [(10**400, 0.5), (0.5, F(10**400)), (F(-(10**400), 3), 0.5),
+                                      (1 + 1j, 10**400), (2.0, 10**400)])
+    def test_float_path_beyond_double_range_raises_domain_error(self, x, q):
+        # an exact argument the floating path cannot convert is outside the
+        # domain, never the OverflowError of the conversion
+        with pytest.raises(DomainError, match="double range"):
+            q_bracket(x, q)
+
     def test_geometric_identity_exact(self):
         # [x]_q (1 - q) + q**x = 1 for integer x >= 0
         for q in (F(1, 3), F(2, 5), F(5, 2)):
@@ -174,6 +182,14 @@ class TestGenBinom:
             for j in range(41):
                 got, want = gen_binom(s, j), self._product(s, j, complex(1))
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @pytest.mark.parametrize("s", [1e300, -1e300, 1e300 + 1j, 1e200j, 2e154])
+    def test_coefficient_beyond_double_range_raises(self, s):
+        # a finite s whose coefficient overflows: a typed OverflowError
+        # naming the coefficient, never an inf or a NaN
+        with pytest.raises(OverflowError, match=r"C\(s\+j-1, j\) exceeds the double range"):
+            gen_binom(s, 3)
+        assert math.isfinite(abs(gen_binom(s, 1)))  # s itself is a double
 
     def test_rejects_bad_j(self):
         with pytest.raises(DomainError):
