@@ -18,37 +18,28 @@ formula at that double, with no cancellation however close q is to 1.
 Every closed form is one sum, ``_binomial_sum``, over integers: q = a/b
 and every weight come as integers, 1/(1 + q**-k) is a**k/(a**k + b**k),
 and each term is a pair (num, den) with no gcd.  Its coefficient vector
-is formed once per call and serves every weighted sum the call asks
-for.  At k = 1 the terms are built in ``numeric._factor_order`` of the
-exponent e = m - j of their denominators a**e + b**e (at k > 1
-neighbours in the order of j already share k-1 of their k
-denominators, and that order stays), so the tree that adds them
-merges the denominators that share cyclotomic factors first and its
-Fractions grow toward the lcm of the denominators, not their product:
-at (m, q) = (148, 9999/10000) the Fractions it adds carry 763,768
-denominator bits in all, against 919,249 in the order of j.  The
-distribution sum (``_distribution_parts``, also the chi-twisted numbers)
-weighs the d residue classes of a group into one weight per term, an
-integer over a power of a, so a real chi or the distribution identity
-is one sum of m+1 terms, not d sums; a complex chi keeps one group per
-class.  The prefactor (1+q)**k/(1-q)**n is an integer pair too
-(``_binomial_prefactor``), taken into each sum once, and so is the one
-denominator of a weight (t**n for y = s/t), so at k = 1 each term is
-over a**|e| + b**|e| alone.  ``_exact_sum`` adds a small sum, prefactor
-included, into one unreduced pair, and pairs pass on to the one
-Fraction a public function returns, so each value pays one gcd (a float
-result none: it is one integer division).  A large sum adds level by
-level as Fractions, and its reduced Fraction joins any larger sum as it
-is, never reduced again.  At k = 1 a sum past ``_MERGE_BITS`` adds each
-2-adic class of e on its own tree and joins the classes with no gcd of
-two denominators: for coprime a, b no odd prime divides a**e + b**e and
-a**f + b**f when v2(e) != v2(f), so the gcd is a power of 2, read from
-trailing zeros (``numeric._coprime_add``).  A sum within the bound
-stays one pair and pays nothing for it.  The cost follows the size of
-the value, and ``Fraction(0.99)`` has a denominator of 2**52: the
-value's denominator grows like m**2 times the bit height of q (about
-78,000 bits at (m, k, q) = (60, 1, 0.999), 9,800 at (60, 1, 99/100)),
-and the time faster than that size.  The README gives measured times.
+is formed once per call, in the order of j, and serves every weighted
+sum the call asks for.  The distribution sum (``_distribution_parts``,
+also the chi-twisted numbers) weighs the d residue classes of a group
+into one weight per term, an integer over a power of a, so a real chi or
+the distribution identity is one sum of m+1 terms, not d sums; a complex
+chi keeps one group per class.  The prefactor (1+q)**k/(1-q)**n is an
+integer pair too (``_binomial_prefactor``), taken into each sum once,
+and so is the one denominator of a weight (t**n for y = s/t), so at
+k = 1 term j is over a**|e| + b**|e| alone, e = m - j, and the sum hands
+``_exact_sum`` the range of e, which orders the terms and joins their
+2-adic classes (the ``numeric`` module docstring has the order and its
+gate).  At k > 1 a term spans several classes, and the sum is one tree
+in the order of j, in which neighbours share k-1 of their k
+denominators.  ``_exact_sum`` adds a small sum, prefactor included, into
+one unreduced pair, and pairs pass on to the one Fraction a public
+function returns, so each value pays one gcd (a float result none: it is
+one integer division).  A large sum's reduced Fraction joins any larger
+sum as it is, never reduced again.  The cost follows the size of the
+value, and ``Fraction(0.99)`` has a denominator of 2**52: the value's
+denominator grows like m**2 times the bit height of q (about 78,000 bits
+at (m, k, q) = (60, 1, 0.999), 9,800 at (60, 1, 99/100)), and the time
+faster than that size.  The README gives measured times.
 
 ``qeuler_poly_numeric`` is the floating companion at real x; its only
 other rounding is q**x.  The ``*_residual`` functions package the
@@ -66,8 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, check_closed_form_base, check_double, check_int, check_rational
-from .numeric import (_MERGE_BITS, _exact_sum, _factor_key, _float, _fraction, _negated, _pair,
-                      _power_sums, _powers, _v2_runs, binom)
+from .numeric import _exact_sum, _float, _fraction, _negated, _pair, _power_sums, _powers, binom
 
 __all__ = [
     "qeuler_higher",
@@ -88,16 +78,6 @@ def _binomial_prefactor(n, q, k=1):
     return (a + b) ** k * b ** max(n - k, 0), (b - a) ** n * b ** max(k - n, 0)
 
 
-@lru_cache(maxsize=None)
-def _term_order(n, m):
-    """(js, runs): the indices j = 0..n of a binomial sum, whose term j is
-    over a**|e| + b**|e| with e = m - j, in the ``_factor_order`` of |e|
-    (e before -e), and the lengths of its runs of one v2(|e|)
-    (``_v2_runs``), as ``_exact_sum`` takes them.  Cached per (n, m)."""
-    js = tuple(sorted(range(n + 1), key=lambda j: _factor_key(abs(m - j))))
-    return js, _v2_runs(m - j for j in js)
-
-
 def _binomial_sum(n, m, q, weights, k=1):
     """[prefactor * sum_{j=0}^{n} C(n,j) (-1)**j w_j prod_{l<k} 1/(1 + q**(j-m-l))
     for (w, prefactor) in weights], raw values of ``_exact_sum``; q = a/b and
@@ -110,15 +90,12 @@ def _binomial_sum(n, m, q, weights, k=1):
     E_{n,m} is k = 1, w_j = 1.  The n+1 coefficients are formed once per
     call from integer powers of a and b: 1/(1 + q**e) is
     b**e/(a**e + b**e) for e >= 0 and a**-e/(a**-e + b**-e) for e < 0,
-    positive for positive q.  For k = 1 they are built in ``_term_order``,
-    so that ``_tree`` merges the terms whose denominators share cyclotomic
-    factors first; for k > 1 they stay in the order of j, in which term j,
-    over the k denominators of e = m-j .. m-j+k-1, shares k-1 of them with
-    its neighbour.  Term j is the integer pair (c_num * nums[j], c_den),
-    and the weight's den joins the prefactor, so at k = 1 every term is
-    over a**|e| + b**|e| alone and a large sum adds its 2-adic classes
-    apart and joins them with no gcd (``_exact_sum``'s runs; at k > 1 a
-    term spans several classes).  ``_exact_sum`` adds each sum's terms,
+    positive for positive q.  Term j is the integer pair
+    (c_num * nums[j], c_den), and the weight's den joins the prefactor, so
+    at k = 1 term j is over a**|e| + b**|e| alone, e = m - j, and
+    ``_exact_sum``, given the range of e, orders and joins the terms; at
+    k > 1 term j is over the k denominators of e = m-j .. m-j+k-1 and the
+    terms add in the order of j.  ``_exact_sum`` adds each sum's terms,
     and its prefactor, into one pair with no gcd (a reduced Fraction for
     a large sum): the value's one Fraction pays the only gcd.  The
     weighted sums of one call, the groups of residue classes of
@@ -131,29 +108,25 @@ def _binomial_sum(n, m, q, weights, k=1):
     es = range(1 - m - k, n - m + 1)
     fnum = [bpow[e] if e >= 0 else apow[-e] for e in es]
     fden = [apow[abs(e)] + bpow[abs(e)] for e in es]
-    if k == 1:  # term j is over fden[j] alone, the largest at j = 0 or n
-        js, runs = _term_order(n, m)
-        if (n + 1) * fden[n if n > 2 * m else 0].bit_length() <= _MERGE_BITS:
-            runs = None  # a sum that stays one pair has no classes to join
-    else:
-        js, runs = range(n + 1), None
     coeffs = []
-    for j in js:
+    for j in range(n + 1):
         num = -math.comb(n, j) if j % 2 else math.comb(n, j)
         den = 1
         for i in range(j, j + k):
             num *= fnum[i]
             den *= fden[i]
         coeffs.append((num, den))
+    # at k = 1 term j is over fden[j] = a**|e| + b**|e| alone, e = m - j
+    exponents = range(m, m - n - 1, -1) if k == 1 else None
     sums = []
     for w, prefactor in weights:
         if w is None:
             terms = coeffs
         else:
             nums, den = w
-            terms = [(cn * nums[j], cd) for (cn, cd), j in zip(coeffs, js)]
+            terms = [(cn * num, cd) for (cn, cd), num in zip(coeffs, nums)]
             prefactor = prefactor[0], prefactor[1] * den
-        sums.append(_exact_sum(terms, prefactor, runs))
+        sums.append(_exact_sum(terms, prefactor, exponents))
     return sums
 
 

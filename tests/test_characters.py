@@ -433,10 +433,10 @@ class TestOneSumPerTwistedValue:
         sizes = []
         exact_sum = numeric._exact_sum
 
-        def spy(values, prefactor=(1, 1), runs=None):
+        def spy(values, prefactor=(1, 1), exponents=None):
             values = list(values)
             sizes.append(len(values))
-            return exact_sum(values, prefactor, runs)
+            return exact_sum(values, prefactor, exponents)
 
         for module in (euler_numbers, zeta):
             monkeypatch.setattr(module, "_exact_sum", spy)

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
@@ -32,8 +32,7 @@ from qeuler import (
     qeuler_poly_exact,
 )
 from qeuler import characters, numeric, zeta
-from qeuler.numeric import (_MERGE_BITS, _coprime_add, _exact_sum, _factor_order, _factor_runs,
-                            _fraction, _reduced, _v2_runs)
+from qeuler.numeric import _MERGE_BITS, _coprime_add, _exact_sum, _fraction, _reduced, _sum_order
 
 import closed_form_oracle as oracle
 
@@ -69,8 +68,9 @@ class TestLemma:
 class TestFactorRuns:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 16, 45, 148])
     def test_runs_are_the_classes_of_the_order(self, n):
-        order, runs = _factor_order(n), _factor_runs(n)
-        assert _factor_runs(n) is runs  # built once per n
+        # for the range 0..n the term indices of the order are the exponents
+        order, runs = _sum_order(range(n + 1))
+        assert _sum_order(range(n + 1))[1] is runs  # built once per range
         assert sum(runs) == n + 1 and all(runs)
         starts = [sum(runs[:i]) for i in range(len(runs))]
         classes = [{_v2(e) if e else -1 for e in order[s:s + k]} for s, k in zip(starts, runs)]
@@ -81,9 +81,12 @@ class TestFactorRuns:
         assert len(runs) == (n.bit_length() + 1 if n else 1)
 
     def test_runs_of_signed_exponents(self):
-        # e and -e are in one class: qeuler_mixed with n > m has both
-        assert _v2_runs([1, -3, 5, 2, -6, 4, 0, 0]) == (3, 2, 1, 2)
-        assert _v2_runs([]) == ()
+        # e and -e are in one class, e first: qeuler_mixed with n > 2m has both
+        exponents = range(3, -7, -1)
+        order, runs = _sum_order(exponents)
+        assert [exponents[i] for i in order] == [1, -1, 3, -3, -5, 2, -2, -6, -4, 0]
+        assert runs == (5, 3, 1, 1)
+        assert _sum_order(range(0)) == ((), ())
 
 
 class TestNoGcdFraction:
@@ -115,28 +118,41 @@ class TestNoGcdFraction:
         assert _coprime_add(F(1, 12), F(1, 20)) == F(2, 15)  # gcd 4, the sum's 2s cancel
 
 
+PREFACTORS = st.sampled_from([(1, 1), (3, 4), (-5, 42)])
+
+
 class TestExactSumRuns:
-    @given(ab=COPRIME_BASES, n=st.integers(0, 120), data=st.data())
+    @given(ab=COPRIME_BASES, m=st.integers(0, 80),
+           nums=st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=121),
+           prefactor=PREFACTORS)
+    @example(ab=(59, 60), m=0, nums=[7], prefactor=(3, 4))  # one term
+    @example(ab=(59, 60), m=40, nums=[1] * 121, prefactor=(1, 1))  # both signs, past the bound
     @settings(deadline=None, max_examples=60)
-    def test_class_join_equals_the_sum(self, ab, n, data):
+    def test_class_join_equals_the_sum(self, ab, m, nums, prefactor):
+        # term j over a**|e| + b**|e|, e = m - j, in the order of j as the
+        # producers build them: a signed range once j passes m
         a, b = ab
-        order = _factor_order(n)
-        nums = data.draw(st.lists(st.integers(-(10**9), 10**9), min_size=n + 1, max_size=n + 1))
-        pairs = [(c, a**e + b**e) for c, e in zip(nums, order)]
-        prefactor = data.draw(st.sampled_from([(1, 1), (3, 4), (-5, 6 * (a + b))]))
-        got = _fraction(_exact_sum(pairs, prefactor, _factor_runs(n)))
+        exponents = range(m, m - len(nums), -1)
+        pairs = [(c, a ** abs(e) + b ** abs(e)) for c, e in zip(nums, exponents)]
+        got = _fraction(_exact_sum(pairs, prefactor, exponents))
         want = Fraction(*prefactor) * sum((F(*p) for p in pairs), F(0))
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
+    def test_one_term_past_the_bound_is_reduced(self):
+        d = 3**3000 + 2**3000
+        got = _exact_sum([(7 * d, d)], exponents=range(3000, 2999, -1))
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (7, 1)
+
     def test_runs_pass_reduced_classes(self):
-        # two classes whose sums are Fractions past the bound, and a pair
-        big = [(1, 3**e + 2**e) for e in (1501, 1503, 1505)]  # v2 = 0
-        other = [(-1, 3**e + 2**e) for e in (1502, 1506)]  # v2 = 1
-        pairs = big + other + [(5, 2)]
-        got = _exact_sum(pairs, runs=(3, 2, 1))
+        # two classes whose sums are Fractions past the bound (v2 = 0: 1501,
+        # 1503, 1505; v2 = 1: 1502, 1506), and two single terms, pairs
+        exponents = range(1506, 1499, -1)
+        pairs = [((-1) ** e * (e % 7 + 1), 3**e + 2**e) for e in exponents]
+        got = _exact_sum(pairs, exponents=exponents)
         assert type(got) is Fraction and got.denominator.bit_length() > _MERGE_BITS
         want = sum((F(*p) for p in pairs), F(0))
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert _sum_order(exponents)[1] == (3, 2, 1, 1)
 
 
 # ---------------------------------------------------------------------------

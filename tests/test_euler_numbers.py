@@ -27,7 +27,7 @@ from qeuler import (
 )
 from qeuler import euler_numbers, numeric, zeta
 from qeuler.euler_numbers import _binomial_prefactor, _binomial_sum, _binomial_value, _y_powers
-from qeuler.numeric import _MERGE_BITS, _factor_order, _factor_runs, _fraction
+from qeuler.numeric import _MERGE_BITS, _fraction, _sum_order
 
 import closed_form_oracle as oracle
 
@@ -290,13 +290,13 @@ class TestResidualSensitivity:
         c = F(3, 7)
         exact_sum, calls = euler_numbers._exact_sum, []
 
-        def shifted(values, prefactor=(1, 1), runs=None):
+        def shifted(values, prefactor=(1, 1), exponents=None):
             values = list(values)
             calls.append(prefactor)
             if len(calls) == 2:  # the left side's sum comes first, their difference last
                 num, den = values[i]
                 values[i] = (num * c.denominator + c.numerator * den, den * c.denominator)
-            return exact_sum(values, prefactor, runs)
+            return exact_sum(values, prefactor, exponents)
 
         monkeypatch.setattr(euler_numbers, "_exact_sum", shifted)
         got = distribution_residual(n, d, x, r)
@@ -409,27 +409,38 @@ ORDER_Q = st.one_of(st.sampled_from([F(1, 2), F(2, 3)]),
                     st.integers(3, 10_001).map(lambda n: F(n - 1, n)))
 
 
-def _term_denominators(monkeypatch, module, call):
-    """The term denominators, in order, and the runs of the one
-    ``_exact_sum`` that ``call`` makes in ``module``."""
-    seen = []
-    exact_sum = numeric._exact_sum
+def _trees(monkeypatch, module, call):
+    """The terms of each ``numeric._tree`` that the one ``_exact_sum``
+    of ``call`` in ``module`` adds them by, in order, and whether each
+    tree came back an unreduced pair."""
+    sums, trees = [], []
+    exact_sum, tree = numeric._exact_sum, numeric._tree
 
-    def spy(values, prefactor=(1, 1), runs=None):
-        values = list(values)
-        seen.append(([den for _, den in values], runs))
-        return exact_sum(values, prefactor, runs)
+    def spy_sum(*args):
+        sums.append(args)
+        return exact_sum(*args)
 
-    monkeypatch.setattr(module, "_exact_sum", spy)
+    def spy_tree(xs):
+        value = tree(xs)
+        trees.append((list(xs), type(value) is tuple))
+        return value
+
+    monkeypatch.setattr(module, "_exact_sum", spy_sum)
+    monkeypatch.setattr(numeric, "_tree", spy_tree)
     call()
-    (seen,) = seen
-    return seen
+    assert len(sums) == 1
+    return trees
+
+
+def _dens(terms):
+    return [den for _, den in terms]
 
 
 class TestFactorOrderedSums:
-    """The exact sums add their terms in ``_factor_order`` of the exponent
-    e = m - j of their denominators; an exact sum does not depend on the
-    order, so the values equal the term-by-term oracle."""
+    """``_exact_sum`` adds the terms of a sum past ``_MERGE_BITS`` in the
+    factor order of the exponent e = m - j of their denominators, one tree
+    per 2-adic class; an exact sum does not depend on the order, so the
+    values equal the term-by-term oracle."""
 
     @given(m=st.integers(0, 60), k=st.integers(1, 3), q=ORDER_Q)
     @settings(deadline=None, max_examples=60)
@@ -453,21 +464,43 @@ class TestFactorOrderedSums:
     def test_terms_arrive_in_factor_order(self, monkeypatch, module, call, m):
         # term e of either route is over a**e + b**e alone at k = 1 and x = 0,
         # so the denominators show the order; a sum past _MERGE_BITS (m = 80)
-        # takes its 2-adic classes as runs, a smaller one is one pair
-        dens, runs = _term_denominators(monkeypatch, module, lambda: call(m, F(2, 3)))
-        assert dens == [2**e + 3**e for e in _factor_order(m)]
-        big = sum(d.bit_length() for d in dens) > _MERGE_BITS
-        assert runs == (_factor_runs(m) if big else None) and big == (m == 80)
+        # adds each 2-adic class on its own tree, a smaller one is one
+        # unreduced pair in the order of j
+        trees = _trees(monkeypatch, module, lambda: call(m, F(2, 3)))
+        big = sum((2**e + 3**e).bit_length() for e in range(m + 1)) > _MERGE_BITS
+        assert big == (m == 80)
+        if big:
+            order, runs = _sum_order(range(m + 1))  # the indices are the exponents
+            assert [den for terms, _ in trees for den in _dens(terms)] == [
+                2**e + 3**e for e in order]
+            assert tuple(len(terms) for terms, _ in trees) == runs
+        else:
+            ((terms, pair),) = trees
+            assert _dens(terms) == [2**e + 3**e for e in range(m, -1, -1)] and pair
+
+    @pytest.mark.parametrize("n, m", [(100, 30), (130, 40)])
+    def test_mixed_terms_put_e_before_minus_e(self, monkeypatch, n, m):
+        # n > 2m: term j is over the denominator of |e|, e = m - j, and its
+        # numerator C(n,j) (-1)**j b**(-e) or a**e tells e from -e; the terms
+        # of e >= 0 (j <= m) come before those of -e in each class
+        a, b = 2, 3
+        trees = _trees(monkeypatch, euler_numbers, lambda: qeuler_mixed(n, m, F(a, b)))
+        rank = {e: i for i, e in enumerate(_sum_order(range(n - m + 1))[0])}
+        js = sorted(range(n + 1), key=lambda j: (rank[abs(m - j)], j))
+        want = [((-1) ** j * math.comb(n, j) * (a ** (m - j) if j < m else b ** (j - m)),
+                 a ** abs(m - j) + b ** abs(m - j)) for j in js]
+        assert [t for terms, _ in trees for t in terms] == want and len(trees) > 1
 
     @pytest.mark.parametrize("m", [3, 20, 90])
     def test_higher_order_terms_stay_in_order_of_j(self, monkeypatch, m):
         # at k = 2 term j is over the denominators of e = m-j and m-j+1, so
         # neighbours in the order of j share one of their two, and a term
-        # spans two 2-adic classes: the sum takes no runs
-        dens, runs = _term_denominators(monkeypatch, euler_numbers,
-                                        lambda: qeuler_higher(m, 2, F(2, 3)))
-        assert dens == [(2**e + 3**e) * (2 ** (e + 1) + 3 ** (e + 1)) for e in range(m, -1, -1)]
-        assert runs is None
+        # spans two 2-adic classes: the sum is one tree in the order of j
+        ((terms, pair),) = _trees(monkeypatch, euler_numbers,
+                                  lambda: qeuler_higher(m, 2, F(2, 3)))
+        assert _dens(terms) == [(2**e + 3**e) * (2 ** (e + 1) + 3 ** (e + 1))
+                                for e in range(m, -1, -1)]
+        assert pair == (m < 90)  # m = 90 passes the bound: its tree is a Fraction
 
 
 class TestTruncationEdgeClasses:

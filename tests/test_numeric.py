@@ -20,8 +20,8 @@ from qeuler import (
     q_bracket,
     q_bracket_signed,
 )
-from qeuler.numeric import (_MERGE_BITS, _exact_sum, _factor_order, _float, _fraction, _pair,
-                            _power_sums)
+from qeuler.numeric import (_MERGE_BITS, _exact_sum, _float, _fraction, _pair, _power_sums,
+                            _sum_order)
 
 F = Fraction
 
@@ -54,6 +54,16 @@ class TestQBracket:
         # domain, never the OverflowError of the conversion
         with pytest.raises(DomainError, match="double range"):
             q_bracket(x, q)
+
+    @pytest.mark.parametrize("call", [lambda: q_bracket(-2000.0, 0.5),
+                                      lambda: q_bracket(2000, 2.0),
+                                      lambda: q_bracket_signed(2000, 1e300)],
+                             ids=["q_bracket(-2000.0, 0.5)", "q_bracket(2000, 2.0)",
+                                  "q_bracket_signed(2000, 1e300)"])
+    def test_float_power_beyond_double_range_raises(self, call):
+        # doubles whose power overflows: a typed OverflowError naming it
+        with pytest.raises(OverflowError, match=r"q\*\*x exceeds the double range at q = "):
+            call()
 
     def test_geometric_identity_exact(self):
         # [x]_q (1 - q) + q**x = 1 for integer x >= 0
@@ -311,6 +321,12 @@ def _largest_odd_prime(e):
     return max((p for p in range(3, odd + 1, 2) if odd % p == 0 and is_prime(p)), default=1)
 
 
+def _factor_order(n):
+    """The exponents 0..n in the order ``_exact_sum`` adds their terms
+    past its gate: for the range 0..n the term indices are the exponents."""
+    return _sum_order(range(n + 1))[0]
+
+
 class TestFactorOrder:
     """The order in which the exact sums add their terms over a**e + b**e."""
 
@@ -318,7 +334,9 @@ class TestFactorOrder:
     def test_is_a_permutation(self, n):
         order = _factor_order(n)
         assert sorted(order) == list(range(n + 1))
-        assert _factor_order(n) is order  # built once per n
+        assert _factor_order(n) is order  # built once per range
+        # the producers' order of j, e = n - j, gives the same exponents
+        assert tuple(n - j for j in _sum_order(range(n, -1, -1))[0]) == order
 
     @pytest.mark.parametrize("n", [1, 16, 45, 148, 300])
     def test_each_class_is_contiguous(self, n):
