@@ -6,8 +6,9 @@ The ``*_direct`` routes of :mod:`qeuler.zeta` sum
 
 for Re(s) >= 1, in one of two ways; ``moment`` forms every term of both, and
 of the continuation's head, in log space, never as a quotient of huge factors.
-Both read chi(n) = chi(a) for n in the class a (mod d) off one class
-table, ``zeta._classes``: (a, k, chi(a)) for each class with chi(a) != 0.
+Both read the series' ``Progression``, built once per call: its x, n0
+and step, and its class table, whose (a, k, chi(a)) for each class with
+chi(a) != 0 give chi(n) = chi(a) for n in the class a (mod d).
 
 * The plain stream ``plain_terms``: the terms with chi(n) != 0 one by
   one under the series driver, walking the classes in the order of n.
@@ -55,12 +56,38 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from typing import NamedTuple
 
 U = 2.0**-53
 BETA = 3 + math.sqrt(8)  # n CRVZ terms leave an error of about BETA**-n
 LOG_BETA = math.log(BETA)
 MAX_N = 390  # keeps T_n(3) below 1e298, so the CRVZ weights stay finite
 CHI_ROUNDING = 24  # chi(n): cos and sin (2u) of 2 pi k / order < 2 pi (19u), times a term (3u)
+
+
+class Progression(NamedTuple):
+    """The progression n = n0, n0 + step, ... of a series, shifted by x in
+    [n+x], and its class table.
+
+    ``classes`` holds (a, k, chi(a)) for each unit a of a character chi in
+    order, chi(a) = e**(2 pi i k / L) as the exponent k and as a complex,
+    each class n = a + period k with period = chi's modulus; without chi
+    it is the one class (n0, None, None), with period = step.  Every a
+    lies in [0, period].
+    """
+
+    x: float
+    n0: int
+    step: int
+    classes: tuple
+    period: int
+
+    @classmethod
+    def of(cls, x=0.0, n0=1, step=1, chi=None):
+        """The progression (x, n0, step), weighted by ``chi`` (None for weight 1)."""
+        if chi is None:
+            return cls(x, n0, step, ((n0, None, None),), step)
+        return cls(x, n0, step, chi._unit_table(), chi.modulus)
 
 
 def _log_bracket(y, log_q, em1):
@@ -127,16 +154,17 @@ def log_tail_bound(sigma, q, x):
     return bound
 
 
-def plain_terms(s, q, x, classes, period):
+def plain_terms(s, q, progression):
     """(term, tail) for the terms (1+q) chi(n) (-1)**n q**(s*n) [n+x]**(-s) at the
-    n = a + period k of the ``classes``, in the order of n.
+    n = a + period k of the ``progression``'s classes, in the order of n.
 
-    ``classes`` are the (a, k, chi(a)) triples of ``zeta._classes``, chi(a)
-    None for weight 1, a in [a0, a0 + period).  Consecutive n are g or
+    The classes are its (a, k, chi(a)), chi(a) None for weight 1, a in
+    [a0, a0 + period).  Consecutive n are g or
     more apart, g the least gap, and [n+x] grows with n, so the moduli
     fall at least by r = q**(Re(s) g) per term and the tail is the last
     modulus times r / (1-r) (inf if r rounds to 1).
     """
+    x, _, _, classes, period = progression
     log_q = math.log(q)
     em1 = math.expm1(log_q)
     if len(classes) == 1:  # n = a + period k, as cheap per term as a bare count
@@ -162,15 +190,16 @@ def plain_terms(s, q, x, classes, period):
         yield (term if weights is None else term * next(weights)), tail
 
 
-def plain_length(s, q, eps, x, n0, step):
+def plain_length(s, q, eps, progression):
     """A-priori term count ln(T0 / ((1-r) eps)) / (sigma step |ln q|) of the plain stream."""
+    x, n0, step, _, _ = progression
     log_q = math.log(q)
     rate = -s.real * step * log_q
     log_t0 = math.log1p(q) + s.real * (n0 * log_q - _log_bracket(n0 + x, log_q, math.expm1(log_q)))
     return (log_t0 - math.log(-math.expm1(-rate) * eps)) / rate
 
 
-def plain_rounding(s, q, x, n0, step, terms):
+def plain_rounding(s, q, progression, terms):
     """Rounding bound of the plain stream after ``terms`` terms.
 
     Term k, n = n0 + step k, is (1+q) chi(n) times a ``moment``, so its
@@ -180,6 +209,7 @@ def plain_rounding(s, q, x, n0, step, terms):
     |term k| <= T0 r**k and 2 N u for N complex additions, the error is
     at most u T0 ((A + 2N) / (1-r) + B r / (1-r)**2).
     """
+    x, n0, step, _, _ = progression
     log_q = math.log(q)
     A = moment_rounding(abs(s), n0, n0 + x, log_q, math.log1p(-q)) + 2 + CHI_ROUNDING
     B = 4 * abs(s) * step * -log_q
@@ -213,14 +243,15 @@ def _log_truncation(n, log_scale, log_rho):
             + math.log1p(math.exp(-2 * n * log_rho)) - math.log1p(BETA ** (-2 * n)))
 
 
-def crvz_length(s, q, eps, x, step, first, classes):
+def crvz_length(s, q, eps, progression):
     """(n, truncation bound) of the accelerated sum, or (None, inf) when
     no n up to ``MAX_N`` puts the bound under eps / 2.
 
-    The sum has ``classes`` classes n = a + step k, the first at a =
-    ``first``, each of weight modulus 1 + q.  W_a falls as a grows, so
-    sum_a W_a <= classes * W_first.
+    The sum has one class n = a + step k per class of the ``progression``,
+    step its period, each of weight modulus 1 + q.  W_a falls as a grows,
+    so sum_a W_a <= (classes) W_first, at the first class's a.
     """
+    x, _, _, classes, step = progression
     log_q = math.log(q)
     z = cmath.exp(step * s * log_q)
     log_rho = 0.0
@@ -229,7 +260,7 @@ def crvz_length(s, q, eps, x, step, first, classes):
         log_rho = abs(math.log(abs(u + cmath.sqrt(u * u - 1))))
     if log_rho >= LOG_BETA:
         return None, math.inf
-    log_scale = math.log(classes) + log_binomial_bound(s, q, first, x)
+    log_scale = math.log(len(classes)) + log_binomial_bound(s, q, classes[0][0], x)
     if z.real < 0:
         log_scale -= math.log1p(-abs(z))
     target = math.log(eps / 2)
@@ -248,9 +279,9 @@ def crvz_length(s, q, eps, x, step, first, classes):
     return n, math.exp(_log_truncation(n, log_scale, log_rho) + slack)
 
 
-def crvz_sum(s, q, x, step, classes, n):
-    """(value, rounding bound) of n CRVZ terms per class of ``plain_terms``'s
-    ``classes``, class a weighed by (1+q) (-1)**a chi(a), as in that stream.
+def crvz_sum(s, q, progression, n):
+    """(value, rounding bound) of n CRVZ terms per class of the ``progression``,
+    class a weighed by (1+q) (-1)**a chi(a), as in ``plain_terms``.
 
     Each a_k is a ``moment``, to a relative error of at most
     ``moment_rounding`` at the class's last m and first m + x.  The
@@ -258,6 +289,7 @@ def crvz_sum(s, q, x, step, classes, n):
     class weights (1 + CHI_ROUNDING) u, their products 3u and the sum over
     the classes 2 classes u, all relative to sum_a |weight_a| sum_k w_k |a_k|.
     """
+    x, _, _, classes, step = progression
     w = _weights(n)
     log_q = math.log(q)
     log_1mq = math.log1p(-q)

@@ -8,13 +8,16 @@ progression n = n0, n0+step, ...,
 with chi = 1 except for the L-series: zeta_E is (x, n0, step) = (0, 1, 1),
 zeta_H(s, x) is (x, 0, 1), the partial zeta H(s, a, F) is (0, a, F), and
 L(s, chi) is (0, 1, 1) weighted by chi mod d.  A character splits its
-progression into residue classes n = a + d k, one per chi(a) != 0
-(``_classes``); the moduli and F are odd, so every class alternates in k.
-``_classes`` gives the character's one class table (see
-:mod:`qeuler.characters`), (a, k, chi(a)) per class, and every route reads
-it: the exact truncation groups the classes by ``_class_groups``,
-the float routes weigh by the complex chi(a), and the plain stream walks
-the classes in the order of n, so it sums only the terms with chi(n) != 0.
+progression into residue classes n = a + d k, one per chi(a) != 0; the
+moduli and F are odd, so every class alternates in k.  Each public
+function builds the progression's record once,
+:class:`~qeuler._direct.Progression`: x, n0, step and the class table,
+(a, k, chi(a)) per class from the character's one table (see
+:mod:`qeuler.characters`), or the one class n0 without chi.  Every route
+reads that record: the exact truncation groups the classes by
+``_class_groups``, the float routes weigh by the complex chi(a), and the
+plain stream walks the classes in the order of n, so it sums only the
+terms with chi(n) != 0.
 Two evaluation routes take that one description and are kept
 deliberately separate:
 
@@ -115,6 +118,7 @@ import sys
 from dataclasses import dataclass
 
 from . import _direct
+from ._direct import Progression
 from .characters import DirichletCharacter, _chi_combination, _class_groups, generalized_qeuler
 from .errors import (DomainError, NearSingularError, NonConvergenceError, check_base, check_double,
                      check_finite, check_instance, check_int, check_rational)
@@ -216,39 +220,13 @@ def _rpow(base, s):
     return cmath.exp(s * math.log(base))
 
 
-def _classes(n0, step, chi):
-    """(classes, step) of the progression n = n0 + step k weighted by chi.
-
-    The classes are (first index, exponent, weight) triples: (n0, None,
-    None) alone without chi, else the character's unit table at step
-    d = chi.modulus, (a, k, chi(a)) for each unit a in order, with
-    chi(a) = e**(2 pi i k / L) as the exponent k and as a complex.
-    """
-    if chi is None:
-        return ((n0, None, None),), step
-    return chi._unit_table(), chi.modulus
-
-
-def _direct_plain(s, q, policy, x=0.0, n0=1, step=1, chi=None):
+def _direct_plain(s, q, policy, progression):
     """The defining series term by term under the driver, plus its rounding bound."""
-    classes, period = _classes(n0, step, chi)
-    value, tail, n = _sum_series(_direct.plain_terms(s, q, x, classes, period), policy, "direct")
-    return SeriesValue(value, tail + _direct.plain_rounding(s, q, x, n0, step, n), n, "direct")
+    value, tail, n = _sum_series(_direct.plain_terms(s, q, progression), policy, "direct")
+    return SeriesValue(value, tail + _direct.plain_rounding(s, q, progression, n), n, "direct")
 
 
-def _crvz_plan(s, q, eps, x, n0, step, chi):
-    """(classes, class step, n, truncation bound) of the accelerated sum."""
-    classes, step = _classes(n0, step, chi)
-    return (classes, step, *_direct.crvz_length(s, q, eps, x, step, classes[0][0], len(classes)))
-
-
-def _crvz(s, q, x, classes, step, n, truncation):
-    """The accelerated sum of a ``_crvz_plan``."""
-    value, rounding = _direct.crvz_sum(s, q, x, step, classes, n)
-    return SeriesValue(value, truncation + rounding, len(classes) * n, "direct")
-
-
-def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
+def _direct_series(s, q, policy, progression):
     """The defining series by whichever sum needs fewer terms (see ``_direct``).
 
     Checks q and Re(s) >= 1.  The accelerated sum must also fit in
@@ -260,12 +238,12 @@ def _direct_series(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     q = check_base(q, "q")
     if s.real < 1:
         raise DomainError(f"direct series needs Re(s) >= 1, got Re(s) = {s.real}")
-    plan = _crvz_plan(s, q, policy.eps, x, n0, step, chi)
-    classes, _, n, _ = plan
-    cost = len(classes) * n if n is not None else math.inf
-    if cost <= policy.max_terms and cost < _direct.plain_length(s, q, policy.eps, x, n0, step):
-        return _crvz(s, q, x, *plan)
-    return _direct_plain(s, q, policy, x, n0, step, chi)
+    n, truncation = _direct.crvz_length(s, q, policy.eps, progression)
+    cost = len(progression.classes) * n if n is not None else math.inf
+    if cost <= policy.max_terms and cost < _direct.plain_length(s, q, policy.eps, progression):
+        value, rounding = _direct.crvz_sum(s, q, progression, n)
+        return SeriesValue(value, truncation + rounding, cost, "direct")
+    return _direct_plain(s, q, policy, progression)
 
 
 def _shift_length(s, x, q, eps):
@@ -326,20 +304,24 @@ def _binomial_factors(s, q, step, Q, Qs):
         j += 1
 
 
-def _continuation_terms(s, q, x, n0, step, eps, Q, base, w, factors):
-    """(term, tail) of the class n = n0 + step k times w = chi(n0) (None
-    without chi): its first K terms, then the binomial continuation at
-    n0 + K step (see the module docstring).
+def _continuation_terms(s, q, progression, cls, eps, Q, base, factors):
+    """(term, tail) of the class cls = (n0, k, w) of the ``progression``,
+    n = n0 + step k (step its period) times w = chi(n0) (None without
+    chi): its first K terms, then the binomial continuation at n0 + K step
+    (see the module docstring).
 
     Q = q**step, base = (1+q) (1-q)**s and the ``_binomial_factors``
     stream ``factors`` are the same for every class of a progression, so
     ``_continuation`` computes them once.
     """
+    x, _, _, _, step = progression
+    n0, _, w = cls
     K = _shift_length(s, (n0 + x) / step, Q, eps)
     if K:
         # Head: the first K terms of the defining series, whose tail bounds
         # hold for head plus continuation (K > 0 only where Re(s) > 0).
-        yield from itertools.islice(_direct.plain_terms(s, q, x, ((n0, None, w),), step), K)
+        head = _direct.plain_terms(s, q, progression._replace(classes=(cls,)))
+        yield from itertools.islice(head, K)
         n0 += K * step
     prefactor = base
     if n0:
@@ -357,7 +339,7 @@ def _continuation_terms(s, q, x, n0, step, eps, Q, base, w, factors):
         qxj *= qx
 
 
-def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
+def _continuation(s, q, policy, progression):
     """The progression's series by its shifted binomial continuation, one
     residue class at a time, in the order of a; each class stops on its
     own proven tail.
@@ -376,7 +358,7 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     policy = policy or _DEFAULT_POLICY
     s = check_double(s, "s", complex)
     q = check_base(q, "q")
-    classes, step = _classes(n0, step, chi)
+    x, _, _, classes, step = progression
     Q = q**step
     try:
         base = (1 + q) * _rpow(1 - q, s)
@@ -390,13 +372,14 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     shared = itertools.tee(_binomial_factors(s, q, step, Q, Qs), len(classes))
     cut = _direct.log_tail_bound(s.real, q, x) if s.real > 0 and len(classes) > 1 else None
     value, err, used, failures = complex(0), 0.0, 0, []
-    for i, ((a, _, w), factors) in enumerate(zip(classes, shared)):
+    for i, (cls, factors) in enumerate(zip(classes, shared)):
+        a = cls[0]
         if i and cut:
             log_rest = cut(a)
             if log_rest <= math.log(0.5 * policy.eps * max(1.0, abs(value))):
                 err += math.exp(log_rest)
                 break
-        terms = _continuation_terms(s, q, x, a, step, policy.eps, Q, base, w, factors)
+        terms = _continuation_terms(s, q, progression, cls, policy.eps, Q, base, factors)
         try:
             part, tail, n = _sum_series(terms, policy, "continuation")
         except NonConvergenceError as exc:
@@ -416,16 +399,17 @@ def _continuation(s, q, policy, x=0.0, n0=1, step=1, chi=None):
     return total
 
 
-def _truncated(m, q, n0, step, chi, qx=(1, 1)):
-    """The continuation of the progression at s = -m, m >= 0, exactly.
+def _truncated(m, q, progression, chi, qx=(1, 1)):
+    """The continuation of the ``progression`` (weighted by ``chi``) at
+    s = -m, m >= 0, exactly.
 
-    It terminates after m+1 terms, so the class a of ``_classes`` is
+    It terminates after m+1 terms, so its class a is
 
         (1+q) (1-q)**(-m) (-1)**a sum_{j<=m} C(j-m-1, j) qx**j y**(-e) / (1 + Q**(-e)),
 
-    with e = m - j, y = q**a and Q = q**step.  ``q`` = qa/qb is an integer
-    pair, and so must ``qx`` = q**x be (x = a/d at base q = r**d gives
-    r**a).  Term j is
+    with e = m - j, y = q**a and Q = q**step, step its period.  ``q`` =
+    qa/qb is an integer pair, and so must ``qx`` = q**x be (x = a/d at base
+    q = r**d gives r**a).  Term j is
 
         C qx**j Q**e y**(-e) / (Q**e + 1)
             = C qx**j (qa**(step-a) qb**a)**e / (qa**(step e) + qb**(step e)):
@@ -446,7 +430,7 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
     reduction, or, past its bound, into a reduced Fraction, never reduced
     again.
     """
-    classes, step = _classes(n0, step, chi)
+    _, _, _, classes, step = progression
     qa, qb = q
     Qa, Qb = _powers(qa**step, m), _powers(qb**step, m)
     xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
@@ -463,7 +447,7 @@ def _truncated(m, q, n0, step, chi, qx=(1, 1)):
                  (qb - qa) ** m * qb ** max(1 - m, 0) * xbpow[m])
     sums = []
     for k, group in _class_groups(classes, chi):
-        # needs 0 <= a <= step, which every class table of ``_classes`` keeps (pinned by
+        # needs 0 <= a <= step, which every ``Progression`` keeps (pinned by
         # test_every_class_lies_within_its_step); a > step would make this power a float
         u = _power_sums([(-c if a % 2 else c, qa ** (step - a) * qb**a) for a, c in group], m)
         sums.append((k, _exact_sum(((cn * u[e], cd) for cn, cd, e in zip(nums, dens, es)),
@@ -493,7 +477,7 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     continuation runs at x+K (see the module docstring); ``terms_used``
     counts both parts.
     """
-    return _continuation(s, q, policy, x=_hurwitz_x(x, q), n0=0)
+    return _continuation(s, q, policy, Progression.of(_hurwitz_x(x, q), 0))
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):
@@ -505,7 +489,7 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     needs fewer terms by an a-priori count (see the module docstring);
     ``abs_error_estimate`` is truncation plus rounding.
     """
-    return _direct_series(s, q, policy, x=_hurwitz_x(x, q), n0=0)
+    return _direct_series(s, q, policy, Progression.of(_hurwitz_x(x, q), 0))
 
 
 def hurwitz_neg_int_exact(m, r, d, a):
@@ -519,12 +503,12 @@ def hurwitz_neg_int_exact(m, r, d, a):
     check_int(d, "d", 1)
     r = check_rational(r, "r", unit=True)
     rn, rd = r.numerator, r.denominator
-    return _truncated(m, (rn**d, rd**d), 0, 1, None, qx=(rn**a, rd**a))
+    return _truncated(m, (rn**d, rd**d), Progression.of(n0=0), None, (rn**a, rd**a))
 
 
 def euler_zeta_q(s, q, policy=None):
     """q-Euler zeta zeta_E(s) = (1+q) sum_{n>=1} (-1)**n q**(s*n) / [n]**s, by continuation."""
-    return _continuation(s, q, policy)
+    return _continuation(s, q, policy, Progression.of())
 
 
 def euler_zeta_q_direct(s, q, policy=None):
@@ -533,7 +517,7 @@ def euler_zeta_q_direct(s, q, policy=None):
     Summed like :func:`hurwitz_zeta_q_direct` (plain stream or one
     accelerated class); the bound is truncation plus rounding.
     """
-    return _direct_series(s, q, policy)
+    return _direct_series(s, q, policy, Progression.of())
 
 
 def euler_zeta_neg_int_exact(m, r):
@@ -545,13 +529,14 @@ def euler_zeta_neg_int_exact(m, r):
     """
     check_int(m, "m", 0)
     r = check_rational(r, "r", unit=True)
-    return _truncated(m, (r.numerator, r.denominator), 1, 1, None)
+    return _truncated(m, (r.numerator, r.denominator), Progression.of(), None)
 
 
 def l_series(s, chi, q, policy=None):
     """L(s, chi) = (1+q) sum_{n>=1} chi(n) (-1)**n q**(s*n) / [n]**s for all
     complex s, by the continuation of each class n = a (mod d), chi(a) != 0."""
-    return _continuation(s, q, policy, chi=check_instance(chi, "chi", DirichletCharacter))
+    return _continuation(s, q, policy,
+                         Progression.of(chi=check_instance(chi, "chi", DirichletCharacter)))
 
 
 def l_series_direct(s, chi, q, policy=None):
@@ -561,7 +546,8 @@ def l_series_direct(s, chi, q, policy=None):
     so it costs (classes) x n terms against the plain stream's count over
     every n; the cheaper one runs.  The bound is truncation plus rounding.
     """
-    return _direct_series(s, q, policy, chi=check_instance(chi, "chi", DirichletCharacter))
+    return _direct_series(s, q, policy,
+                          Progression.of(chi=check_instance(chi, "chi", DirichletCharacter)))
 
 
 def l_neg_int_exact(k, chi, r):
@@ -580,7 +566,7 @@ def l_neg_int_decomposition(k, chi, r):
     check_int(k, "k", 1)
     check_instance(chi, "chi", DirichletCharacter)
     r = check_rational(r, "r", unit=True)
-    return _truncated(k, (r.numerator, r.denominator), 1, 1, chi)
+    return _truncated(k, (r.numerator, r.denominator), Progression.of(chi=chi), chi)
 
 
 def partial_zeta(s, a, F, q, policy=None):
@@ -591,7 +577,7 @@ def partial_zeta(s, a, F, q, policy=None):
     multiples of F).
     """
     check_int(F, "F", 3, odd=True)
-    return _continuation(s, q, policy, n0=check_int(a, "a", 1, F), step=F)
+    return _continuation(s, q, policy, Progression.of(n0=check_int(a, "a", 1, F), step=F))
 
 
 def partial_zeta_direct(s, a, F, q, policy=None):
@@ -602,7 +588,7 @@ def partial_zeta_direct(s, a, F, q, policy=None):
     plus rounding.
     """
     check_int(F, "F", 3, odd=True)
-    return _direct_series(s, q, policy, n0=check_int(a, "a", 1, F), step=F)
+    return _direct_series(s, q, policy, Progression.of(n0=check_int(a, "a", 1, F), step=F))
 
 
 def partial_zeta_neg_int_exact(n, a, F, r):
@@ -615,4 +601,4 @@ def partial_zeta_neg_int_exact(n, a, F, r):
     check_int(F, "F", 3, odd=True)
     check_int(a, "a", 1, F)
     r = check_rational(r, "r", unit=True)
-    return _truncated(n, (r.numerator, r.denominator), a, F, None)
+    return _truncated(n, (r.numerator, r.denominator), Progression.of(n0=a, step=F), None)

@@ -26,6 +26,7 @@ from qeuler import (
     qeuler_poly_numeric,
 )
 from qeuler import euler_numbers, numeric, zeta
+from qeuler._direct import Progression
 from qeuler.euler_numbers import _binomial_prefactor, _binomial_sum, _binomial_value, _y_powers
 from qeuler.numeric import _MERGE_BITS, _fraction, _sum_order
 
@@ -525,12 +526,12 @@ class TestTruncationEdgeClasses:
 
     def test_every_class_lies_within_its_step(self):
         # a negative step - a would be a power of qa below zero: no route builds one
-        tables = [zeta._classes(0, 1, None), zeta._classes(1, 1, None)]
-        tables += [zeta._classes(a, F_, None) for F_ in (3, 5, 7, 9) for a in range(1, F_ + 1)]
-        tables += [zeta._classes(1, 1, chi) for d in (1, 3, 5, 7, 9, 15, 21, 45, 105)
+        tables = [Progression.of(n0=0), Progression.of()]
+        tables += [Progression.of(n0=a, step=F_) for F_ in (3, 5, 7, 9) for a in range(1, F_ + 1)]
+        tables += [Progression.of(chi=chi) for d in (1, 3, 5, 7, 9, 15, 21, 45, 105)
                    for chi in characters_mod(d)]
-        for classes, step in tables:
-            assert all(0 <= a <= step for a, _, _ in classes)
+        for progression in tables:
+            assert all(0 <= a <= progression.period for a, _, _ in progression.classes)
         # and the partial zeta keeps its class in 1..F
         for a in (0, 6):
             with pytest.raises(DomainError):

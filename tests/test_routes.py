@@ -38,9 +38,7 @@ NUMERIC = {name: KERNEL for name in (
     "numeric._fraction", "numeric._float", "numeric._pair", "numeric._negated",
     "numeric._powers", "numeric._power_sums", "numeric._sum_order", "numeric._factor_key",
     "numeric._factorize", "numeric.gen_binom")}
-PROGRESSION = {
-    "zeta._classes": "the progression's class table: argument structure, no arithmetic",
-}
+PROGRESSION = {"_direct.Progression.of": "argument structure, no arithmetic"}
 CHARACTER = {
     "characters.DirichletCharacter._unit_table":
         "the character's values (a, k, chi(a)), input data that both sides read",
@@ -182,11 +180,11 @@ def test_every_allowlist_entry_states_its_reason():
         assert all(isinstance(why, str) and len(why) > 20 for why in allowed.values())
 
 
-def _continuation_as_direct(s, q, policy=None, **progression):
-    return zeta._continuation(s, q, policy, **progression)
+def _continuation_as_direct(s, q, policy, progression):
+    return zeta._continuation(s, q, policy, progression)
 
 
-def _higher_as_truncation(m, q, n0, step, chi, qx=(1, 1)):
+def _higher_as_truncation(m, q, progression, chi, qx=(1, 1)):
     return Fraction(euler_numbers.qeuler_higher(m, 1, Fraction(*q)))
 
 
