@@ -123,18 +123,19 @@ def _stage_range(ctx, N, width, k=1):
     normalising factors [P]_{-q}.  The exponents of a factor with bracket
     power a and shift c are e = l + c, l <= a, so |e| <= a + |c|, and the
     value has at most about 2*log2(H)*P*(width + k) bits, where width sums
-    a + |c| + 1 over the factors.
+    a + |c| + 1 over the factors.  That factor of P is at least 4, and
+    P >= 2**N, so an N of at least the limit's bit length is refused before
+    P is built; the message states the estimate as that factor times p**N.
     """
     check_instance(ctx, "ctx", PAdicQParam)
     check_int(N, "N", 1)
-    P = ctx.p**N
-    bits = 2 * max(ctx.q.numerator, ctx.q.denominator).bit_length() * P * (width + k)
-    if bits > MAX_RESULT_BITS:
-        raise ResourceLimitError(
-            f"stage p**N = {ctx.p}**{N} would give a value of about {bits} bits, "
-            f"over the limit {MAX_RESULT_BITS}"
-        )
-    return P
+    scale = 2 * max(ctx.q.numerator, ctx.q.denominator).bit_length() * (width + k)
+    if N < MAX_RESULT_BITS.bit_length() and scale * (P := ctx.p**N) <= MAX_RESULT_BITS:
+        return P
+    raise ResourceLimitError(
+        f"stage p**N = {ctx.p}**{N} would give a value of about {scale} * {ctx.p}**{N} bits, "
+        f"over the limit {MAX_RESULT_BITS}"
+    )
 
 
 def _bracket_sum(a, shifts, q, P):

@@ -281,3 +281,61 @@ class TestSizeEstimate:
                 patch.setattr(fermionic, "MAX_RESULT_BITS", bits - 1)
                 with pytest.raises(ResourceLimitError):
                     call()
+
+
+class _NoPower(int):
+    """An int whose powers fail, to show that a guard never builds one."""
+
+    def __pow__(self, other, mod=None):
+        raise AssertionError(f"{int(self)}**{other} was built")
+
+
+class TestHugeStage:
+    """An N far past the size limit is refused by ``ResourceLimitError``
+    before p**N is built, with a message that states the estimate
+    compactly; the stages accepted are those of the estimate
+    2 log2(H) (width + k) p**N <= MAX_RESULT_BITS."""
+
+    HUGE = 10**6
+    CALLS = {
+        "stage_sum": lambda ctx, N: stage_sum(Integrand.moment(1), ctx, N),
+        "convergence_report": lambda ctx, N: convergence_report(Integrand.moment(1), ctx, N),
+        "higher_order_stage": lambda ctx, N: higher_order_stage(1, 1, ctx, N),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("N", [HUGE, 2000, 22])
+    def test_refused_without_building_the_power(self, name, N):
+        ctx = PAdicQParam(_NoPower(3), F(4))
+        with pytest.raises(ResourceLimitError, match=rf"about \d+ \* 3\*\*{N} bits") as info:
+            self.CALLS[name](ctx, N)
+        assert len(str(info.value)) < 120
+
+    def test_cli_reports_the_limit(self, capsys):
+        from qeuler.cli import main
+
+        argv = ["eval", "integral-stage", "--m", "1", "--p", "3", "--q", "4", "--N", str(self.HUGE)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qeuler: error: stage p**N = 3**1000000 would give a value")
+        assert len(err) < 120
+
+    @pytest.mark.parametrize("limit", [100, 2**21 - 1, 2**21, 2**30])
+    @pytest.mark.parametrize("p, q", [(3, F(4)), (3, F(1)), (5, F(6, 11)), (7, F(1, 8))])
+    def test_accepts_exactly_the_estimates_within_the_limit(self, p, q, limit, monkeypatch):
+        monkeypatch.setattr(fermionic, "MAX_RESULT_BITS", limit)
+        ctx = PAdicQParam(p, q)
+        height = max(q.numerator, q.denominator).bit_length()
+        for width, k in ((1, 1), (7, 1), (4, 3)):
+            for N in range(1, 40):
+                if 2 * height * (width + k) * p**N <= limit:
+                    assert fermionic._stage_range(ctx, N, width, k) == p**N
+                else:
+                    with pytest.raises(ResourceLimitError):
+                        fermionic._stage_range(ctx, N, width, k)
+
+    def test_boundary_of_moment_three(self):
+        # the estimate 48 * 3**N crosses 2**21 between N = 9 and N = 10
+        assert fermionic._stage_range(CTX34, 9, 7) == 3**9
+        with pytest.raises(ResourceLimitError, match=r"48 \* 3\*\*10 bits"):
+            stage_sum(Integrand.moment(3), CTX34, 10)
