@@ -1,4 +1,5 @@
-"""Print the reference tables ``DIRECT_REFS`` and ``CLASS_REFS`` of ``test_zeta.py``.
+"""Print the reference tables ``DIRECT_REFS``, ``CLASS_REFS`` and ``GATE_REFS``
+of ``test_zeta.py``.
 
 Each cell of ``DIRECT_CELLS`` (plus ``LARGE_IM_CELL`` and
 ``LARGE_S_CELLS``) is the defining series (1+q) sum_n c(n) (-1)**n
@@ -23,13 +24,24 @@ same sum at 100 digits every cell agrees to 1e-41 relative or better
 (cancellation at Re(s) = -8 costs some digits); values are printed to
 40 digits.
 
+Each cell of ``GATE_CELLS`` (zeta_E and zeta_H at Re(s) <= 0 or large
+|Im s|, q near 1) is the analytically continued series of the benchmark's
+oracle, ``perfbench/checks.py``'s ``mp_periodic_series``, which raises
+its precision until two evaluations 20 digits apart agree to 1e-30
+relative.  It is imported read-only here; the tests never import it.
+Values are printed to 30 digits.
+
     PYTHONPATH=src python3 tests/gen_direct_refs.py
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import mpmath as mp
-from test_zeta import CLASS_CELLS, DIRECT_CELLS, LARGE_IM_CELL, LARGE_S_CELLS, direct_character
+from test_zeta import (CLASS_CELLS, DIRECT_CELLS, GATE_CELLS, LARGE_IM_CELL, LARGE_S_CELLS,
+                       direct_character)
 
 
 def reference(family, s, q, extra):
@@ -101,6 +113,14 @@ def class_reference(family, s, q, extra):
     return total
 
 
+def gate_reference(family, s, q, extra):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from checks import mp_periodic_series
+
+    x, n0 = (extra, 0) if family == "hurwitz" else (0.0, 1)
+    return mp_periodic_series(complex(s), q, x, n0, [1])
+
+
 def print_table(name, cells, reference, digits):
     print(f"{name} = {{")
     for cell in cells:
@@ -113,6 +133,7 @@ def print_table(name, cells, reference, digits):
 def main():
     print_table("DIRECT_REFS", [*DIRECT_CELLS, LARGE_IM_CELL, *LARGE_S_CELLS], reference, 30)
     print_table("CLASS_REFS", CLASS_CELLS, class_reference, 40)
+    print_table("GATE_REFS", GATE_CELLS, gate_reference, 30)
 
 
 if __name__ == "__main__":
