@@ -1,6 +1,7 @@
 """Stdlib stand-ins for two linter rules, run over ``src/qeuler/*.py``:
 every import in the library is used, and every module-level private
-name is read by some module of the library."""
+name is read by some module of the library.  Also the rule of
+``code_tokens.py``, which counts the library's code tokens."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from code_tokens import code_tokens
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "qeuler").glob("*.py"))
 
@@ -101,3 +104,10 @@ def test_rule_flags_an_unread_private_name():
     assert unread_private_names(sources) == [("a.py", 1, "_dead"), ("a.py", 9, "_LIMIT"),
                                              ("a.py", 12, "_gated")]
     assert unread_private_names({"c.py": "_x = 1\nprint(_x)\n__all__ = []\n"}) == []
+
+
+def test_code_tokens_skip_layout_comments_and_docstrings():
+    source = ('def f(x):\n    """Doc."""\n    # note\n    return x + 1  # why\n\n\n'
+              '"""A bare string statement."""\ny = "s" "t"\n')
+    # def f ( x ) : return x + 1, then y = "s" "t"
+    assert code_tokens(source) == 14
