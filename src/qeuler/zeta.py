@@ -320,8 +320,8 @@ def _continuation_terms(s, q, progression, cls, eps, Q, base, factors):
     if K:
         # Head: the first K terms of the defining series, whose tail bounds
         # hold for head plus continuation (K > 0 only where Re(s) > 0).
-        head = _direct.plain_terms(s, q, progression._replace(classes=(cls,)))
-        yield from itertools.islice(head, K)
+        head = Progression(x, n0, step, (cls,), step)  # the class alone
+        yield from itertools.islice(_direct.plain_terms(s, q, head), K)
         n0 += K * step
     prefactor = base
     if n0:
