@@ -6,17 +6,19 @@ The ``*_direct`` routes of :mod:`qeuler.zeta` sum
 
 for Re(s) >= 1, in one of two ways; ``moment`` forms every term of both, and
 of the continuation's head, in log space, never as a quotient of huge factors.
-Both read the series' ``Progression``, built once per call: its x, n0
-and step, and its class table, whose (a, k, chi(a)) for each class with
-chi(a) != 0 give chi(n) = chi(a) for n in the class a (mod d).
+Both read the series' ``Progression``, built once per call and the only
+description of the series that they read: its x, its class table, whose
+(a, k, chi(a)) for each class with chi(a) != 0 give chi(n) = chi(a) for n
+in the class a (mod d), and step, the least gap between consecutive n.
 
 * The plain stream ``plain_terms``: the terms with chi(n) != 0 one by
   one under the series driver, walking the classes in the order of n.
-  The term at n = n0 + step k is at most T0 r**k with T0 = (1+q)
-  q**(sigma n0) [n0+x]**(-sigma) and r = q**(sigma step), sigma = Re(s),
-  so it needs about ln(T0 / ((1-r) eps)) / (sigma step |ln q|) terms
-  (``plain_length``): O(1 / (sigma (1-q))) as q -> 1.  ``plain_rounding``
-  bounds its rounding error.
+  Its k-th term has n >= n0 + step k, n0 the first class's a, so it is
+  at most T0 r**k with T0 = (1+q) q**(sigma n0) [n0+x]**(-sigma) and
+  r = q**(sigma step), sigma = Re(s), and the stream needs about
+  ln(T0 / ((1-r) eps)) / (sigma step |ln q|) terms (``plain_length``):
+  O(1 / (sigma (1-q))) as q -> 1.  ``plain_rounding`` bounds its
+  rounding error.
 
 * The accelerated sum (Cohen, Rodriguez Villegas and Zagier,
   *Convergence acceleration of alternating series*, Experimental Math.
@@ -66,18 +68,19 @@ CHI_ROUNDING = 24  # chi(n): cos and sin (2u) of 2 pi k / order < 2 pi (19u), ti
 
 
 class Progression(NamedTuple):
-    """The progression n = n0, n0 + step, ... of a series, shifted by x in
-    [n+x], and its class table.
+    """The n of a series, shifted by x in [n+x]: its class table, and the
+    least gap between consecutive n.
 
     ``classes`` holds (a, k, chi(a)) for each unit a of a character chi in
     order, chi(a) = e**(2 pi i k / L) as the exponent k and as a complex,
     each class n = a + period k with period = chi's modulus; without chi
-    it is the one class (n0, None, None), with period = step.  Every a
-    lies in [0, period].
+    it is the one class (n0, None, None) of n = n0, n0 + step, ..., with
+    period = step.  Every a lies in [0, period].  ``step``, the least gap,
+    is the period for one class and 1 for a character, since 1 and 2 are
+    units of every odd modulus.
     """
 
     x: float
-    n0: int
     step: int
     classes: tuple
     period: int
@@ -86,8 +89,8 @@ class Progression(NamedTuple):
     def of(cls, x=0.0, n0=1, step=1, chi=None):
         """The progression (x, n0, step), weighted by ``chi`` (None for weight 1)."""
         if chi is None:
-            return cls(x, n0, step, ((n0, None, None),), step)
-        return cls(x, n0, step, chi._unit_table(), chi.modulus)
+            return cls(x, step, ((n0, None, None),), step)
+        return cls(x, 1, chi._unit_table(), chi.modulus)
 
 
 def _log_bracket(y, log_q, em1):
@@ -159,24 +162,24 @@ def plain_terms(s, q, progression):
     n = a + period k of the ``progression``'s classes, in the order of n.
 
     The classes are its (a, k, chi(a)), chi(a) None for weight 1, a in
-    [a0, a0 + period).  Consecutive n are g or
-    more apart, g the least gap, and [n+x] grows with n, so the moduli
-    fall at least by r = q**(Re(s) g) per term and the tail is the last
-    modulus times r / (1-r) (inf if r rounds to 1).
+    [a0, a0 + period).  Consecutive n are the record's step or more
+    apart, and [n+x] grows with n, so the moduli fall at least by
+    r = q**(Re(s) step) per term and the tail is the last modulus times
+    r / (1-r) (inf if r rounds to 1).
     """
-    x, _, _, classes, period = progression
+    x, step, classes, period = progression
     log_q = math.log(q)
     em1 = math.expm1(log_q)
     if len(classes) == 1:  # n = a + period k, as cheap per term as a bare count
         ((first, _, w),) = classes
-        gap, walk = period, itertools.count(first, period)
+        walk = itertools.count(first, period)
         weights = None if w is None else itertools.repeat(w)
     else:  # the units of a character, stepping through the gaps between them
         firsts = [a for a, _, _ in classes]
         gaps = [b - a for a, b in zip(firsts, firsts[1:] + [firsts[0] + period])]
-        gap, walk = min(gaps), itertools.accumulate(itertools.cycle(gaps), initial=firsts[0])
+        walk = itertools.accumulate(itertools.cycle(gaps), initial=firsts[0])
         weights = itertools.cycle([v for _, _, v in classes])
-    r = q ** (s.real * gap)
+    r = q ** (s.real * step)
     geometric = r / (1 - r) if r < 1 else math.inf
     for n in walk:
         try:
@@ -192,7 +195,8 @@ def plain_terms(s, q, progression):
 
 def plain_length(s, q, eps, progression):
     """A-priori term count ln(T0 / ((1-r) eps)) / (sigma step |ln q|) of the plain stream."""
-    x, n0, step, _, _ = progression
+    x, step, classes, _ = progression
+    n0 = classes[0][0]
     log_q = math.log(q)
     rate = -s.real * step * log_q
     log_t0 = math.log1p(q) + s.real * (n0 * log_q - _log_bracket(n0 + x, log_q, math.expm1(log_q)))
@@ -209,7 +213,8 @@ def plain_rounding(s, q, progression, terms):
     |term k| <= T0 r**k and 2 N u for N complex additions, the error is
     at most u T0 ((A + 2N) / (1-r) + B r / (1-r)**2).
     """
-    x, n0, step, _, _ = progression
+    x, step, classes, _ = progression
+    n0 = classes[0][0]
     log_q = math.log(q)
     A = moment_rounding(abs(s), n0, n0 + x, log_q, math.log1p(-q)) + 2 + CHI_ROUNDING
     B = 4 * abs(s) * step * -log_q
@@ -251,7 +256,7 @@ def crvz_length(s, q, eps, progression):
     step its period, each of weight modulus 1 + q.  W_a falls as a grows,
     so sum_a W_a <= (classes) W_first, at the first class's a.
     """
-    x, _, _, classes, step = progression
+    x, _, classes, step = progression
     log_q = math.log(q)
     z = cmath.exp(step * s * log_q)
     log_rho = 0.0
@@ -289,7 +294,7 @@ def crvz_sum(s, q, progression, n):
     class weights (1 + CHI_ROUNDING) u, their products 3u and the sum over
     the classes 2 classes u, all relative to sum_a |weight_a| sum_k w_k |a_k|.
     """
-    x, _, _, classes, step = progression
+    x, _, classes, step = progression
     w = _weights(n)
     log_q = math.log(q)
     log_1mq = math.log1p(-q)

@@ -27,11 +27,12 @@ the same test.
 
 ``generalized_qeuler`` builds the chi-twisted q-Euler numbers from the
 distribution sum of :mod:`qeuler.euler_numbers`, all residue classes
-from one shared coefficient vector.  ``_class_groups`` says which
-classes share one exact sum: for a real chi all of them, each with its
-sign chi(a), so the result is one Fraction of one sum; for a complex chi
-one sum per class, and the result is a complex number assembled from
-those exact rational prestages (``_chi_combination``).
+from one shared coefficient vector.  ``_class_groups`` reads a class
+table alone, as every exact route does, and says which classes share one
+exact sum: for a table of real chi(a) all of them, each with its sign
+chi(a), so the result is one Fraction of one sum; for a complex table one
+sum per class, and the result is a complex number assembled from those
+exact rational prestages, each weighed by its chi(a) (``_chi_combination``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, check_instance, check_int, check_rational
+from .errors import DomainError, _shown, check_instance, check_int, check_rational
 from .euler_numbers import _distribution_parts
 from .numeric import _factorize, _float, _fraction
 
@@ -257,7 +258,7 @@ class DirichletCharacter:
         exponents = (0,) * len(factors) if exponents is None else tuple(exponents)
         if len(exponents) != len(factors):
             raise DomainError(f"modulus {modulus} takes one exponent for each of its cyclic "
-                              f"factors {[f.order for f in factors]}, got {exponents}")
+                              f"factors {[f.order for f in factors]}, got {_shown(exponents, str)}")
         for t, f in zip(exponents, factors):
             check_int(t, "exponent", 0, f.order - 1)
         self.modulus = modulus
@@ -369,38 +370,39 @@ def generalized_qeuler(m, chi, r):
     check_instance(chi, "chi", DirichletCharacter)
     r = check_rational(r, "r", unit=True)
     d = chi.modulus
-    groups = _class_groups(chi._unit_table(), chi)
+    groups = _class_groups(chi._unit_table())
     # i = a mod d: the one unit a = 1 of d = 1 is the residue 0
-    parts = _distribution_parts(m, r, d, 0, [[(a % d, c) for a, c in group] for _, group in groups])
-    return _chi_combination(chi, [(k, part) for (k, _), part in zip(groups, parts)])
+    parts = _distribution_parts(m, r, d, 0,
+                                [[(a % d, c) for a, c in group] for _, _, group in groups])
+    return _chi_combination([(w, part) for (_, w, _), part in zip(groups, parts)])
 
 
-def _class_groups(classes, chi):
-    """The classes (a, k, chi(a)) of a class table as groups (k, [(a, c), ...]),
-    each group one exact sum in which class a has the sign c.
+def _class_groups(classes):
+    """The classes (a, k, chi(a)) of a class table as groups (k, w, [(a, c), ...]),
+    each group one exact sum in which class a has the sign c, weighed by w.
 
-    Without chi, or for a real chi (order <= 2: chi(a) = -1 where k != 0),
-    every class is in one group, with c = chi(a) and k = 0, so the value is
-    one sum.  A complex chi has one group per class, with c = 1 and the
-    class's k: ``_chi_combination`` weighs each group's sum by chi(a).
+    A table whose chi(a) are all None (weight 1) or exactly +-1 (a real chi:
+    ``_unit_group`` reduces k/L before it takes the root, so chi(a) = -1
+    exactly where k != 0) is one group, with c = chi(a), k = 0 and w = None,
+    so the value is one sum.  A complex table has one group per class, with
+    c = 1, the class's exponent k and its weight w = chi(a).
     """
-    if chi is None or chi.order <= 2:
-        return [(0, [(a, -1 if k else 1) for a, k, _ in classes])]
-    return [(k, [(a, 1)]) for a, k, _ in classes]
+    if all(w in (None, 1, -1) for _, _, w in classes):
+        return [(0, None, [(a, -1 if k else 1) for a, k, _ in classes])]
+    return [(k, w, [(a, 1)]) for a, k, w in classes]
 
 
-def _chi_combination(chi, sums):
-    """The value of the sums (k, v) of the ``_class_groups`` of chi, each v
+def _chi_combination(sums):
+    """The value of the sums (w, v) of the ``_class_groups`` groups, each v
     a raw value with its prefactor in (an unreduced integer pair or a
     reduced Fraction).
 
-    Without chi, or for a real chi, the one group's sum is the value: a
-    Fraction, its one gcd.  Otherwise each cofactor v is rounded once (an
-    integer true division, as ``float`` of the reduced Fraction is),
-    multiplied by the root chi(a) = ``chi._roots[k]`` and added in order
-    in complex floating point.
+    The one group of weight None is the value: a Fraction, its one gcd.
+    Otherwise each cofactor v is rounded once (an integer true division,
+    as ``float`` of the reduced Fraction is), multiplied by its weight
+    w = chi(a) and added in order in complex floating point.
     """
-    if chi is None or chi.order <= 2:
+    if sums[0][0] is None:
         ((_, value),) = sums
         return _fraction(value)
-    return sum((chi._roots[k] * _float(v) for k, v in sums), complex(0))
+    return sum((w * _float(v) for w, v in sums), complex(0))

@@ -11,11 +11,12 @@ L(s, chi) is (0, 1, 1) weighted by chi mod d.  A character splits its
 progression into residue classes n = a + d k, one per chi(a) != 0; the
 moduli and F are odd, so every class alternates in k.  Each public
 function builds the progression's record once,
-:class:`~qeuler._direct.Progression`: x, n0, step and the class table,
-(a, k, chi(a)) per class from the character's one table (see
-:mod:`qeuler.characters`), or the one class n0 without chi.  Every route
-reads that record: the exact truncation groups the classes by
-``_class_groups``, the float routes weigh by the complex chi(a), and the
+:class:`~qeuler._direct.Progression`: x, the class table, (a, k, chi(a))
+per class from the character's one table (see :mod:`qeuler.characters`),
+or the one class n0 without chi, and the least gap between consecutive n.
+Every route reads that record and nothing else of the series: the exact
+truncation groups the classes by ``_class_groups``, which reads chi(a)
+off the table, the float routes weigh by the complex chi(a), and the
 plain stream walks the classes in the order of n, so it sums only the
 terms with chi(n) != 0.
 Two evaluation routes take that one description and are kept
@@ -314,13 +315,13 @@ def _continuation_terms(s, q, progression, cls, eps, Q, base, factors):
     stream ``factors`` are the same for every class of a progression, so
     ``_continuation`` computes them once.
     """
-    x, _, _, _, step = progression
+    x, _, _, step = progression
     n0, _, w = cls
     K = _shift_length(s, (n0 + x) / step, Q, eps)
     if K:
         # Head: the first K terms of the defining series, whose tail bounds
         # hold for head plus continuation (K > 0 only where Re(s) > 0).
-        head = Progression(x, n0, step, (cls,), step)  # the class alone
+        head = Progression(x, step, (cls,), step)  # the class alone
         yield from itertools.islice(_direct.plain_terms(s, q, head), K)
         n0 += K * step
     prefactor = base
@@ -358,7 +359,7 @@ def _continuation(s, q, policy, progression):
     policy = policy or _DEFAULT_POLICY
     s = check_double(s, "s", complex)
     q = check_base(q, "q")
-    x, _, _, classes, step = progression
+    x, _, classes, step = progression
     Q = q**step
     try:
         base = (1 + q) * _rpow(1 - q, s)
@@ -399,9 +400,8 @@ def _continuation(s, q, policy, progression):
     return total
 
 
-def _truncated(m, q, progression, chi, qx=(1, 1)):
-    """The continuation of the ``progression`` (weighted by ``chi``) at
-    s = -m, m >= 0, exactly.
+def _truncated(m, q, progression, qx=(1, 1)):
+    """The continuation of the ``progression`` at s = -m, m >= 0, exactly.
 
     It terminates after m+1 terms, so its class a is
 
@@ -417,11 +417,12 @@ def _truncated(m, q, progression, chi, qx=(1, 1)):
     the qa**(a e) of y**(-e) cancels against the qa**(step e) of Q**e, as
     0 <= a <= step for every class, so the denominators are the same for
     every class and only the numerators take the class's power.  The
-    classes of one ``_class_groups`` group, each with its sign (-1)**a
-    chi(a), therefore make one sum of m+1 terms, whose term j has the
-    weight U_e = sum over the classes of (-1)**a chi(a) (qa**(step-a)
-    qb**a)**e (``_power_sums``): a real chi gives one sum, not one per
-    class.  The qxb**j of qx**j is qxb**e / qxb**m: the numerators take
+    classes of one ``_class_groups`` group, each with its sign (-1)**a c,
+    therefore make one sum of m+1 terms, whose term j has the weight
+    U_e = sum over the classes of (-1)**a c (qa**(step-a) qb**a)**e
+    (``_power_sums``): a table of real chi(a) = c gives one sum, not one
+    per class, and ``_chi_combination`` weighs a complex class's sum by
+    its chi(a).  The qxb**j of qx**j is qxb**e / qxb**m: the numerators take
     qxb**e and the prefactor takes 1/qxb**m, so term j is over
     Qa**e + Qb**e alone.  Each term is an integer pair, built in the order
     of j, and ``_exact_sum``, given the range of e, orders the terms and
@@ -430,7 +431,7 @@ def _truncated(m, q, progression, chi, qx=(1, 1)):
     reduction, or, past its bound, into a reduced Fraction, never reduced
     again.
     """
-    _, _, _, classes, step = progression
+    _, _, classes, step = progression
     qa, qb = q
     Qa, Qb = _powers(qa**step, m), _powers(qb**step, m)
     xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
@@ -446,13 +447,13 @@ def _truncated(m, q, progression, chi, qx=(1, 1)):
     prefactor = ((qa + qb) * qb ** max(m - 1, 0),
                  (qb - qa) ** m * qb ** max(1 - m, 0) * xbpow[m])
     sums = []
-    for k, group in _class_groups(classes, chi):
+    for _, w, group in _class_groups(classes):
         # needs 0 <= a <= step, which every ``Progression`` keeps (pinned by
         # test_every_class_lies_within_its_step); a > step would make this power a float
         u = _power_sums([(-c if a % 2 else c, qa ** (step - a) * qb**a) for a, c in group], m)
-        sums.append((k, _exact_sum(((cn * u[e], cd) for cn, cd, e in zip(nums, dens, es)),
+        sums.append((w, _exact_sum(((cn * u[e], cd) for cn, cd, e in zip(nums, dens, es)),
                                    prefactor, es)))
-    return _chi_combination(chi, sums)
+    return _chi_combination(sums)
 
 
 def _hurwitz_x(x, q):
@@ -503,7 +504,7 @@ def hurwitz_neg_int_exact(m, r, d, a):
     check_int(d, "d", 1)
     r = check_rational(r, "r", unit=True)
     rn, rd = r.numerator, r.denominator
-    return _truncated(m, (rn**d, rd**d), Progression.of(n0=0), None, (rn**a, rd**a))
+    return _truncated(m, (rn**d, rd**d), Progression.of(n0=0), (rn**a, rd**a))
 
 
 def euler_zeta_q(s, q, policy=None):
@@ -529,7 +530,7 @@ def euler_zeta_neg_int_exact(m, r):
     """
     check_int(m, "m", 0)
     r = check_rational(r, "r", unit=True)
-    return _truncated(m, (r.numerator, r.denominator), Progression.of(), None)
+    return _truncated(m, (r.numerator, r.denominator), Progression.of())
 
 
 def l_series(s, chi, q, policy=None):
@@ -566,7 +567,7 @@ def l_neg_int_decomposition(k, chi, r):
     check_int(k, "k", 1)
     check_instance(chi, "chi", DirichletCharacter)
     r = check_rational(r, "r", unit=True)
-    return _truncated(k, (r.numerator, r.denominator), Progression.of(chi=chi), chi)
+    return _truncated(k, (r.numerator, r.denominator), Progression.of(chi=chi))
 
 
 def partial_zeta(s, a, F, q, policy=None):
@@ -601,4 +602,4 @@ def partial_zeta_neg_int_exact(n, a, F, r):
     check_int(F, "F", 3, odd=True)
     check_int(a, "a", 1, F)
     r = check_rational(r, "r", unit=True)
-    return _truncated(n, (r.numerator, r.denominator), Progression.of(n0=a, step=F), None)
+    return _truncated(n, (r.numerator, r.denominator), Progression.of(n0=a, step=F))

@@ -42,7 +42,6 @@ PROGRESSION = {"_direct.Progression.of": "argument structure, no arithmetic"}
 CHARACTER = {
     "characters.DirichletCharacter._unit_table":
         "the character's values (a, k, chi(a)), input data that both sides read",
-    "characters.DirichletCharacter.order": "the character's order, read off its exponents",
 }
 CHI_COMBINATION = {
     "characters._class_groups": "ROADMAP item 6: the classes grouped by chi(a) on both sides",
@@ -89,7 +88,9 @@ ROWS = {
     "interpolation/continuation-terminates": ({"euler_zeta_q"}, {"qeuler_higher"}, CHECKS),
     "interpolation/sign-boundary-continuation": ({"euler_zeta_q"}, set(), CHECKS),
     "identities/mixed-diagonal": ({"qeuler_mixed"}, {"hurwitz_neg_int_exact"}, EXACT),
-    "padic/convergence-m2-k1": ({"higher_order_stage"}, {"qeuler_higher"}, CHECKS),
+    # every p-adic pin: the stage sums against the closed-form number
+    **{f"padic/convergence-m{m}-k{k}": ({"higher_order_stage"}, {"qeuler_higher"}, CHECKS)
+       for m, k, *_ in _verify._PADIC_PINS},
 }
 
 
@@ -180,7 +181,7 @@ def test_every_allowlist_entry_states_its_reason():
         assert all(isinstance(why, str) and len(why) > 20 for why in allowed.values())
 
 
-def _higher_as_truncation(m, q, progression, chi, qx=(1, 1)):
+def _higher_as_truncation(m, q, progression, qx=(1, 1)):
     return euler_numbers.qeuler_higher(m, 1, Fraction(*q))
 
 
