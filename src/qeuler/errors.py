@@ -15,7 +15,10 @@ arithmetic.  Every check of a number applies one type test
 (``_number``) before it compares or converts: an int, a Fraction or a
 float (or a complex where the rule allows one) is a number, and text,
 None or any other type is a DomainError, never a bare TypeError and
-never parsed.
+never parsed.  Every message shows its argument through ``_shown``, which
+cannot fail: an int too long for a decimal string (past
+``sys.get_int_max_str_digits()``) shows its type and bit length, so a
+refusal of a huge argument is still the typed error.
 """
 
 from __future__ import annotations
@@ -63,25 +66,36 @@ class NearSingularError(ArithmeticError):
         self.term_index = term_index
 
 
+def _shown(value, text=repr):
+    """``text(value)`` for a message; what no text shows (an int past the
+    decimal-string limit, or a value holding one) shows its type, and an
+    int its bit length."""
+    try:
+        return text(value)
+    except Exception:  # noqa: BLE001 - a message must not replace the error it explains
+        bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{bits}>"
+
+
 def check_int(value, name, low, high=math.inf, odd=False):
     """``value``, an int in [low, high], and odd where asked."""
     if not isinstance(value, int) or not low <= value <= high or odd and value % 2 == 0:
         raise DomainError(f"{name} must be an{' odd' * odd} integer in [{low}, {high}], "
-                          f"got {value!r}")
+                          f"got {_shown(value)}")
     return value
 
 
 def check_instance(value, name, cls):
     """``value``, an instance of ``cls``."""
     if not isinstance(value, cls):
-        raise DomainError(f"{name} must be {cls.__name__}, got {value!r}")
+        raise DomainError(f"{name} must be {cls.__name__}, got {_shown(value)}")
     return value
 
 
 def _number(value, name, kinds=(int, Fraction, float)):
     """``value``, an instance of ``kinds`` (a real number by default)."""
     if not isinstance(value, kinds):
-        raise DomainError(f"{name} must be a number, got {value!r}")
+        raise DomainError(f"{name} must be a number, got {_shown(value)}")
     return value
 
 
@@ -90,7 +104,8 @@ def check_finite(value, name, positive=False):
     _number(value, name, (int, Fraction, float, complex))
     if (isinstance(value, (float, complex)) and not cmath.isfinite(value)
             or positive and (isinstance(value, complex) or not value > 0)):
-        raise DomainError(f"{name} must be a finite{' positive' * positive} number, got {value!r}")
+        raise DomainError(f"{name} must be a finite{' positive' * positive} number, "
+                          f"got {_shown(value)}")
     return value
 
 
@@ -107,7 +122,7 @@ def _double(value, name, kind=float):
         return kind(value)
     except OverflowError:
         raise DomainError(f"{name} must lie within the double range, "
-                          f"got {value!r:.40}...") from None
+                          f"got {_shown(value):.40}...") from None
 
 
 def check_rational(value, name, unit=False):
@@ -116,9 +131,9 @@ def check_rational(value, name, unit=False):
     try:
         r = Fraction(value)
     except (ValueError, OverflowError):  # a NaN or an infinity
-        raise DomainError(f"{name} must be a finite rational, got {value!r}") from None
+        raise DomainError(f"{name} must be a finite rational, got {_shown(value)}") from None
     if unit and not 0 < r < 1:
-        raise DomainError(f"{name} must be a rational in (0, 1), got {r}")
+        raise DomainError(f"{name} must be a rational in (0, 1), got {_shown(r, str)}")
     return r
 
 
@@ -136,5 +151,6 @@ def check_closed_form_base(q, name, unit=False):
     in (0, 1) where ``unit`` asks.  A float q is taken exactly."""
     r = check_rational(q, name, unit)
     if r <= 0 or r == 1:
-        raise DomainError(f"{name} must be a rational or a float, > 0 and != 1, got {q!r}")
+        raise DomainError(f"{name} must be a rational or a float, > 0 and != 1, "
+                          f"got {_shown(q)}")
     return r, isinstance(q, float)

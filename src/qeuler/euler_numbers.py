@@ -56,7 +56,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, check_closed_form_base, check_double, check_int, check_rational
+from .errors import (DomainError, _shown, check_closed_form_base, check_double, check_int,
+                     check_rational)
 from .numeric import _exact_sum, _float, _fraction, _negated, _pair, _power_sums, _powers, binom
 
 __all__ = [
@@ -324,7 +325,7 @@ def multiplication_residual_x0(m, n, r):
     check_int(n, "n", 1, odd=True)
     r = check_rational(r, "r")
     if r <= 0 or r == 1:
-        raise DomainError(f"r must be a positive rational != 1, got {r}")
+        raise DomainError(f"r must be a positive rational != 1, got {_shown(r, str)}")
     a, b = r.numerator, r.denominator
     apow, bpow = _powers(a, n), _powers(b, n)
     qn = (apow[n], bpow[n])  # the base r**n of the right side

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .errors import ResourceLimitError, check_instance, check_int, check_rational
+from .errors import ResourceLimitError, _shown, check_instance, check_int, check_rational
 from .numeric import PAdicQParam, p_valuation, q_bracket_signed
 
 __all__ = [
@@ -132,8 +132,9 @@ def _stage_range(ctx, N, width, k=1):
     scale = 2 * max(ctx.q.numerator, ctx.q.denominator).bit_length() * (width + k)
     if N < MAX_RESULT_BITS.bit_length() and scale * (P := ctx.p**N) <= MAX_RESULT_BITS:
         return P
+    power = f"{_shown(ctx.p, str)}**{_shown(N, str)}"
     raise ResourceLimitError(
-        f"stage p**N = {ctx.p}**{N} would give a value of about {scale} * {ctx.p}**{N} bits, "
+        f"stage p**N = {power} would give a value of about {scale} * {power} bits, "
         f"over the limit {MAX_RESULT_BITS}"
     )
 

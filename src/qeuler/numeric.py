@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (DomainError, check_double, check_finite, check_instance, check_int,
+from .errors import (DomainError, _shown, check_double, check_finite, check_instance, check_int,
                      check_rational)
 
 __all__ = [
@@ -93,7 +93,7 @@ def q_bracket(x, q):
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise DomainError(
-                f"exact q_bracket needs an integer exponent, got x={x}; "
+                f"exact q_bracket needs an integer exponent, got x={_shown(x, str)}; "
                 "for x = a/d write q = r**d and use (1 - r**a) / (1 - r**d)"
             )
         x = int(x)
@@ -114,7 +114,8 @@ def q_bracket_signed(x, q):
         try:
             power = (-q) ** x
         except OverflowError:
-            raise OverflowError(f"q**x exceeds the double range at q = {q}, x = {x}") from None
+            raise OverflowError(f"q**x exceeds the double range at q = {q}, "
+                                f"x = {_shown(x, str)}") from None
         return (1.0 - power) / (1.0 + q)
     q = Fraction(q)
     return (1 - (-q) ** x) / (1 + q)
@@ -363,7 +364,7 @@ def p_valuation(r, p):
     v_p(a) - v_p(b), so it is negative when p divides the denominator.
     """
     if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p!r}")
+        raise DomainError(f"p must be prime, got {_shown(p)}")
     r = check_rational(r, "r")
     if r == 0:
         return math.inf
@@ -388,4 +389,5 @@ class PAdicQParam:
         object.__setattr__(self, "q", q)
         # v_p(q - 1) >= 1 makes q = 1 (mod p) a p-adic unit
         if p_valuation(q - 1, self.p) < 1 or q <= 0:
-            raise DomainError(f"q must be positive with v_{self.p}(q - 1) >= 1, got q = {q}")
+            raise DomainError(f"q must be positive with v_{_shown(self.p, str)}(q - 1) >= 1, "
+                              f"got q = {_shown(q, str)}")

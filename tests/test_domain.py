@@ -3,7 +3,9 @@ argument of a public function raises DomainError, and so does None,
 text (even the text of a good value) or any other object where a number
 is due; so does an argument of the wrong type where a character or a
 p-adic context is expected, and an int or a Fraction beyond the double
-range where a float route converts it.
+range where a float route converts it.  An int too long for a decimal
+string is refused by the same typed error as any other argument: its
+message shows its size.
 
 DomainError subclasses ValueError, so a bare ValueError (from math.ceil
 or Fraction) fails these tests, as does a bare TypeError, a
@@ -57,6 +59,9 @@ from qeuler import (
     qeuler_poly_numeric,
     stage_sum,
 )
+from qeuler.errors import (ResourceLimitError, _shown, check_base, check_closed_form_base,
+                           check_double, check_finite, check_instance, check_int,
+                           check_rational)
 
 CHI = characters_mod(5)[1]
 CTX = PAdicQParam(3, 4)
@@ -191,3 +196,54 @@ BEYOND_DOUBLE = [Fraction(10**400), 10**400, Fraction(-(10**400), 3)]
 def test_beyond_double_range_raises_domain_error(name, call, big):
     with pytest.raises(DomainError):
         call(big)
+
+
+# An int of 5,001 digits, past the decimal-string limit of
+# sys.get_int_max_str_digits() (4,300 by default): a message that printed
+# it would raise a bare ValueError in place of the refusal.
+HUGE = 10**5000
+HUGE_SHOWN = f"<int of {HUGE.bit_length()} bits>"
+
+# (call, the error it raises, the argument as its message shows it)
+HUGE_CALLS = {
+    "qeuler_higher m": (lambda: qeuler_higher(-HUGE, 1, 0.5), DomainError, HUGE_SHOWN),
+    "stage_sum N below 1": (lambda: stage_sum(Integrand.moment(1), CTX, -HUGE), DomainError,
+                            HUGE_SHOWN),
+    "stage_sum N too large": (lambda: stage_sum(Integrand.moment(1), CTX, HUGE),
+                              ResourceLimitError, f"3**{HUGE_SHOWN}"),
+    "characters_mod d": (lambda: characters_mod(10 * HUGE + 2), DomainError, "<int of "),
+    "PAdicQParam p": (lambda: PAdicQParam(HUGE, 4), DomainError, HUGE_SHOWN),
+    "p_valuation p": (lambda: p_valuation(Fraction(1, 3), HUGE + 1), DomainError, "<int of "),
+    "q_bracket x": (lambda: q_bracket(HUGE, 0.5), DomainError, HUGE_SHOWN),
+    # each check of the errors module
+    "check_int": (lambda: check_int(HUGE, "n", 0, 10), DomainError, HUGE_SHOWN),
+    "check_instance": (lambda: check_instance(HUGE, "chi", DirichletCharacter), DomainError,
+                       HUGE_SHOWN),
+    "_number": (lambda: check_finite([HUGE], "x"), DomainError, "got <list>"),
+    "check_finite": (lambda: check_finite(-HUGE, "eps", positive=True), DomainError,
+                     HUGE_SHOWN),
+    "check_double": (lambda: check_double(HUGE, "s"), DomainError, f"{HUGE_SHOWN}..."),
+    "check_rational": (lambda: check_rational(HUGE, "r", unit=True), DomainError,
+                       "got <Fraction>"),
+    "check_base": (lambda: check_base(-HUGE, "q"), DomainError, HUGE_SHOWN),
+    "check_closed_form_base": (lambda: check_closed_form_base(-HUGE, "q"), DomainError,
+                               HUGE_SHOWN),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_CALLS)
+def test_huge_int_is_refused_by_a_typed_error(name):
+    call, error, shown = HUGE_CALLS[name]
+    with pytest.raises(error) as exc:
+        call()
+    assert shown in str(exc.value)
+
+
+def test_a_printable_argument_prints_as_before():
+    # the longest int the limit allows still prints in full
+    big = 10**4299
+    assert _shown(big) == repr(big) and _shown(Fraction(1, 3), str) == "1/3"
+    with pytest.raises(DomainError, match=r"got \[1, 2\]$"):
+        check_finite([1, 2], "x")
+    with pytest.raises(DomainError, match=r"got 3/2$"):
+        check_rational(Fraction(3, 2), "r", unit=True)
