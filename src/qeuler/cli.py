@@ -121,6 +121,18 @@ def _parse_q_list(text):
     return [_parse_rational(part) for part in text.split(",")]
 
 
+def _option(parse):
+    """``parse`` as an argparse ``type``: argparse prints the message of an
+    ArgumentTypeError after the option's name, but only the converter's name
+    for a ValueError, which a DomainError is."""
+    def convert(text):
+        try:
+            return parse(text)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _iroot(n, d):
     """Exact integer d-th root of n >= 0, or None."""
     if n < 0:
@@ -388,8 +400,8 @@ def _build_parser():
 
     # the options eval and table share
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--q", type=_parse_rational, help="base q, as 'a/b' or decimal")
-    shared.add_argument("--s", type=_parse_s, help="s as 're' or 're,im'")
+    shared.add_argument("--q", type=_option(_parse_rational), help="base q, as 'a/b' or decimal")
+    shared.add_argument("--s", type=_option(_parse_s), help="s as 're' or 're,im'")
     shared.add_argument("--k", type=int, default=1, help="order (default 1)")
     shared.add_argument("--exact", action="store_true", help="exact rational values")
     shared.add_argument("--eps", type=float, default=PrecisionPolicy.eps,
@@ -413,10 +425,10 @@ def _build_parser():
 
     p_table = sub.add_parser("table", parents=[shared], help="sweep one parameter into a table")
     p_table.add_argument("function", choices=["qeuler", "classical", "zeta"])
-    p_table.add_argument("--m", dest="m_range", type=_parse_int_range, help="m sweep 'a..b'")
+    p_table.add_argument("--m", dest="m_range", type=_option(_parse_int_range), help="m sweep 'a..b'")
     p_table.add_argument("--m-fixed", dest="m", type=int, help="fixed m (for --q-list sweeps)")
-    p_table.add_argument("--s-grid", type=_parse_int_range, help="integer s sweep 'a..b'")
-    p_table.add_argument("--q-list", type=_parse_q_list, help="comma-separated q sweep")
+    p_table.add_argument("--s-grid", type=_option(_parse_int_range), help="integer s sweep 'a..b'")
+    p_table.add_argument("--q-list", type=_option(_parse_q_list), help="comma-separated q sweep")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.set_defaults(run=_cmd_table, method="continuation")
 

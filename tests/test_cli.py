@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qeuler import qeuler_higher
+from qeuler import DomainError, qeuler_higher
 from qeuler import cli
 from qeuler.cli import main
 
@@ -466,6 +466,39 @@ class TestNonFiniteAndHugeS:
         # the continuation stops at its first NaN term instead of summing 10,000
         assert main(["eval", "zeta", "--s", "2000", "--q", "0.5"]) == 3
         assert "term 220 is non-finite" in capsys.readouterr().err
+
+
+class TestRefusedOptionValue:
+    # each argparse converter's DomainError reaches stderr after the
+    # option's name, with exit code 2, never as "invalid _parse_... value"
+    @pytest.mark.parametrize("argv,line", [
+        (["eval", "zeta", "--s", "x", "--q", "0.5"], "argument --s: cannot parse s 'x'"),
+        (["eval", "zeta", "--s", "1,2,3", "--q", "0.5"],
+         "argument --s: s must be 're' or 're,im', got '1,2,3'"),
+        (["eval", "zeta", "--s", "inf", "--q", "0.5"], "argument --s: s must be finite, got 'inf'"),
+        (["eval", "zeta", "--s", "2", "--q", "1/0"], "argument --q: cannot parse rational '1/0'"),
+        (["table", "zeta", "--q", "1/2", "--s-grid", "3..1"],
+         "argument --s-grid: empty range '3..1'"),
+        (["table", "qeuler", "--q", "1/2", "--m", "a..b"],
+         "argument --m: cannot parse range 'a..b' (expected 'a..b')"),
+        (["table", "qeuler", "--m-fixed", "1", "--q-list", "1/2,x"],
+         "argument --q-list: cannot parse rational 'x'"),
+    ], ids=["s-text", "s-parts", "s-inf", "q", "s-grid", "m-range", "q-list"])
+    def test_the_reason_reaches_stderr(self, argv, line, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert line in err
+        assert "_parse" not in err
+
+    def test_x_is_refused_at_evaluation(self, capsys):
+        # --x is parsed by the function that reads it, after argparse
+        with pytest.raises(DomainError, match="cannot parse rational '1/0'"):
+            cli._parse_rational("1/0")
+        argv = ["eval", "hurwitz", "--s", "-2", "--x", "1/0", "--q", "1/8", "--exact"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("qeuler: error: cannot parse rational '1/0'")
 
 
 class TestTableSweepValidation:
