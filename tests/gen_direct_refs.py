@@ -31,6 +31,17 @@ its precision until two evaluations 20 digits apart agree to 1e-30
 relative.  It is imported read-only here; the tests never import it.
 Values are printed to 30 digits.
 
+``PROBE_REFS`` holds every cell of the benchmark's ``series-grid``
+known-defect probe at seeds ``PROBE_SEEDS`` whose value the benchmark's
+own check (``perfbench/checks.py``'s ``check_series_grid``) finds wrong:
+off its oracle by more than its reported bound plus eps max(1, |oracle|).
+Cells that raise a typed error are left out.  Each cell's arguments come
+from ``perfbench/inputs.py``'s ``build``, and its reference is the
+check's oracle: the library's exact route at Fraction(q) where that is a
+Fraction (zeta_E, and zeta_H at an integer x and partial zeta at s = -m),
+else ``mp_periodic_series``.  Both modules are imported read-only.
+Values are printed to 30 digits.
+
     PYTHONPATH=src python3 tests/gen_direct_refs.py
 """
 
@@ -40,7 +51,8 @@ import sys
 from pathlib import Path
 
 import mpmath as mp
-from test_zeta import (CLASS_CELLS, DIRECT_CELLS, GATE_CELLS, LARGE_IM_CELL, LARGE_S_CELLS,
+from test_bound_gate import GATE_CELLS
+from test_zeta import (CLASS_CELLS, DIRECT_CELLS, LARGE_IM_CELL, LARGE_S_CELLS,
                        direct_character)
 
 
@@ -113,12 +125,61 @@ def class_reference(family, s, q, extra):
     return total
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PROBE_SEEDS = (2001, 2002, 2003)
+
+
 def gate_reference(family, s, q, extra):
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    sys.path.insert(0, str(PERFBENCH))
     from checks import mp_periodic_series
 
     x, n0 = (extra, 0) if family == "hurwitz" else (0.0, 1)
     return mp_periodic_series(complex(s), q, x, n0, [1])
+
+
+def probe_refs():
+    """{cell: oracle value} for the probe cells that return a wrong value,
+    a cell being (public function, s, q, extra) with extra as in
+    ``test_zeta.py``'s cells: (), x, (a, F) or a character's (d, index)."""
+    sys.path.insert(0, str(PERFBENCH))
+    import qeuler
+    from checks import Raised, SeriesOracle, check_series_grid, series_family
+    from inputs import build
+
+    oracle, refs = SeriesOracle(qeuler), {}
+    for seed in PROBE_SEEDS:
+        _, probe = build("series-grid", seed, qeuler, PERFBENCH.parent)
+        results = []
+        for op in probe:
+            try:
+                results.append(getattr(qeuler, op.fn)(*op.args))
+            except Exception as exc:  # noqa: BLE001 - the check reads a raise as a result
+                results.append(Raised.of(exc))
+        for i in check_series_grid(probe, results, qeuler, oracle):
+            if isinstance(results[i], Raised):
+                continue
+            op = probe[i]
+            s, *extra, q = op.args
+            if op.fn.startswith("l_series"):
+                extra = (extra[0].modulus, extra[0].index)
+            elif op.fn.startswith("hurwitz"):
+                (extra,) = extra
+            else:
+                extra = tuple(extra)
+            refs[(op.fn, s, q, extra)] = oracle.value(series_family(op.fn), s, q, op.args[1:-1])
+    return refs
+
+
+def print_probe_refs():
+    print("PROBE_REFS = {")
+    mp.mp.dps = 60
+    for cell, (kind, v) in probe_refs().items():
+        if kind == "exact":
+            v = mp.mpf(v.numerator) / v.denominator
+        v = mp.mpc(v)
+        re, im = mp.nstr(v.real, 30), mp.nstr(v.imag, 30)
+        print(f"    {cell!r}:\n        ({re!r}, {im!r}),")
+    print("}")
 
 
 def print_table(name, cells, reference, digits):
@@ -134,6 +195,7 @@ def main():
     print_table("DIRECT_REFS", [*DIRECT_CELLS, LARGE_IM_CELL, *LARGE_S_CELLS], reference, 30)
     print_table("CLASS_REFS", CLASS_CELLS, class_reference, 40)
     print_table("GATE_REFS", GATE_CELLS, gate_reference, 30)
+    print_probe_refs()
 
 
 if __name__ == "__main__":
