@@ -16,8 +16,8 @@ arithmetic.  Every check of a number applies one type test
 float (or a complex where the rule allows one) is a number, and text,
 None or any other type is a DomainError, never a bare TypeError and
 never parsed.  Every message shows its argument through ``_shown``, which
-cannot fail: an int too long for a decimal string (past
-``sys.get_int_max_str_digits()``) shows its type and bit length, so a
+does not fail on an int too long for a decimal string (past
+``sys.get_int_max_str_digits()``): it shows its type and bit length, so a
 refusal of a huge argument is still the typed error.
 """
 
@@ -67,12 +67,11 @@ class NearSingularError(ArithmeticError):
 
 
 def _shown(value, text=repr):
-    """``text(value)`` for a message; what no text shows (an int past the
-    decimal-string limit, or a value holding one) shows its type, and an
-    int its bit length."""
+    """``text(value)`` for a message; an int past the decimal-string limit
+    shows its type and bit length, and a value holding one its type."""
     try:
         return text(value)
-    except Exception:  # noqa: BLE001 - a message must not replace the error it explains
+    except ValueError:  # the limit, raised by the int's conversion to str
         bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
         return f"<{type(value).__name__}{bits}>"
 
