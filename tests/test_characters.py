@@ -23,7 +23,7 @@ from qeuler import (
     root_sum_is_zero,
 )
 from qeuler import euler_numbers, numeric, zeta
-from qeuler.characters import _factorize, _primitive_root, _unit_group
+from qeuler.characters import _class_groups, _factorize, _primitive_root, _unit_group
 
 import closed_form_oracle as oracle
 
@@ -426,6 +426,20 @@ class TestOneSumPerTwistedValue:
         assert generalized_qeuler(m, chi, r) == want
         if m:
             assert l_neg_int_decomposition(m, chi, r) == want
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 15, 105])
+    def test_groups_read_the_class_table_alone(self, d):
+        # a table of real chi(a) is one group signed by chi(a); a complex one
+        # keeps one group per class, with its exponent k and weight chi(a)
+        for chi in characters_mod(d):
+            table = chi._unit_table()
+            if chi.order <= 2:
+                want = [(0, None, [(a, int(chi(a).as_rational())) for a, _, _ in table])]
+            else:
+                want = [(k, w, [(a, 1)]) for a, k, w in table]
+            assert _class_groups(table) == want
+        # the one class of weight 1 of a series without chi
+        assert _class_groups(((4, None, None),)) == [(0, None, [(4, 1)])]
 
     @pytest.mark.parametrize("d", [15, 45, 105])
     def test_sums_per_value(self, monkeypatch, d):
