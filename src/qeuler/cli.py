@@ -425,7 +425,8 @@ def _build_parser():
 
     p_table = sub.add_parser("table", parents=[shared], help="sweep one parameter into a table")
     p_table.add_argument("function", choices=["qeuler", "classical", "zeta"])
-    p_table.add_argument("--m", dest="m_range", type=_option(_parse_int_range), help="m sweep 'a..b'")
+    p_table.add_argument("--m", dest="m_range", type=_option(_parse_int_range),
+                         help="m sweep 'a..b'")
     p_table.add_argument("--m-fixed", dest="m", type=int, help="fixed m (for --q-list sweeps)")
     p_table.add_argument("--s-grid", type=_option(_parse_int_range), help="integer s sweep 'a..b'")
     p_table.add_argument("--q-list", type=_option(_parse_q_list), help="comma-separated q sweep")

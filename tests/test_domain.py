@@ -215,6 +215,13 @@ HUGE_CALLS = {
     "PAdicQParam p": (lambda: PAdicQParam(HUGE, 4), DomainError, HUGE_SHOWN),
     "p_valuation p": (lambda: p_valuation(Fraction(1, 3), HUGE + 1), DomainError, "<int of "),
     "q_bracket x": (lambda: q_bracket(HUGE, 0.5), DomainError, HUGE_SHOWN),
+    "q_bracket exact x": (lambda: q_bracket(Fraction(HUGE, 3), Fraction(1, 2)), DomainError,
+                          "x=<Fraction>"),
+    "PAdicQParam q": (lambda: PAdicQParam(3, HUGE + 1), DomainError, "got q = <Fraction>"),
+    "multiplication_residual_x0 r": (lambda: multiplication_residual_x0(2, 3, -HUGE),
+                                     DomainError, "got <Fraction>"),
+    "DirichletCharacter exponents": (lambda: DirichletCharacter(5, (HUGE, 1)), DomainError,
+                                     "got <tuple>"),
     # each check of the errors module
     "check_int": (lambda: check_int(HUGE, "n", 0, 10), DomainError, HUGE_SHOWN),
     "check_instance": (lambda: check_instance(HUGE, "chi", DirichletCharacter), DomainError,
