@@ -228,8 +228,8 @@ GATE_XFAIL = pytest.mark.xfail(
 class TestReportedBoundGate:
     """The correctness gate: each call returns a value within its reported
     ``abs_error_estimate`` of the reference, or raises a typed error.  The
-    references are exact (``GATE_EXACT``) or 40-digit values of the
-    continued series (``GATE_REFS``).  Every cell breaks its bound today
+    references are exact (``GATE_EXACT``) or 30-digit literals
+    (``GATE_REFS``, ``PROBE_REFS``).  Every cell breaks its bound today
     (zeta_E(-12, 0.99) returns -1.8e11 with a bound of 0.0), so each is a
     strict xfail until the running rounding bound lands."""
 
