@@ -146,6 +146,7 @@ def probe_refs():
     from checks import Raised, SeriesOracle, check_series_grid, series_family
     from inputs import build
 
+    mp.mp.dps = 60  # an exact reference is rounded here, once
     oracle, refs = SeriesOracle(qeuler), {}
     for seed in PROBE_SEEDS:
         _, probe = build("series-grid", seed, qeuler, PERFBENCH.parent)
@@ -166,20 +167,10 @@ def probe_refs():
                 (extra,) = extra
             else:
                 extra = tuple(extra)
-            refs[(op.fn, s, q, extra)] = oracle.value(series_family(op.fn), s, q, op.args[1:-1])
+            kind, v = oracle.value(series_family(op.fn), s, q, op.args[1:-1])
+            refs[(op.fn, s, q, extra)] = mp.mpc(mp.mpf(v.numerator) / v.denominator
+                                                if kind == "exact" else v)
     return refs
-
-
-def print_probe_refs():
-    print("PROBE_REFS = {")
-    mp.mp.dps = 60
-    for cell, (kind, v) in probe_refs().items():
-        if kind == "exact":
-            v = mp.mpf(v.numerator) / v.denominator
-        v = mp.mpc(v)
-        re, im = mp.nstr(v.real, 30), mp.nstr(v.imag, 30)
-        print(f"    {cell!r}:\n        ({re!r}, {im!r}),")
-    print("}")
 
 
 def print_table(name, cells, reference, digits):
@@ -195,7 +186,8 @@ def main():
     print_table("DIRECT_REFS", [*DIRECT_CELLS, LARGE_IM_CELL, *LARGE_S_CELLS], reference, 30)
     print_table("CLASS_REFS", CLASS_CELLS, class_reference, 40)
     print_table("GATE_REFS", GATE_CELLS, gate_reference, 30)
-    print_probe_refs()
+    refs = probe_refs()
+    print_table("PROBE_REFS", refs, lambda *cell: refs[cell], 30)
 
 
 if __name__ == "__main__":
