@@ -450,12 +450,14 @@ _VALUE_OPTS = frozenset(
 )
 
 
-def _merge_negative_values(argv):
-    """Join value options with a following negative-looking token.
+def _merge_negative_values(argv, options):
+    """Join value options with a following ``-``-leading token that is not
+    one of the parser's ``options``.
 
-    argparse treats a bare ``-3..0`` as an option string; rewriting
-    ``--s-grid -3..0`` to ``--s-grid=-3..0`` lets ranges, negative s,
-    and scientific eps through unambiguously.
+    argparse treats a bare ``-3..0`` or ``-inf`` as an option string;
+    rewriting ``--s-grid -3..0`` to ``--s-grid=-3..0`` lets ranges,
+    negative s, scientific eps and non-finite values through to their
+    converters, which state why a value is refused.
     """
     out = []
     i = 0
@@ -463,7 +465,7 @@ def _merge_negative_values(argv):
         tok = argv[i]
         if tok in _VALUE_OPTS and i + 1 < len(argv):
             nxt = argv[i + 1]
-            if len(nxt) >= 2 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == "."):
+            if nxt.startswith("-") and nxt.partition("=")[0] not in options:
                 out.append(f"{tok}={nxt}")
                 i += 2
                 continue
@@ -490,11 +492,20 @@ def _parser():
     return _build_parser()
 
 
+@functools.cache
+def _option_strings():
+    """Every option string of the parser, those of its subcommands included."""
+    parser = _parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return frozenset(o for p in (parser, *sub.choices.values()) for a in p._actions
+                     for o in a.option_strings)
+
+
 def main(argv=None):
     parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = parser.parse_args(_merge_negative_values(list(argv), _option_strings()))
     try:
         return args.run(args)
     except NonConvergenceError as exc:

@@ -105,18 +105,21 @@ def q_bracket_signed(x, q):
 
     ``x`` must be a nonnegative integer and ``q`` positive.  This is the
     normalizing denominator of the alternating stage sums; for odd ``x``
-    it equals (1 + q**x)/(1 + q).  For a float ``q`` a power beyond the
-    double range is an OverflowError.
+    it equals (1 + q**x)/(1 + q).  For a float ``q`` the sign of (-q)**x
+    is read from the parity of the int ``x``, which a float exponent loses
+    past 2**53; a power beyond the double range is an OverflowError.
     """
     check_int(x, "x", 0)
     check_finite(q, "q", positive=True)
     if isinstance(q, float):
         try:
-            power = (-q) ** x
-        except OverflowError:
-            raise OverflowError(f"q**x exceeds the double range at q = {q}, "
-                                f"x = {_shown(x, str)}") from None
-        return (1.0 - power) / (1.0 + q)
+            power = q**x
+        except OverflowError:  # q**x too large, or x too large for a float
+            if q > 1:
+                raise OverflowError(f"q**x exceeds the double range at q = {q}, "
+                                    f"x = {_shown(x, str)}") from None
+            power = 1.0 if q == 1 else 0.0  # q < 1: q**x underflows
+        return (1.0 + power if x % 2 else 1.0 - power) / (1.0 + q)
     q = Fraction(q)
     return (1 - (-q) ** x) / (1 + q)
 

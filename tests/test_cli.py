@@ -425,13 +425,23 @@ class TestTableFormats:
 
 
 class TestNonFiniteAndHugeS:
-    @pytest.mark.parametrize("s", ["inf", "-inf", "nan", "1,inf", "2,nan"])
+    @pytest.mark.parametrize("s", ["inf", "-inf", "nan", "1,inf", "2,nan", "-nan", "-Infinity",
+                                   "-1e999"])
     def test_non_finite_s_is_rejected_as_usage_error(self, s, capsys):
-        # _parse_s raises DomainError; argparse reports it against --s
+        # _parse_s raises DomainError; argparse reports it against --s, and
+        # a "-"-leading value reaches it rather than reading as an option
         with pytest.raises(SystemExit) as exc:
             main(["eval", "zeta", "--s", s, "--q", "0.5"])
         assert exc.value.code == 2
-        assert "argument --s" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --s" in err
+        assert f"argument --s: s must be finite, got {s!r}" in err
+
+    def test_an_option_after_a_value_option_is_not_its_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "zeta", "--s", "--q", "0.5"])
+        assert exc.value.code == 2
+        assert "argument --s: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         # true values about 1.2e315 and 3.1e340: the n = 0 term alone

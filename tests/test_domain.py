@@ -215,6 +215,7 @@ HUGE_CALLS = {
     "PAdicQParam p": (lambda: PAdicQParam(HUGE, 4), DomainError, HUGE_SHOWN),
     "p_valuation p": (lambda: p_valuation(Fraction(1, 3), HUGE + 1), DomainError, "<int of "),
     "q_bracket x": (lambda: q_bracket(HUGE, 0.5), DomainError, HUGE_SHOWN),
+    "q_bracket_signed x": (lambda: q_bracket_signed(HUGE, 1.5), OverflowError, HUGE_SHOWN),
     "q_bracket exact x": (lambda: q_bracket(Fraction(HUGE, 3), Fraction(1, 2)), DomainError,
                           "x=<Fraction>"),
     "PAdicQParam q": (lambda: PAdicQParam(3, HUGE + 1), DomainError, "got q = <Fraction>"),

@@ -32,8 +32,24 @@ def unused_imports(source):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+            used.update(all_names(tree, node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def all_names(tree, value):
+    """The names of the ``__all__`` expression ``value``: a literal list, or
+    an expression over the module-level literals of ``tree``, such as a
+    list comprehension over a table of exports."""
+    literals = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            try:
+                literals[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:  # not a literal
+                pass
+    return eval(compile(ast.Expression(value), "<__all__>", "eval"),  # noqa: S307
+                {"__builtins__": {}, **literals})
 
 
 def _top_level(body):
@@ -88,6 +104,9 @@ def test_rule_flags_an_unused_import():
     source = "import math\nimport cmath\nfrom fractions import Fraction as F\nx = cmath.pi\n"
     assert unused_imports(source) == [(1, "math"), (3, "F")]
     assert unused_imports("from os import sep\n__all__ = ['sep']\n") == []
+    table = "_T = {'os': ('sep',)}\n__all__ = [n for ns in _T.values() for n in ns] + ['v']\n"
+    assert unused_imports("from os import sep\n" + table) == []
+    assert unused_imports("from os import sep, getcwd\n" + table) == [(1, "getcwd")]
 
 
 def test_no_unread_private_name():

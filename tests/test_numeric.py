@@ -118,6 +118,27 @@ class TestQBracketSigned:
             for x in (1, 3, 5, 9):
                 assert q_bracket_signed(x, q) == (1 + q**x) / (1 + q)
 
+    @pytest.mark.parametrize("x, q, value", [
+        (10**400, 0.5, 1 / 1.5), (10**400, 0.999, 1 / 1.999), (10**5000, 0.5, 1 / 1.5),
+        (10**400 + 1, 1.0, 1.0), (10**400, 1.0, 0.0),
+        (2**53 + 1, 1.0, 1.0),
+    ], ids=["1e400 at 0.5", "1e400 at 0.999", "1e5000 at 0.5", "1e400+1 at 1", "1e400 at 1",
+            "2**53+1 at 1"])
+    def test_huge_x_at_float_q_gives_the_value(self, x, q, value):
+        # q < 1: q**x underflows; q = 1: the parity of x alone
+        assert q_bracket_signed(x, q) == value
+
+    def test_sign_follows_the_parity_of_an_int_past_2_53(self):
+        # float(2**53 + 1) is the even 2**53; q**x is about 1/e here, so an
+        # even sign would give (1 - 1/e)/2 in place of (1 + 1/e)/2
+        q = 1 - 2**-53
+        assert q_bracket_signed(2**53 + 1, q) == pytest.approx((1 + math.exp(-1)) / 2)
+        assert q_bracket_signed(2**53 + 2, q) == pytest.approx((1 - math.exp(-1)) / 2)
+
+    def test_huge_x_past_one_overflows(self):
+        with pytest.raises(OverflowError, match=r"at q = 1.5, x = <int of 16610 bits>$"):
+            q_bracket_signed(10**5000, 1.5)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             q_bracket_signed(-1, F(1, 2))
