@@ -223,10 +223,15 @@ def _exact_s(args, fn, allow_zero=False):
     raise DomainError(f"exact {fn} needs s a {kind} integer, got {s}")
 
 
+def _x(args):
+    """--x as a Fraction, read here only; the record keeps the text as typed."""
+    return _parse_rational(args.x)
+
+
 def _exact_point(args, kind):
     """(r, d, a) for the exact point x = a/d at base q = r**d; x > 0, or
     x >= 0 where ``kind`` is "nonnegative"."""
-    x = _parse_rational(args.x)
+    x = _x(args)
     if not (x > 0 or x == 0 and kind == "nonnegative"):
         raise DomainError(f"x must be {kind}, got {x}")
     return _exact_root(args.q, x.denominator), x.denominator, x.numerator
@@ -246,7 +251,7 @@ def _eval_qeuler(args, policy):
 def _eval_qeuler_poly(args, policy):
     if args.exact:
         return qeuler_poly_exact(args.m, *_exact_point(args, "nonnegative"))
-    return qeuler_poly_numeric(args.m, args.q, Fraction(args.x))
+    return qeuler_poly_numeric(args.m, args.q, _x(args))
 
 
 def _eval_classical(args, policy):
@@ -266,7 +271,7 @@ def _eval_zeta(args, policy):
 def _eval_hurwitz(args, policy):
     if args.exact:
         return hurwitz_neg_int_exact(_exact_s(args, "hurwitz"), *_exact_point(args, "positive"))
-    return _series(args, policy, hurwitz_zeta_q, hurwitz_zeta_q_direct, Fraction(args.x))
+    return _series(args, policy, hurwitz_zeta_q, hurwitz_zeta_q_direct, _x(args))
 
 
 def _eval_lseries(args, policy):
@@ -445,25 +450,22 @@ def _build_parser():
     return parser
 
 
-_VALUE_OPTS = frozenset(
-    {"--s", "--s-grid", "--m", "--m-fixed", "--x", "--q", "--q-list", "--eps"}
-)
-
-
 def _merge_negative_values(argv, options):
-    """Join value options with a following ``-``-leading token that is not
-    one of the parser's ``options``.
+    """Join each option that takes a value with a following ``-``-leading
+    token that is not one of the parser's ``options``, a mapping of every
+    option string to whether it takes a value.
 
     argparse treats a bare ``-3..0`` or ``-inf`` as an option string;
     rewriting ``--s-grid -3..0`` to ``--s-grid=-3..0`` lets ranges,
     negative s, scientific eps and non-finite values through to their
-    converters, which state why a value is refused.
+    converters, which state why a value is refused.  An option followed by
+    another option keeps argparse's "expected one argument".
     """
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_OPTS and i + 1 < len(argv):
+        if options.get(tok) and i + 1 < len(argv):
             nxt = argv[i + 1]
             if nxt.startswith("-") and nxt.partition("=")[0] not in options:
                 out.append(f"{tok}={nxt}")
@@ -494,11 +496,12 @@ def _parser():
 
 @functools.cache
 def _option_strings():
-    """Every option string of the parser, those of its subcommands included."""
+    """Every option string of the parser, those of its subcommands included,
+    mapped to whether it takes a value (a flag's nargs is 0)."""
     parser = _parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return frozenset(o for p in (parser, *sub.choices.values()) for a in p._actions
-                     for o in a.option_strings)
+    return {o: a.nargs is None for p in (parser, *sub.choices.values()) for a in p._actions
+            for o in a.option_strings}
 
 
 def main(argv=None):

@@ -9,11 +9,15 @@ with chi = 1 except for the L-series: zeta_E is (x, n0, step) = (0, 1, 1),
 zeta_H(s, x) is (x, 0, 1), the partial zeta H(s, a, F) is (0, a, F), and
 L(s, chi) is (0, 1, 1) weighted by chi mod d.  A character splits its
 progression into residue classes n = a + d k, one per chi(a) != 0; the
-moduli and F are odd, so every class alternates in k.  Each public
-function builds the progression's record once,
-:class:`~qeuler._direct.Progression`: x, the class table, (a, k, chi(a))
-per class from the character's one table (see :mod:`qeuler.characters`),
-or the one class n0 without chi, and the least gap between consecutive n.
+moduli and F are odd, so every class alternates in k.  Each family has
+one builder that checks the family's own arguments and returns the
+progression's record, :class:`~qeuler._direct.Progression`:
+``_hurwitz(x, q)``, ``_dirichlet(chi)`` and ``_partial(a, F)`` (zeta_E
+has no argument to check and takes ``Progression.of()``), and all three
+routes of a family call it.  The record holds x, the class table,
+(a, k, chi(a)) per class from the character's one table (see
+:mod:`qeuler.characters`), or the one class n0 without chi, and the least
+gap between consecutive n.
 Every route reads that record and nothing else of the series: the exact
 truncation groups the classes by ``_class_groups``, which reads chi(a)
 off the table, the float routes weigh by the complex chi(a), and the
@@ -261,7 +265,7 @@ def _shift_length(s, x, q, eps):
     c = min(1, |s| / (1 - q**x)), with the cap 1 the constant of the
     model for larger |s|; 1 - q**x is formed as -expm1(x ln q), which stays
     positive for a tiny x where q**x rounds to 1 (x ln q itself is a normal
-    double: ``_hurwitz_x`` checks it).  K + that count is least at
+    double: ``_hurwitz`` checks it).  K + that count is least at
     x + K = sqrt(ln(c/eps) / |ln q|), and K = 0 where c <= eps: there
     the first terms of the plain series already meet eps.
     The shift only pays where the plain ratio q**x is near 1, and it
@@ -400,16 +404,18 @@ def _continuation(s, q, policy, progression):
     return total
 
 
-def _truncated(m, q, progression, qx=(1, 1)):
-    """The continuation of the ``progression`` at s = -m, m >= 0, exactly.
+def _truncated(m, r, progression, d=1, a=0):
+    """The continuation of the ``progression`` at s = -m, m >= 0, exactly,
+    at base q = r**d and the point x = a/d, so that q**x = r**a (below, a
+    names a class's first n, not this argument).
 
     It terminates after m+1 terms, so its class a is
 
         (1+q) (1-q)**(-m) (-1)**a sum_{j<=m} C(j-m-1, j) qx**j y**(-e) / (1 + Q**(-e)),
 
-    with e = m - j, y = q**a and Q = q**step, step its period.  ``q`` =
-    qa/qb is an integer pair, and so must ``qx`` = q**x be (x = a/d at base
-    q = r**d gives r**a).  Term j is
+    with e = m - j, qx = q**x, y = q**a and Q = q**step, step its period.
+    The checked rational ``r`` gives q = qa/qb and qx = qxa/qxb as integer
+    pairs.  Term j is
 
         C qx**j Q**e y**(-e) / (Q**e + 1)
             = C qx**j (qa**(step-a) qb**a)**e / (qa**(step e) + qb**(step e)):
@@ -432,9 +438,10 @@ def _truncated(m, q, progression, qx=(1, 1)):
     again.
     """
     _, _, classes, step = progression
-    qa, qb = q
+    rn, rd = r.numerator, r.denominator
+    qa, qb = rn**d, rd**d
     Qa, Qb = _powers(qa**step, m), _powers(qb**step, m)
-    xpow, xbpow = _powers(qx[0], m), _powers(qx[1], m)
+    xpow, xbpow = _powers(rn**a, m), _powers(rd**a, m)
     # C(j-m-1, j) qx**j Q**e y**(-e) / (Q**e + 1) = num_j * (class power)**e / den_j / qxb**m,
     # e = m - j; C(j-m-1, j) = (-1)**j C(m, j) is an integer
     es = range(m, -1, -1)
@@ -456,16 +463,28 @@ def _truncated(m, q, progression, qx=(1, 1)):
     return _chi_combination(sums)
 
 
-def _hurwitz_x(x, q):
-    """x as a float, > 0, and not so small at base q that x ln q is below
-    the normal range: [x]_q = -expm1(x ln q) / (1-q) then keeps its full
-    relative precision (a subnormal x ln q loses it, and 0 would be a
-    bracket of 0)."""
+def _hurwitz(x, q):
+    """The progression of zeta_H(s, x): n >= 0 shifted by x, with x a
+    float, > 0, and not so small at base q that x ln q is below the normal
+    range: [x]_q = -expm1(x ln q) / (1-q) then keeps its full relative
+    precision (a subnormal x ln q loses it, and 0 would be a bracket of 0)."""
     x = check_double(x, "x", positive=True)
     if -x * math.log(check_base(q, "q")) < sys.float_info.min:
         raise DomainError(f"x = {x!r} is too small at q = {q}: x ln q lies below the normal "
                           "double range, and [x]_q would lose its precision")
-    return x
+    return Progression.of(x, 0)
+
+
+def _dirichlet(chi):
+    """The progression of L(s, chi): n >= 1 weighted by the character ``chi``."""
+    return Progression.of(chi=check_instance(chi, "chi", DirichletCharacter))
+
+
+def _partial(a, F):
+    """The progression of H(s, a, F): n = a, a+F, ..., for odd F >= 3 and
+    1 <= a <= F, checked in that order."""
+    check_int(F, "F", 3, odd=True)
+    return Progression.of(n0=check_int(a, "a", 1, F), step=F)
 
 
 def hurwitz_zeta_q(s, x, q, policy=None):
@@ -478,7 +497,7 @@ def hurwitz_zeta_q(s, x, q, policy=None):
     continuation runs at x+K (see the module docstring); ``terms_used``
     counts both parts.
     """
-    return _continuation(s, q, policy, Progression.of(_hurwitz_x(x, q), 0))
+    return _continuation(s, q, policy, _hurwitz(x, q))
 
 
 def hurwitz_zeta_q_direct(s, x, q, policy=None):
@@ -490,7 +509,7 @@ def hurwitz_zeta_q_direct(s, x, q, policy=None):
     needs fewer terms by an a-priori count (see the module docstring);
     ``abs_error_estimate`` is truncation plus rounding.
     """
-    return _direct_series(s, q, policy, Progression.of(_hurwitz_x(x, q), 0))
+    return _direct_series(s, q, policy, _hurwitz(x, q))
 
 
 def hurwitz_neg_int_exact(m, r, d, a):
@@ -502,9 +521,7 @@ def hurwitz_neg_int_exact(m, r, d, a):
     check_int(m, "m", 1)
     check_int(a, "a", 0)
     check_int(d, "d", 1)
-    r = check_rational(r, "r", unit=True)
-    rn, rd = r.numerator, r.denominator
-    return _truncated(m, (rn**d, rd**d), Progression.of(n0=0), (rn**a, rd**a))
+    return _truncated(m, check_rational(r, "r", unit=True), Progression.of(n0=0), d, a)
 
 
 def euler_zeta_q(s, q, policy=None):
@@ -529,15 +546,13 @@ def euler_zeta_neg_int_exact(m, r):
     q-Euler number -- the sign boundary of the interpolation.
     """
     check_int(m, "m", 0)
-    r = check_rational(r, "r", unit=True)
-    return _truncated(m, (r.numerator, r.denominator), Progression.of())
+    return _truncated(m, check_rational(r, "r", unit=True), Progression.of())
 
 
 def l_series(s, chi, q, policy=None):
     """L(s, chi) = (1+q) sum_{n>=1} chi(n) (-1)**n q**(s*n) / [n]**s for all
     complex s, by the continuation of each class n = a (mod d), chi(a) != 0."""
-    return _continuation(s, q, policy,
-                         Progression.of(chi=check_instance(chi, "chi", DirichletCharacter)))
+    return _continuation(s, q, policy, _dirichlet(chi))
 
 
 def l_series_direct(s, chi, q, policy=None):
@@ -547,8 +562,7 @@ def l_series_direct(s, chi, q, policy=None):
     so it costs (classes) x n terms against the plain stream's count over
     every n; the cheaper one runs.  The bound is truncation plus rounding.
     """
-    return _direct_series(s, q, policy,
-                          Progression.of(chi=check_instance(chi, "chi", DirichletCharacter)))
+    return _direct_series(s, q, policy, _dirichlet(chi))
 
 
 def l_neg_int_exact(k, chi, r):
@@ -565,9 +579,8 @@ def l_neg_int_decomposition(k, chi, r):
     exact rational prestages otherwise).
     """
     check_int(k, "k", 1)
-    check_instance(chi, "chi", DirichletCharacter)
-    r = check_rational(r, "r", unit=True)
-    return _truncated(k, (r.numerator, r.denominator), Progression.of(chi=chi))
+    progression = _dirichlet(chi)  # chi is checked before r
+    return _truncated(k, check_rational(r, "r", unit=True), progression)
 
 
 def partial_zeta(s, a, F, q, policy=None):
@@ -577,8 +590,7 @@ def partial_zeta(s, a, F, q, policy=None):
     n = a + F k, for odd F >= 3 and 1 <= a <= F (a = F selects the
     multiples of F).
     """
-    check_int(F, "F", 3, odd=True)
-    return _continuation(s, q, policy, Progression.of(n0=check_int(a, "a", 1, F), step=F))
+    return _continuation(s, q, policy, _partial(a, F))
 
 
 def partial_zeta_direct(s, a, F, q, policy=None):
@@ -588,8 +600,7 @@ def partial_zeta_direct(s, a, F, q, policy=None):
     :func:`hurwitz_zeta_q_direct` with step F; the bound is truncation
     plus rounding.
     """
-    check_int(F, "F", 3, odd=True)
-    return _direct_series(s, q, policy, Progression.of(n0=check_int(a, "a", 1, F), step=F))
+    return _direct_series(s, q, policy, _partial(a, F))
 
 
 def partial_zeta_neg_int_exact(n, a, F, r):
@@ -599,7 +610,5 @@ def partial_zeta_neg_int_exact(n, a, F, r):
     add up to ``euler_zeta_neg_int_exact(n, r)`` exactly.
     """
     check_int(n, "n", 1)
-    check_int(F, "F", 3, odd=True)
-    check_int(a, "a", 1, F)
-    r = check_rational(r, "r", unit=True)
-    return _truncated(n, (r.numerator, r.denominator), Progression.of(n0=a, step=F))
+    progression = _partial(a, F)  # F and a are checked before r
+    return _truncated(n, check_rational(r, "r", unit=True), progression)

@@ -493,7 +493,17 @@ class TestRefusedOptionValue:
          "argument --m: cannot parse range 'a..b' (expected 'a..b')"),
         (["table", "qeuler", "--m-fixed", "1", "--q-list", "1/2,x"],
          "argument --q-list: cannot parse rational 'x'"),
-    ], ids=["s-text", "s-parts", "s-inf", "q", "s-grid", "m-range", "q-list"])
+        # a "-"-leading value of any option that takes one reaches its converter
+        (["eval", "zeta", "--s", "2", "--q", "0.5", "--k", "-1e3"],
+         "argument --k: invalid int value: '-1e3'"),
+        (["eval", "partial", "--s", "2", "--q", "0.5", "--a", "-1e3", "--F", "5"],
+         "argument --a: invalid int value: '-1e3'"),
+        (["eval", "zeta", "--s", "2", "--q", "0.5", "--max-terms", "-1e3"],
+         "argument --max-terms: invalid int value: '-1e3'"),
+        (["verify", "identities", "--seed", "-1e3"],
+         "argument --seed: invalid int value: '-1e3'"),
+    ], ids=["s-text", "s-parts", "s-inf", "q", "s-grid", "m-range", "q-list", "k-negative",
+            "a-negative", "max-terms-negative", "seed-negative"])
     def test_the_reason_reaches_stderr(self, argv, line, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -509,6 +519,33 @@ class TestRefusedOptionValue:
         argv = ["eval", "hurwitz", "--s", "-2", "--x", "1/0", "--q", "1/8", "--exact"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("qeuler: error: cannot parse rational '1/0'")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "hurwitz", "--s", "2", "--x", "1/0", "--q", "0.5"],
+        ["eval", "qeuler-poly", "--m", "2", "--x", "1/0", "--q", "1/2"],
+        ["eval", "hurwitz", "--s", "2", "--x", "inf", "--q", "0.5"],
+        ["eval", "hurwitz", "--s", "2", "--x", "inf", "--q", "0.5", "--method", "direct"],
+        ["eval", "qeuler-poly", "--m", "2", "--x", "inf", "--q", "1/2"],
+    ], ids=["hurwitz-1/0", "qeuler-poly-1/0", "hurwitz-inf", "hurwitz-direct-inf",
+            "qeuler-poly-inf"])
+    def test_x_is_refused_on_the_float_routes(self, argv, capsys):
+        # exit 2 with the reason, never a traceback (exit 1 is a failed verification)
+        assert main(argv) == 2
+        x = argv[argv.index("--x") + 1]
+        assert capsys.readouterr().err.startswith(f"qeuler: error: cannot parse rational {x!r}")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "hurwitz", "--s", "2", "--x", "0.5", "--q", "0.5"],
+        ["eval", "qeuler-poly", "--m", "2", "--x", "0.5", "--q", "1/2"],
+    ], ids=["hurwitz", "qeuler-poly"])
+    def test_x_is_recorded_as_typed(self, argv, capsys):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["x"] == "0.5"
+
+    def test_a_negative_character_modulus_states_its_reason(self, capsys):
+        argv = ["eval", "lseries", "--s", "2", "--q", "0.5", "--char", "-5:1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("qeuler: error: modulus must be an odd integer")
 
 
 class TestTableSweepValidation:

@@ -255,3 +255,40 @@ def test_a_printable_argument_prints_as_before():
         check_finite([1, 2], "x")
     with pytest.raises(DomainError, match=r"got 3/2$"):
         check_rational(Fraction(3, 2), "r", unit=True)
+
+
+# Each series family checks its own arguments in one builder that its
+# continuation, its direct sum and its exact entries all call, so one bad
+# argument is refused with the same message on every route that takes it.
+HALF = Fraction(1, 2)
+PARTIAL_ROUTES = (lambda a, F: partial_zeta(2, a, F, 0.5),
+                  lambda a, F: partial_zeta_direct(2, a, F, 0.5),
+                  lambda a, F: partial_zeta_neg_int_exact(2, a, F, HALF))
+L_ROUTES = (lambda chi: l_series(2, chi, 0.5), lambda chi: l_series_direct(2, chi, 0.5),
+            lambda chi: l_neg_int_decomposition(2, chi, HALF),
+            lambda chi: l_neg_int_exact(2, chi, HALF))
+HURWITZ_ROUTES = (lambda x: hurwitz_zeta_q(2, x, 0.5), lambda x: hurwitz_zeta_q_direct(2, x, 0.5))
+
+# (the bad argument, the family's routes, their arguments with it)
+FAMILY_CASES = [
+    ("F=4", PARTIAL_ROUTES, (1, 4)),
+    ("F=1", PARTIAL_ROUTES, (1, 1)),
+    ("a=0", PARTIAL_ROUTES, (0, 5)),
+    ("a=F+1", PARTIAL_ROUTES, (6, 5)),
+    ("chi=5", L_ROUTES, (5,)),
+    ("chi=None", L_ROUTES, (None,)),
+    ("x=0", HURWITZ_ROUTES, (0,)),
+    ("x=-1", HURWITZ_ROUTES, (-1,)),
+    ("x=1e-320", HURWITZ_ROUTES, (1e-320,)),
+]
+
+
+@pytest.mark.parametrize("bad,routes,args", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
+def test_a_family_refuses_a_bad_argument_alike_on_every_route(bad, routes, args):
+    messages = []
+    for route in routes:
+        with pytest.raises(DomainError) as exc:
+            route(*args)
+        messages.append(str(exc.value))
+    assert messages == messages[:1] * len(routes)
+    assert messages[0].split()[0] == bad.split("=")[0]

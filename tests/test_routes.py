@@ -32,13 +32,14 @@ KERNEL = "numeric kernel: exact integer-pair sums and powers, no formula of eith
 CHECKS = {name: NO_ARITHMETIC for name in (
     "errors._number", "errors._double", "errors.check_base", "errors.check_double",
     "errors.check_finite", "errors.check_instance", "errors.check_int",
-    "errors.check_rational", "zeta._hurwitz_x")}
+    "errors.check_rational", "zeta._hurwitz")}
 NUMERIC = {name: KERNEL for name in (
     "numeric._exact_sum", "numeric._tree", "numeric._coprime_add", "numeric._v2",
     "numeric._fraction", "numeric._float", "numeric._pair", "numeric._negated",
     "numeric._powers", "numeric._power_sums", "numeric._sum_order", "numeric._factor_key",
     "numeric._factorize", "numeric.gen_binom")}
-PROGRESSION = {"_direct.Progression.of": "argument structure, no arithmetic"}
+PROGRESSION = {name: "argument structure, no arithmetic" for name in (
+    "_direct.Progression.of", "zeta._dirichlet", "zeta._partial")}
 CHARACTER = {
     "characters.DirichletCharacter._unit_table":
         "the character's values (a, k, chi(a)), input data that both sides read",
@@ -181,8 +182,8 @@ def test_every_allowlist_entry_states_its_reason():
         assert all(isinstance(why, str) and len(why) > 20 for why in allowed.values())
 
 
-def _higher_as_truncation(m, q, progression, qx=(1, 1)):
-    return euler_numbers.qeuler_higher(m, 1, Fraction(*q))
+def _higher_as_truncation(m, r, progression, d=1, a=0):
+    return euler_numbers.qeuler_higher(m, 1, r)
 
 
 @pytest.mark.parametrize("row,name,fake,formula", [
